@@ -143,7 +143,10 @@ mod tests {
         };
         assert_eq!(snap.it, Some(1));
         assert_eq!(snap.players.len(), 1);
-        assert!(server.stats.broadcasts.load(Ordering::Relaxed) > 0);
+        // The ticker counts a broadcast after sending it: join it
+        // before reading the count the received snapshot implies.
+        let stats = server.stats.clone();
         server.stop();
+        assert!(stats.broadcasts.load(Ordering::Relaxed) > 0);
     }
 }

@@ -304,6 +304,21 @@ impl Response {
     /// Serializes status line, headers (adding `Content-Length`,
     /// `Connection` and `Server`) and the body.
     pub fn write_to(&self, w: &mut dyn Write, keep_alive: bool) -> io::Result<()> {
+        self.write_head_to(w, keep_alive, self.body.len())?;
+        w.write_all(&self.body)?;
+        w.flush()
+    }
+
+    /// Serializes the head alone, announcing a body of `body_len`
+    /// bytes: for a caller that holds the body elsewhere (a shared
+    /// cache entry) and appends it itself, so it need not be cloned
+    /// into `self.body` first.
+    pub fn write_head_to(
+        &self,
+        w: &mut dyn Write,
+        keep_alive: bool,
+        body_len: usize,
+    ) -> io::Result<()> {
         let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason);
         for (k, v) in &self.headers {
             head.push_str(k);
@@ -311,7 +326,7 @@ impl Response {
             head.push_str(v);
             head.push_str("\r\n");
         }
-        head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
+        head.push_str(&format!("Content-Length: {body_len}\r\n"));
         head.push_str("Server: flux-rs/0.1\r\n");
         head.push_str(if keep_alive {
             "Connection: keep-alive\r\n"
@@ -319,9 +334,7 @@ impl Response {
             "Connection: close\r\n"
         });
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
-        w.flush()
+        w.write_all(head.as_bytes())
     }
 
     /// Total bytes `write_to` will emit (for throughput accounting).

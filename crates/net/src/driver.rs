@@ -7,9 +7,12 @@
 //! that readiness stream from three producers feeding one channel:
 //!
 //! * an **acceptor thread** per listener, queueing
-//!   [`DriverEvent::Incoming`]; transient accept failures (`EMFILE`,
-//!   `ECONNABORTED`, …) are retried with a short backoff instead of
-//!   killing the listener, with retries counted in [`DriverCounters`];
+//!   [`DriverEvent::Incoming`]. It waits in [`Listener::accept`] — for
+//!   TCP a `poll(2)` on the listener fd, so a connect wakes it at once
+//!   and a backlog drains in one wake; transient accept failures
+//!   (`EMFILE`, `ECONNABORTED`, …) are retried with a short backoff
+//!   instead of killing the listener, with retries counted in
+//!   [`DriverCounters`];
 //! * the in-memory transport's **watch callbacks** (zero threads: the
 //!   writer's thread fires the callback at write time). Callbacks are
 //!   *coalesced*: each appends to a shared buffer and only the
@@ -1147,7 +1150,10 @@ impl ConnDriver {
     }
 
     /// Accepts connections from `listener` on a background thread,
-    /// registering each and queueing [`DriverEvent::Incoming`].
+    /// registering each and queueing [`DriverEvent::Incoming`]. The
+    /// thread's idle wait is `listener.accept()` itself, bounded at
+    /// 50 ms so the stop flag is seen; the sleeps below (token bucket,
+    /// error back-off) are deliberate pacing, not readiness polling.
     ///
     /// Transient accept errors (`EMFILE`, `ECONNABORTED`, a momentarily
     /// exhausted backlog) make the loop back off — briefly at first,

@@ -7,7 +7,10 @@
 //! * **mem** — a hermetic in-memory transport (duplex pipes, a listener
 //!   registry, datagram sockets) with optional aggregate link shaping,
 //!   so benchmarks are reproducible and can exhibit network saturation;
-//! * **tcp** — real TCP/UDP over `std::net` for examples and interop;
+//! * **tcp** — real TCP/UDP over `std::net`; the acceptor waits for
+//!   connections in `poll(2)` and output goes out with
+//!   `send(MSG_DONTWAIT)`, so nothing at this edge sleep-polls or flips
+//!   socket modes;
 //! * **driver** — a readiness multiplexer ([`ConnDriver`]) that turns
 //!   accepts, per-connection readability and asynchronous write
 //!   completions into one event stream, which Flux source nodes consume
@@ -123,7 +126,9 @@
 //!   (peers fail fast instead of parking in a backlog the server will
 //!   never drain) — and [`NetConfig::accept_rate`] token-buckets the
 //!   accept loop, *pacing* admission (the socket waits for a token)
-//!   rather than rejecting. Both are counted
+//!   rather than rejecting. Both run on the acceptor thread, which
+//!   otherwise waits in the kernel for the next connection, so an
+//!   ungoverned accept costs no timer. Both are counted
 //!   ([`DriverCounters::accepts_governed`] vs
 //!   [`DriverCounters::accepts_admitted`]), so `admitted + governed`
 //!   always reconciles with accepts observed.

@@ -453,6 +453,34 @@ fn timeout_ms(timeout: Duration) -> sys::c_int {
     timeout.as_millis().clamp(0, sys::c_int::MAX as u128) as sys::c_int
 }
 
+/// Blocks in `poll(2)` until `fd` is readable (for a listener: has a
+/// connection to accept) or in error, for at most `timeout` — `None`
+/// waits indefinitely. Returns `Ok` as well when the timeout passes or
+/// a signal interrupts the wait: the caller retries its non-blocking
+/// call and keeps its own deadline. For the one-fd waits that sit
+/// outside the reactor (the TCP acceptor); the timeout is rounded *up*
+/// to poll's milliseconds so a caller looping to a deadline never spins.
+pub(crate) fn wait_readable(fd: RawFd, timeout: Option<Duration>) -> io::Result<()> {
+    let ms = match timeout {
+        None => -1,
+        Some(d) => d.as_micros().div_ceil(1000).min(sys::c_int::MAX as u128) as sys::c_int,
+    };
+    let mut pfd = sys::pollfd {
+        fd,
+        events: sys::POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `pfd` is one valid, exclusively borrowed `pollfd` and
+    // `nfds` is 1, so the kernel reads and writes only that struct.
+    if unsafe { sys::poll(&mut pfd, 1, ms) } < 0 {
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+    Ok(())
+}
+
 /// The portable `poll(2)` backend. The `pollfd` array is maintained
 /// *incrementally*: `add`/`modify`/`delete` edit it in place (an
 /// fd-indexed side table maps each fd to its array position), so the

@@ -1,12 +1,24 @@
-//! Real TCP/UDP transports over `std::net`, for examples and
-//! interoperability testing. Benchmarks use the in-memory transport.
+//! Real TCP/UDP transports over `std::net`: what the servers, the
+//! baselines and the repository benchmark (`benchmark/`) run on.
+//!
+//! Every wait at this edge is a kernel wait. The listener is
+//! non-blocking from `bind` on and [`TcpAcceptor::accept`] blocks in
+//! `poll(2)` on its fd (bounded by the accept timeout, when one is
+//! set), so a connect wakes the acceptor at once and a backlog drains
+//! without sleeping between accepts. Output is sent with
+//! `send(MSG_DONTWAIT)`: the socket's `O_NONBLOCK` flag — which lives on
+//! the open file description and is therefore shared with every
+//! `try_clone`d handle — is never touched, so a blocking `read` on a
+//! clone cannot see a spurious `WouldBlock`. Accepted and connected
+//! sockets carry `TCP_NODELAY`: responses are written whole, and a
+//! small write must not wait out the peer's delayed ACK.
 
 use crate::pool::{OutBuf, SharedPayload};
 use crate::traits::{Conn, Datagram, Listener, WriteProgress};
 use parking_lot::Mutex;
 use std::io;
 use std::net::{TcpListener, TcpStream, UdpSocket};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A TCP connection implementing [`Conn`].
 ///
@@ -40,13 +52,12 @@ impl TcpConn {
 
     /// Connects to `addr` (e.g. `127.0.0.1:8080`).
     pub fn connect(addr: &str) -> io::Result<Self> {
-        Ok(TcpConn::new(TcpStream::connect(addr)?))
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(TcpConn::new(stream))
     }
 
-    /// Non-blocking drain of the output buffer. The socket is switched
-    /// to non-blocking mode only for the duration of the call; callers
-    /// hold the connection lock, so blocking reads elsewhere never
-    /// observe the mode flip.
+    /// Non-blocking drain of the output buffer.
     fn drain_nonblocking(&mut self) -> io::Result<WriteProgress> {
         while let Some(front) = self.out.front() {
             let n = nb_write(&self.stream, front)?;
@@ -61,29 +72,63 @@ impl TcpConn {
 }
 
 /// Writes as much of `buf` as the socket accepts without blocking,
-/// returning the number of bytes taken (the socket's non-blocking flag
-/// is restored before returning).
+/// returning the number of bytes taken.
 fn nb_write(stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
-    use std::io::Write as _;
-    stream.set_nonblocking(true)?;
     let mut done = 0;
-    let result = loop {
-        if done >= buf.len() {
-            break Ok(done);
-        }
-        match (&mut &*stream).write(&buf[done..]) {
+    while done < buf.len() {
+        match send_nowait(stream, &buf[done..]) {
             Ok(0) => {
-                break Err(io::Error::new(
+                return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
                     "socket accepted zero bytes",
                 ))
             }
             Ok(n) => done += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(done),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => break Err(e),
+            Err(e) => return Err(e),
         }
+    }
+    Ok(done)
+}
+
+/// One `send(2)` that fails with `WouldBlock` instead of waiting for
+/// socket-buffer room: non-blocking per call (`MSG_DONTWAIT`), leaving
+/// the shared `O_NONBLOCK` flag alone (see the module docs).
+#[cfg(target_os = "linux")]
+fn send_nowait(stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
+    use std::ffi::{c_int, c_void};
+    use std::os::fd::AsRawFd;
+    const MSG_DONTWAIT: c_int = 0x40;
+    const MSG_NOSIGNAL: c_int = 0x4000;
+    extern "C" {
+        fn send(fd: c_int, buf: *const c_void, len: usize, flags: c_int) -> isize;
+    }
+    // SAFETY: `buf` is a live slice for the duration of the call and
+    // `send` reads at most `buf.len()` bytes from it; the fd is owned
+    // by `stream`, which outlives the call.
+    let n = unsafe {
+        send(
+            stream.as_raw_fd(),
+            buf.as_ptr().cast(),
+            buf.len(),
+            MSG_DONTWAIT | MSG_NOSIGNAL,
+        )
     };
+    if n < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(n as usize)
+    }
+}
+
+/// Off Linux `std` offers no per-call flag, so the mode is flipped
+/// around the write (and restored before returning).
+#[cfg(not(target_os = "linux"))]
+fn send_nowait(stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
+    use std::io::Write as _;
+    stream.set_nonblocking(true)?;
+    let result = (&mut &*stream).write(buf);
     stream.set_nonblocking(false)?;
     result
 }
@@ -182,9 +227,10 @@ impl Conn for TcpConn {
     }
 }
 
-/// A TCP listener implementing [`Listener`]. Accept timeouts are emulated
-/// with a non-blocking accept + sleep loop, since `std` exposes no
-/// `SO_RCVTIMEO` for listeners.
+/// A TCP listener implementing [`Listener`]. The listening socket is
+/// non-blocking for its whole life; [`Listener::accept`] waits for a
+/// connection in `poll(2)`, for the accept timeout when one is set and
+/// indefinitely otherwise.
 pub struct TcpAcceptor {
     listener: TcpListener,
     timeout: Mutex<Option<Duration>>,
@@ -194,10 +240,28 @@ impl TcpAcceptor {
     /// Binds to `addr` (use port 0 for an ephemeral port).
     pub fn bind(addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         Ok(TcpAcceptor {
             listener,
             timeout: Mutex::new(None),
         })
+    }
+
+    /// Waits until the listener has a connection to accept, or `left`
+    /// has passed, or a signal interrupts the wait; the caller tries
+    /// `accept` again in every case.
+    #[cfg(unix)]
+    fn wait_acceptable(&self, left: Option<Duration>) -> io::Result<()> {
+        use std::os::fd::AsRawFd;
+        crate::poller::wait_readable(self.listener.as_raw_fd(), left)
+    }
+
+    /// Without `poll(2)` the wait is a short sleep between tries.
+    #[cfg(not(unix))]
+    fn wait_acceptable(&self, left: Option<Duration>) -> io::Result<()> {
+        let slice = Duration::from_millis(2);
+        std::thread::sleep(left.map_or(slice, |l| l.min(slice)));
+        Ok(())
     }
 
     /// Raises the kernel listen backlog above the std default (128).
@@ -230,36 +294,32 @@ impl TcpAcceptor {
     }
 }
 
+/// Wraps a freshly accepted socket. Linux's `accept4` never passes the
+/// listener's `O_NONBLOCK` on; the BSDs' `accept` does, so there it is
+/// cleared. A peer that has already reset can make `TCP_NODELAY` fail;
+/// that is the connection's first read's error to report, not the
+/// listener's.
+fn accepted(stream: TcpStream) -> io::Result<Box<dyn Conn>> {
+    #[cfg(not(target_os = "linux"))]
+    stream.set_nonblocking(false)?;
+    let _ = stream.set_nodelay(true);
+    Ok(Box::new(TcpConn::new(stream)))
+}
+
 impl Listener for TcpAcceptor {
     fn accept(&self) -> io::Result<Box<dyn Conn>> {
-        let timeout = *self.timeout.lock();
-        match timeout {
-            None => {
-                self.listener.set_nonblocking(false)?;
-                let (s, _) = self.listener.accept()?;
-                Ok(Box::new(TcpConn::new(s)))
-            }
-            Some(d) => {
-                self.listener.set_nonblocking(true)?;
-                let deadline = std::time::Instant::now() + d;
-                loop {
-                    match self.listener.accept() {
-                        Ok((s, _)) => {
-                            s.set_nonblocking(false)?;
-                            return Ok(Box::new(TcpConn::new(s)));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            if std::time::Instant::now() >= deadline {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::TimedOut,
-                                    "accept timed out",
-                                ));
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(e) => return Err(e),
+        let deadline = (*self.timeout.lock()).map(|d| Instant::now() + d);
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => return accepted(stream),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                    if left == Some(Duration::ZERO) {
+                        return Err(io::Error::new(io::ErrorKind::TimedOut, "accept timed out"));
                     }
+                    self.wait_acceptable(left)?;
                 }
+                Err(e) => return Err(e),
             }
         }
     }
@@ -347,9 +407,96 @@ mod tests {
     #[test]
     fn tcp_accept_timeout() {
         let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        acceptor.set_accept_timeout(Some(Duration::from_millis(30)));
+        let timeout = Duration::from_millis(30);
+        acceptor.set_accept_timeout(Some(timeout));
+        let t0 = Instant::now();
         let err = acceptor.accept().err().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(
+            t0.elapsed() >= timeout,
+            "timed out early: {:?}",
+            t0.elapsed()
+        );
+    }
+
+    /// Timed or not, the acceptor sleeps in the kernel until a connect
+    /// arrives, however late, and returns it without sitting out the
+    /// rest of its timeout.
+    #[test]
+    fn tcp_accept_wakes_on_connect() {
+        for timeout in [None, Some(Duration::from_secs(5))] {
+            let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+            acceptor.set_accept_timeout(timeout);
+            let addr = acceptor.local_addr();
+            let delay = Duration::from_millis(80);
+            let t = thread::spawn(move || {
+                thread::sleep(delay);
+                TcpStream::connect(addr).unwrap()
+            });
+            let t0 = Instant::now();
+            let server = acceptor.accept().unwrap();
+            let waited = t0.elapsed();
+            assert!(waited >= delay / 2, "returned before the connect");
+            assert!(waited < Duration::from_secs(2), "{timeout:?}: {waited:?}");
+            let client = t.join().unwrap();
+            assert_eq!(server.peer_addr(), client.local_addr().unwrap().to_string());
+        }
+    }
+
+    /// `O_NONBLOCK` belongs to the open file description, which a
+    /// `try_clone`d handle shares: a writer that flipped it around each
+    /// send would make a blocking `read` on the clone fail with
+    /// `WouldBlock` whenever the read began mid-flip. The peer trickles
+    /// bytes so the reader keeps re-entering `read` while the writer
+    /// sends without pause.
+    #[test]
+    fn blocking_read_on_a_clone_never_sees_would_block() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(acceptor.local_addr()).unwrap();
+        let mut writer = acceptor.accept().unwrap();
+        let mut reader = writer.try_clone().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+
+        let reading = thread::spawn(move || {
+            let mut buf = [0u8; 64];
+            loop {
+                match reader.read(&mut buf) {
+                    Ok(0) => return Ok(()),
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        });
+        let mut peer_in = peer.try_clone().unwrap();
+        let discarding = thread::spawn(move || {
+            let mut buf = [0u8; 4096];
+            while matches!(peer_in.read(&mut buf), Ok(n) if n > 0) {}
+        });
+        let trickling = {
+            let stop = stop.clone();
+            thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    peer.write_all(b".").unwrap();
+                    thread::yield_now();
+                }
+                peer.shutdown(std::net::Shutdown::Write).unwrap();
+            })
+        };
+
+        let until = Instant::now() + Duration::from_secs(1);
+        while Instant::now() < until {
+            writer.enqueue_write(b"0123456789abcdef").unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        trickling.join().unwrap();
+        let read_result = reading.join().unwrap();
+        assert!(read_result.is_ok(), "blocking read failed: {read_result:?}");
+        drop(writer);
+        discarding.join().unwrap();
     }
 
     #[test]

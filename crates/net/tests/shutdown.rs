@@ -6,8 +6,9 @@
 //! connection (dropping its buffered output) itself.
 //!
 //! Runs as its own integration-test binary — and therefore its own
-//! process — so scanning `/proc/self/task` sees only this test's
-//! threads. Every scenario runs once per `Poller` backend.
+//! process — and the scenarios take turns ([`SERIAL`]), so scanning
+//! `/proc/self/task` sees only the running scenario's threads. Every
+//! scenario runs once per `Poller` backend.
 
 #![cfg(unix)]
 
@@ -17,6 +18,15 @@ use flux_net::{DriverEvent, TcpAcceptor, TcpConn};
 use std::io::Write as _;
 use std::time::Duration;
 use util::{backends, driver_on};
+
+/// The test harness runs this binary's tests on parallel threads; the
+/// thread scan must not see another scenario's live driver.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    // A scenario that panicked holding the lock protected no data.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Names of live `flux-net-*` threads (Linux; comm is truncated to 15
 /// chars by the kernel).
@@ -39,6 +49,7 @@ fn net_threads() -> Vec<String> {
 #[cfg(target_os = "linux")]
 fn stop_joins_all_driver_threads() {
     use flux_net::Listener as _;
+    let _turn = serial();
 
     for backend in backends() {
         let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
@@ -77,6 +88,7 @@ fn stop_joins_all_driver_threads() {
 #[test]
 fn stop_does_not_leak_pending_flush() {
     use flux_net::Listener as _;
+    let _turn = serial();
 
     for backend in backends() {
         let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();

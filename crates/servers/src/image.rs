@@ -298,11 +298,16 @@ pub fn build_with(
                     return NodeOutcome::Err(1);
                 };
                 let jpeg = f.jpeg.as_ref().expect("hit or compressed");
-                let resp = Response::ok("image/jpeg", jpeg.as_ref().clone());
+                // Head and body leave as one write: two would put the
+                // body behind the client's delayed ACK of the head.
+                let mut wire = Vec::with_capacity(jpeg.len() + 160);
+                Response::ok("image/jpeg", Vec::new())
+                    .write_head_to(&mut wire, !f.close, jpeg.len())
+                    .expect("serializing a response to memory cannot fail");
+                wire.extend_from_slice(jpeg);
                 let mut guard = conn.lock();
-                if resp.write_to(&mut **guard, !f.close).is_ok() {
-                    c.bytes_out
-                        .fetch_add(resp.wire_len(!f.close) as u64, Ordering::Relaxed);
+                if guard.write_all(&wire).is_ok() {
+                    c.bytes_out.fetch_add(wire.len() as u64, Ordering::Relaxed);
                 } else {
                     f.close = true;
                 }
@@ -429,8 +434,11 @@ pub fn build_with(
     let c = ctx.clone();
     reg.node("FourOhFour", move |f: &mut ImageFlow| {
         if let Some(conn) = f.conn.clone() {
-            let mut guard = conn.lock();
-            let _ = Response::not_found().write_to(&mut **guard, false);
+            let mut wire = Vec::new();
+            Response::not_found()
+                .write_to(&mut wire, false)
+                .expect("serializing a response to memory cannot fail");
+            let _ = conn.lock().write_all(&wire);
         }
         if let Some(d) = &c.driver {
             d.remove(f.socket);

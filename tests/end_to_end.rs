@@ -124,8 +124,11 @@ fn bittorrent_full_stack() {
     )
     .unwrap();
     assert_eq!(got, file);
-    assert!(server.ctx.blocks_served.load(Ordering::Relaxed) >= 6);
+    // `Request` counts a block after submitting it: stop the runtime
+    // before reading the count the finished download implies.
+    let ctx = server.ctx.clone();
     flux::servers::bt::stop(server);
+    assert!(ctx.blocks_served.load(Ordering::Relaxed) >= 6);
 }
 
 /// The image server's cache constraint holds under concurrency: many
