@@ -32,22 +32,6 @@
 //!    same slow-reader TCP web workload at {64, 256, 1024} connections.
 //!    Writes `BENCH_hot_path.json` with host_cores and thread-pinning
 //!    state alongside each point.
-//! 9. **Adaptive shards**: static versus adaptive dispatcher sizing
-//!    under a bursty open-loop shape (idle → spike → idle) on the
-//!    SPECweb-like keep-alive workload. The adaptive controller must
-//!    park shards during the idle phases (recorded as an active-shard
-//!    trajectory) while costing ≤ ~5% throughput against the static
-//!    baseline during the steady spike. Writes
-//!    `BENCH_adaptive_shards.json`.
-//! 10. **Shard queue kind**: the Mutex/Condvar shard queue versus the
-//!     lock-free MPSC ring (bounded Vyukov slots + overflow sidecar),
-//!     on the SPECweb-like MemNet keep-alive workload at shard counts
-//!     {1, 4, 8}. Records rps/p95 per point for both kinds plus the
-//!     ring's claim/overflow/steal counters, and the ring-vs-mutex
-//!     throughput ratio at 4 shards as the headline. Writes
-//!     `BENCH_shard_queue.json` (1-core hosts annotated per point: no
-//!     parallel contention there, so the ring's CAS path shows only its
-//!     constant-factor delta).
 //! 11. **Stage fusion**: fused straight-line segments (one queue turn
 //!     per chain) versus the per-vertex oracle on the MemNet web
 //!     workload at {1, 4} shards. Writes `BENCH_fused_stages.json`.
@@ -55,9 +39,9 @@
 //!     the streaming pub/sub server — one paced publisher, N
 //!     subscribers of one topic, every `MSG` encoded once and
 //!     multicast as a refcounted shared payload — swept over
-//!     subscriber counts {64, 256, 1024}, adaptive shard controller
-//!     on. Writes `BENCH_pubsub_fanout.json` with server-side
-//!     publish/delivery/coalesce counters next to each point.
+//!     subscriber counts {64, 256, 1024}. Writes
+//!     `BENCH_pubsub_fanout.json` with server-side publish/delivery/
+//!     coalesce counters next to each point.
 //! 13. **Overload control**: the real-TCP web server under a C1M-shape
 //!     connection load — ~100k mostly-idle held connections (clamped
 //!     to the fd budget) plus an active keep-alive set driven by the
@@ -72,7 +56,7 @@
 //!
 //! Knobs: `FLUX_BENCH_SECS` (default 1.5 per point); `FLUX_BENCH_ONLY`
 //! (comma-separated ablation numbers, e.g. `FLUX_BENCH_ONLY=7`, default
-//! all); `FLUX_BENCH_QUICK=1` shrinks ablations 7/8/9/11/12/13 to one
+//! all); `FLUX_BENCH_QUICK=1` shrinks ablations 7/8/11/12/13 to one
 //! small point per mode (seconds, not minutes — the CI smoke legs that
 //! catch compile or panic regressions without a full sweep; quick JSON
 //! artifacts carry `"quick": true`).
@@ -80,8 +64,7 @@
 use flux_bench::{env_or, f, Table};
 use flux_core::model::ModelParams;
 use flux_runtime::{
-    start, AdaptivePolicy, FluxServer, NodeOutcome, NodeRegistry, OverloadPolicy, RuntimeKind,
-    SourceOutcome,
+    start, FluxServer, NodeOutcome, NodeRegistry, OverloadPolicy, RuntimeKind, SourceOutcome,
 };
 use flux_sim::{FluxSimulation, SimConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -523,386 +506,6 @@ fn hot_path_json(rows: &[(&'static str, usize, HotPathPoint)], quick: bool) -> S
     out
 }
 
-/// Ablation 9 (adaptive shards): one phase of the bursty shape — its
-/// load report window plus the active-shard envelope observed while it
-/// ran.
-struct AdaptivePhaseRow {
-    phase: &'static str,
-    t0_ms: u64,
-    t1_ms: u64,
-    rps: f64,
-    p95_ms: f64,
-    active_min: u64,
-    active_max: u64,
-}
-
-/// One mode (static or adaptive) driven through idle → spike → idle.
-struct AdaptiveModePoint {
-    mode: &'static str,
-    phases: Vec<AdaptivePhaseRow>,
-    /// `(ms since start, active shards)` samples across the whole run.
-    trajectory: Vec<(u64, u64)>,
-    parks: u64,
-    wakes: u64,
-}
-
-/// Drives one server (4 dispatcher shards, MemNet web workload) through
-/// the bursty open-loop shape: an idle phase served by a trickle client
-/// (one request per ~100 ms — enough to measure parked-state latency,
-/// quiet enough that the controller sees idleness), a steady spike of
-/// 32 keep-alive clients, then idle again. A sampler thread records the
-/// active-shard trajectory at 20 ms resolution throughout.
-/// Dispatcher shards for ablation 9 — shared by `run_adaptive_mode`
-/// and the JSON encoder so the record's `shards` field and the
-/// parked-shard gate number can never drift from the measured setup.
-const ADAPTIVE_SHARDS: usize = 4;
-
-fn run_adaptive_mode(mode: &'static str, policy: AdaptivePolicy, secs: f64) -> AdaptiveModePoint {
-    use flux_bench::{run_web_load, WebSet};
-    use flux_net::MemNet;
-    use std::sync::atomic::AtomicBool;
-    use std::time::Instant;
-
-    let set = Arc::new(WebSet::build(2 << 20));
-    let net = MemNet::new();
-    let listener = net.listen("web").unwrap();
-    let server = flux_servers::ServerBuilder::new(flux_servers::web::WebSpec::new(
-        Box::new(listener),
-        set.docroot.clone(),
-    ))
-    .runtime(RuntimeKind::EventDriven {
-        shards: ADAPTIVE_SHARDS,
-        io_workers: 4,
-        adaptive: policy,
-        queue: flux_runtime::ShardQueueKind::Mutex,
-        overload: OverloadPolicy::Unbounded,
-    })
-    .spawn();
-    let flux_srv = server.handle.server().clone();
-
-    let t_start = Instant::now();
-    let stop = Arc::new(AtomicBool::new(false));
-    let trajectory: Arc<parking_lot::Mutex<Vec<(u64, u64)>>> =
-        Arc::new(parking_lot::Mutex::new(Vec::new()));
-    let sampler = {
-        let stop = stop.clone();
-        let trajectory = trajectory.clone();
-        let srv = flux_srv.clone();
-        std::thread::Builder::new()
-            .name("adaptive-sampler".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    trajectory.lock().push((
-                        t_start.elapsed().as_millis() as u64,
-                        srv.stats.adaptive.active_shards.load(Ordering::Relaxed),
-                    ));
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            })
-            .expect("spawn sampler")
-    };
-
-    // Active-shard envelope over a time window, from the trajectory.
-    let envelope = |t0_ms: u64, t1_ms: u64| -> (u64, u64) {
-        let traj = trajectory.lock();
-        let mut min = u64::MAX;
-        let mut max = 0;
-        for &(t, a) in traj.iter() {
-            if t >= t0_ms && t <= t1_ms {
-                min = min.min(a);
-                max = max.max(a);
-            }
-        }
-        if min == u64::MAX {
-            let a = flux_srv
-                .stats
-                .adaptive
-                .active_shards
-                .load(Ordering::Relaxed);
-            (a, a)
-        } else {
-            (min, max)
-        }
-    };
-
-    // Idle phase: trickle requests, one per ~100 ms.
-    let idle = |phase: &'static str| -> AdaptivePhaseRow {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(9);
-        let t0 = t_start.elapsed().as_millis() as u64;
-        let deadline = Instant::now() + Duration::from_secs_f64(secs);
-        let mut lat_ns: Vec<u64> = Vec::new();
-        let mut served = 0u64;
-        while Instant::now() < deadline {
-            let q0 = Instant::now();
-            if let Ok(mut conn) = net.connect("web") {
-                use std::io::Write as _;
-                let path = set.sample(&mut rng).to_string();
-                if write!(
-                    conn,
-                    "GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n"
-                )
-                .is_ok()
-                    && flux_http::read_response(&mut conn).is_ok()
-                {
-                    served += 1;
-                    lat_ns.push(q0.elapsed().as_nanos() as u64);
-                }
-            }
-            std::thread::sleep(Duration::from_millis(100));
-        }
-        let t1 = t_start.elapsed().as_millis() as u64;
-        let (active_min, active_max) = envelope(t0, t1);
-        AdaptivePhaseRow {
-            phase,
-            t0_ms: t0,
-            t1_ms: t1,
-            rps: served as f64 / secs,
-            p95_ms: flux_bench::percentile_ns(&mut lat_ns, 0.95).as_secs_f64() * 1e3,
-            active_min,
-            active_max,
-        }
-    };
-
-    let mut phases: Vec<AdaptivePhaseRow> = Vec::new();
-    phases.push(idle("idle"));
-
-    // Spike phase: the steady closed-loop load. The warmup absorbs the
-    // controller's wake ramp, so the measured window compares
-    // steady-state throughput (the ≤ 5% gate).
-    {
-        let warmup = Duration::from_secs_f64((secs / 4.0).clamp(0.25, 2.0));
-        let spike_t0 = t_start.elapsed() + warmup;
-        let report = run_web_load(&net, "web", &set, 32, Duration::from_secs_f64(secs), warmup);
-        let t1 = t_start.elapsed().as_millis() as u64;
-        let (active_min, active_max) = envelope(spike_t0.as_millis() as u64, t1);
-        phases.push(AdaptivePhaseRow {
-            phase: "spike",
-            t0_ms: spike_t0.as_millis() as u64,
-            t1_ms: t1,
-            rps: report.rps(),
-            p95_ms: report.p95_latency.as_secs_f64() * 1e3,
-            active_min,
-            active_max,
-        });
-    }
-
-    phases.push(idle("idle2"));
-
-    stop.store(true, Ordering::Relaxed);
-    let _ = sampler.join();
-    let parks = flux_srv.stats.adaptive.parks.load(Ordering::Relaxed);
-    let wakes = flux_srv.stats.adaptive.wakes.load(Ordering::Relaxed);
-    let trajectory = std::mem::take(&mut *trajectory.lock());
-    flux_servers::web::stop(server);
-    AdaptiveModePoint {
-        mode,
-        phases,
-        trajectory,
-        parks,
-        wakes,
-    }
-}
-
-/// Minimal JSON encoder for the adaptive-shards record: host_cores, the
-/// per-phase rps/p95/active envelope for both modes, the full
-/// active-shard trajectories, and the two headline numbers the CI gate
-/// reads (spike-phase cost of adaptive vs static, parked shards during
-/// idle).
-fn adaptive_shards_json(points: &[AdaptiveModePoint], shards: usize, quick: bool) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let spike_rps = |mode: &str| {
-        points
-            .iter()
-            .find(|p| p.mode == mode)
-            .and_then(|p| p.phases.iter().find(|ph| ph.phase == "spike"))
-            .map(|ph| ph.rps)
-            .unwrap_or(0.0)
-    };
-    let idle_min_active = points
-        .iter()
-        .find(|p| p.mode == "adaptive")
-        .map(|p| {
-            p.phases
-                .iter()
-                .filter(|ph| ph.phase.starts_with("idle"))
-                .map(|ph| ph.active_min)
-                .min()
-                .unwrap_or(shards as u64)
-        })
-        .unwrap_or(shards as u64);
-    let static_rps = spike_rps("static");
-    let pct = if static_rps > 0.0 {
-        100.0 * spike_rps("adaptive") / static_rps
-    } else {
-        0.0
-    };
-    let mut out = format!(
-        "{{\n  \"bench\": \"adaptive_shards_web_bursty\",\n  \"host_cores\": {cores},\n  \
-         \"shards\": {shards},\n  \"quick\": {quick},\n  \
-         \"adaptive_spike_rps_pct_of_static\": {pct:.1},\n  \
-         \"adaptive_idle_parked_shards\": {},\n",
-        shards as u64 - idle_min_active
-    );
-    if cores == 1 {
-        out.push_str(
-            "  \"note\": \"1-core host: parking can only remove scheduler pressure, not \
-             reclaim cores; rerun on a multi-core runner (the multicore-bench CI job) for \
-             the scaling record\",\n",
-        );
-    }
-    out.push_str("  \"modes\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"parks\": {}, \"wakes\": {}, \"phases\": [\n",
-            p.mode, p.parks, p.wakes
-        ));
-        for (j, ph) in p.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"phase\": \"{}\", \"t0_ms\": {}, \"t1_ms\": {}, \"rps\": {:.1}, \
-                 \"p95_ms\": {:.3}, \"active_min\": {}, \"active_max\": {}}}{}\n",
-                ph.phase,
-                ph.t0_ms,
-                ph.t1_ms,
-                ph.rps,
-                ph.p95_ms,
-                ph.active_min,
-                ph.active_max,
-                if j + 1 == p.phases.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("    ], \"active_trajectory\": [");
-        for (j, (t, a)) in p.trajectory.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{t},{a}]"));
-        }
-        out.push_str(&format!(
-            "]}}{}\n",
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Ablation 10 (shard queue kind): one measured point — queue kind ×
-/// shard count on the SPECweb-like MemNet keep-alive workload (the
-/// ablation-5 shape, so the shard-count sweep is comparable).
-struct ShardQueuePoint {
-    kind: &'static str,
-    shards: usize,
-    report: flux_bench::LoadReport,
-    steals: u64,
-    ring_claims: u64,
-    overflowed: u64,
-}
-
-fn run_shard_queue(
-    kind: flux_runtime::ShardQueueKind,
-    name: &'static str,
-    shards: usize,
-    secs: f64,
-) -> ShardQueuePoint {
-    use flux_bench::{run_web_load, WebSet};
-    use flux_net::MemNet;
-
-    let set = std::sync::Arc::new(WebSet::build(2 << 20));
-    let net = MemNet::new();
-    let listener = net.listen("web").unwrap();
-    let server = flux_servers::ServerBuilder::new(flux_servers::web::WebSpec::new(
-        Box::new(listener),
-        set.docroot.clone(),
-    ))
-    .runtime(RuntimeKind::event_driven_sharded(shards, 4).shard_queue(kind))
-    .spawn();
-    let report = run_web_load(
-        &net,
-        "web",
-        &set,
-        64,
-        Duration::from_secs_f64(secs),
-        Duration::from_secs_f64((secs / 4.0).clamp(0.25, 2.0)),
-    );
-    let stats = &server.handle.server().stats;
-    let steals = stats.total_steals();
-    let (mut ring_claims, mut overflowed) = (0u64, 0u64);
-    if let Some(shard_stats) = stats.shard_stats() {
-        for s in shard_stats.iter() {
-            ring_claims += s.ring_claims.load(Ordering::Relaxed);
-            overflowed += s.overflowed.load(Ordering::Relaxed);
-        }
-    }
-    flux_servers::web::stop(server);
-    ShardQueuePoint {
-        kind: name,
-        shards,
-        report,
-        steals,
-        ring_claims,
-        overflowed,
-    }
-}
-
-/// Minimal JSON encoder for the shard-queue record: host_cores and the
-/// ring-vs-mutex throughput ratio at 4 shards ride at the top, per the
-/// perf-record protocol; every point carries rps/p95 plus the ring's
-/// claim/overflow counters (zero for the mutex kind by construction).
-fn shard_queue_json(points: &[ShardQueuePoint], quick: bool) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let rps_at = |kind: &str, shards: usize| {
-        points
-            .iter()
-            .find(|p| p.kind == kind && p.shards == shards)
-            .map(|p| p.report.rps())
-    };
-    let headline = match (rps_at("ring", 4), rps_at("mutex", 4)) {
-        (Some(ring), Some(mutex)) if mutex > 0.0 => {
-            format!(
-                "  \"ring_vs_mutex_rps_at_4_shards\": {:.4},\n",
-                ring / mutex
-            )
-        }
-        _ => String::new(),
-    };
-    let mut out = format!(
-        "{{\n  \"bench\": \"shard_queue_web\",\n  \"host_cores\": {cores},\n  \"quick\": {quick},\n{headline}  \"points\": [\n"
-    );
-    for (i, p) in points.iter().enumerate() {
-        let note = if cores == 1 {
-            ", \"note\": \"1-core host: dispatchers and producers time-share one core, so \
-             there is no cross-core queue contention for the ring to win; the delta \
-             reflects constant-factor costs only\""
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"kind\": \"{}\", \"shards\": {}, \"rps\": {:.1}, \"mbps\": {:.2}, \
-             \"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \"steals\": {}, \"ring_claims\": {}, \
-             \"overflowed\": {}{}}}{}\n",
-            p.kind,
-            p.shards,
-            p.report.rps(),
-            p.report.mbps(),
-            p.report.mean_latency.as_secs_f64() * 1e3,
-            p.report.p95_latency.as_secs_f64() * 1e3,
-            p.steals,
-            p.ring_claims,
-            p.overflowed,
-            note,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 struct FusedPoint {
     mode: &'static str,
     shards: usize,
@@ -1005,13 +608,11 @@ struct PubSubPoint {
     coalesced: u64,
     writes_shared: u64,
     evicted: u64,
-    parks: u64,
-    wakes: u64,
 }
 
-/// One pub/sub fan-out measurement: the streaming server under the
-/// adaptive controller, one paced publisher, `subscribers` subscribers
-/// of a single topic.
+/// One pub/sub fan-out measurement: the streaming server on four
+/// dispatcher shards, one paced publisher, `subscribers` subscribers of
+/// a single topic.
 fn run_pubsub_fanout(subscribers: usize, publish_hz: f64, secs: f64) -> PubSubPoint {
     use flux_bench::run_pubsub_load;
     use flux_net::MemNet;
@@ -1020,7 +621,7 @@ fn run_pubsub_fanout(subscribers: usize, publish_hz: f64, secs: f64) -> PubSubPo
     let listener = net.listen("pubsub").unwrap();
     let server =
         flux_servers::ServerBuilder::new(flux_servers::pubsub::PubSubSpec::new(Box::new(listener)))
-            .runtime(RuntimeKind::event_driven_adaptive(4, 4))
+            .runtime(RuntimeKind::event_driven_sharded(4, 4))
             .spawn();
     let report = run_pubsub_load(
         &net,
@@ -1030,9 +631,6 @@ fn run_pubsub_fanout(subscribers: usize, publish_hz: f64, secs: f64) -> PubSubPo
         Duration::from_secs_f64(secs),
         Duration::from_secs_f64((secs / 4.0).clamp(0.25, 2.0)),
     );
-    let stats = &server.handle.server().stats;
-    let parks = stats.adaptive.parks.load(Ordering::Relaxed);
-    let wakes = stats.adaptive.wakes.load(Ordering::Relaxed);
     let ctx = &server.ctx;
     let point = PubSubPoint {
         srv_publishes: ctx.fanout.publishes.load(Ordering::Relaxed),
@@ -1044,8 +642,6 @@ fn run_pubsub_fanout(subscribers: usize, publish_hz: f64, secs: f64) -> PubSubPo
             .counters()
             .slow_consumer_evicted
             .load(Ordering::Relaxed),
-        parks,
-        wakes,
         report,
     };
     flux_servers::pubsub::stop(server);
@@ -1076,8 +672,7 @@ fn pubsub_fanout_json(points: &[PubSubPoint], publish_hz: f64, quick: bool) -> S
              \"deliveries_per_sec\": {:.1}, \"mean_ms\": {:.3}, \"p50_ms\": {:.3}, \
              \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"errors\": {}, \
              \"srv_publishes\": {}, \"srv_deliveries\": {}, \"coalesced_publishes\": {}, \
-             \"writes_shared\": {}, \"slow_consumer_evicted\": {}, \
-             \"adaptive_parks\": {}, \"adaptive_wakes\": {}}}{}\n",
+             \"writes_shared\": {}, \"slow_consumer_evicted\": {}}}{}\n",
             p.report.subscribers,
             p.report.publishes,
             p.report.deliveries,
@@ -1092,8 +687,6 @@ fn pubsub_fanout_json(points: &[PubSubPoint], publish_hz: f64, quick: bool) -> S
             p.coalesced,
             p.writes_shared,
             p.evicted,
-            p.parks,
-            p.wakes,
             if i + 1 == points.len() { "" } else { "," },
         ));
     }
@@ -1583,163 +1176,6 @@ fn main() {
         }
     }
 
-    if should(9) {
-        // Short phases still cover >10 controller idle windows; quick
-        // mode is the CI smoke/multicore shape.
-        let secs9 = if quick { secs.min(0.8) } else { secs.max(1.5) };
-        let mut t9 = Table::new(
-            "Ablation 9: adaptive shards — static vs adaptive under idle/spike/idle (MemNet web)",
-            &[
-                "mode",
-                "phase",
-                "req_s",
-                "p95_ms",
-                "active_min",
-                "active_max",
-                "parks",
-                "wakes",
-            ],
-        );
-        let mut points: Vec<AdaptiveModePoint> = Vec::new();
-        for (name, policy) in [
-            ("static", AdaptivePolicy::Static),
-            ("adaptive", AdaptivePolicy::adaptive()),
-        ] {
-            let p = run_adaptive_mode(name, policy, secs9);
-            for ph in &p.phases {
-                eprintln!(
-                    "# mode={name:<9} phase={:<6} {} req/s p95 {:.3} ms active {}..{} \
-                     (parks {}, wakes {})",
-                    ph.phase,
-                    f(ph.rps),
-                    ph.p95_ms,
-                    ph.active_min,
-                    ph.active_max,
-                    p.parks,
-                    p.wakes,
-                );
-                t9.row(&[
-                    name.into(),
-                    ph.phase.into(),
-                    f(ph.rps),
-                    format!("{:.3}", ph.p95_ms),
-                    ph.active_min.to_string(),
-                    ph.active_max.to_string(),
-                    p.parks.to_string(),
-                    p.wakes.to_string(),
-                ]);
-            }
-            points.push(p);
-        }
-        print!("{}", t9.render());
-        println!();
-        println!("# static keeps all 4 dispatchers hot through the idle phases; adaptive parks");
-        println!("# down to min_shards while idle (active_min) and is woken back by the spike");
-        println!("# within a controller tick. The spike rows are the ≤5%-cost comparison; the");
-        println!("# JSON carries full active-shard trajectories and the two gate numbers.");
-        println!();
-        let json = adaptive_shards_json(&points, ADAPTIVE_SHARDS, quick);
-        let json_path = if quick {
-            "BENCH_adaptive_shards.quick.json"
-        } else {
-            "BENCH_adaptive_shards.json"
-        };
-        match std::fs::write(json_path, &json) {
-            Ok(()) => eprintln!("# wrote {json_path}"),
-            Err(e) => eprintln!("# could not write {json_path}: {e}"),
-        }
-    }
-
-    if should(10) {
-        // The env knob would override the builder's kind and collapse
-        // the sweep to one side; the ablation owns the comparison.
-        std::env::remove_var("FLUX_SHARD_QUEUE");
-        let (shard_points, secs10): (&[usize], f64) = if quick {
-            (&[4], secs.min(0.3))
-        } else {
-            (&[1, 4, 8], secs)
-        };
-        let mut t10 = Table::new(
-            "Ablation 10: shard queue — Mutex/Condvar vs lock-free MPSC ring (MemNet web, 64 clients)",
-            &[
-                "kind",
-                "shards",
-                "req_s",
-                "mbps",
-                "mean_ms",
-                "p95_ms",
-                "steals",
-                "ring_claims",
-                "overflowed",
-            ],
-        );
-        // Per-run scheduler noise on a small container is ±5%, larger
-        // than the effect under measurement: full mode measures each
-        // point three times and records the median run by rps.
-        let reps = if quick { 1 } else { 3 };
-        let mut sq_points: Vec<ShardQueuePoint> = Vec::new();
-        for &shards in shard_points {
-            for (name, kind) in [
-                ("mutex", flux_runtime::ShardQueueKind::Mutex),
-                ("ring", flux_runtime::ShardQueueKind::Ring),
-            ] {
-                let mut runs: Vec<ShardQueuePoint> = (0..reps)
-                    .map(|_| run_shard_queue(kind, name, shards, secs10))
-                    .collect();
-                runs.sort_by(|a, b| a.report.rps().total_cmp(&b.report.rps()));
-                let p = runs.remove(reps / 2);
-                eprintln!(
-                    "# kind={name:<5} shards={shards:<2} {} req/s {} Mb/s p95 {:.3} ms \
-                     steals {} ring_claims {} overflowed {}",
-                    f(p.report.rps()),
-                    f(p.report.mbps()),
-                    p.report.p95_latency.as_secs_f64() * 1e3,
-                    p.steals,
-                    p.ring_claims,
-                    p.overflowed,
-                );
-                t10.row(&[
-                    name.into(),
-                    shards.to_string(),
-                    f(p.report.rps()),
-                    f(p.report.mbps()),
-                    format!("{:.3}", p.report.mean_latency.as_secs_f64() * 1e3),
-                    format!("{:.3}", p.report.p95_latency.as_secs_f64() * 1e3),
-                    p.steals.to_string(),
-                    p.ring_claims.to_string(),
-                    p.overflowed.to_string(),
-                ]);
-                sq_points.push(p);
-            }
-        }
-        print!("{}", t10.render());
-        println!();
-        println!("# mutex: every enqueue takes the shard's queue lock and may syscall-notify;");
-        println!("# ring: producers batch-claim slots with one tail CAS per group, the dispatcher");
-        println!("# batch-consumes published runs, and a full ring spills to a Mutex overflow");
-        println!("# sidecar (counted above — no drops, no unbounded spin). The contended-enqueue");
-        println!("# win needs real cross-core producers; see the per-point 1-core annotation.");
-        if std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            == 1
-        {
-            println!("# NOTE: 1-core host — no cross-core queue contention; deltas reflect");
-            println!("# constant-factor costs only (recorded per point in the JSON).");
-        }
-        println!();
-        let json = shard_queue_json(&sq_points, quick);
-        let json_path = if quick {
-            "BENCH_shard_queue.quick.json"
-        } else {
-            "BENCH_shard_queue.json"
-        };
-        match std::fs::write(json_path, &json) {
-            Ok(()) => eprintln!("# wrote {json_path}"),
-            Err(e) => eprintln!("# could not write {json_path}: {e}"),
-        }
-    }
-
     if should(11) {
         // The env knobs would pin one interpreter (or distort the
         // fairness budget) for both sides; the ablation owns the sweep.
@@ -1807,8 +1243,8 @@ fn main() {
         let secs12 = if quick { secs.min(0.3) } else { secs };
         let subscriber_counts: &[usize] = if quick { &[16] } else { &[64, 256, 1024] };
         let mut t12 = Table::new(
-            "Ablation 12: pub/sub fan-out — delivery latency vs subscriber count (MemNet, 200 publishes/s, adaptive shards)",
-            &["subs", "deliv_s", "p50_ms", "p95_ms", "p99_ms", "coalesced", "parks"],
+            "Ablation 12: pub/sub fan-out — delivery latency vs subscriber count (MemNet, 200 publishes/s, 4 shards)",
+            &["subs", "deliv_s", "p50_ms", "p95_ms", "p99_ms", "coalesced"],
         );
         // Median-of-3 by p99 in full mode: tail latency is the product
         // here, and single runs are at the mercy of scheduler noise.
@@ -1840,7 +1276,6 @@ fn main() {
                 format!("{:.3}", p.report.p95_latency.as_secs_f64() * 1e3),
                 format!("{:.3}", p.report.p99_latency.as_secs_f64() * 1e3),
                 p.coalesced.to_string(),
-                p.parks.to_string(),
             ]);
             ps_points.push(p);
         }

@@ -19,45 +19,12 @@
 //! ([`affinity`]; opt out with `FLUX_PIN=0`), with the resulting state
 //! recorded in [`ServerStats::pinning`].
 //!
-//! The dispatcher set is also **elastic**: with
-//! [`AdaptivePolicy::Adaptive`], a controller loop samples every
-//! shard's depth/steal/batch counters into a [`ShardLoadWindow`] each
-//! tick, parks the highest-indexed dispatcher after a full idle window
-//! and wakes a parked one within a single tick of observing standing
-//! queue depth. The controller's invariants — parks commit only after
-//! the shard drain-forwards its queue to active siblings, enqueuers
-//! can't race a park because the routing prefix and the shard's
-//! deactivated flag change under the same queue lock they hold, and
-//! session routing only ever targets active shards — are spelled out in
-//! the [`runtimes`] module docs ("Adaptive shard scaling").
-//! [`AdaptivePolicy::Static`] (the default) keeps the paper's fixed
-//! dispatcher set, and [`ServerStats::adaptive`] reports the active
-//! count plus cumulative park/wake totals either way.
-//!
-//! The dispatch queue itself comes in two kinds
-//! ([`ShardQueueKind`], builder knob + `FLUX_SHARD_QUEUE` env):
-//! [`ShardQueueKind::Mutex`] (the default) is the classic
-//! `Mutex<VecDeque>`-under-Condvar queue, and [`ShardQueueKind::Ring`]
-//! replaces it with a lock-free bounded MPSC ring ([`EventRing`]) —
-//! producers batch-claim slots with one CAS per event group, the
-//! dispatcher batch-consumes whole published runs, and a mutexed
-//! overflow sidecar absorbs ring-full bursts so events are never
-//! dropped. The **ring memory-ordering discipline** — the
-//! publish/consume Acquire/Release edges, the SeqCst parked-flag
-//! (Dekker) handshake that makes a known-awake dispatcher safe to skip
-//! notifying, the overflow sidecar's FIFO rules, and how stealing
-//! claims the oldest half of a published run — is documented in the
-//! [`ring`] module docs. The Mutex path stays as the ablation baseline
-//! and semantic oracle (a differential proptest runs the same event
-//! script through both kinds).
-//!
 //! ## Overload invariants
 //!
 //! Past saturation a staged pipeline is only as robust as the bounds on
 //! each stage's queue, so the sharded runtime can run under
-//! [`OverloadPolicy::Bounded`]: a hard depth cap on every shard queue
-//! (both [`ShardQueueKind`]s). The rules for where shedding may and may
-//! not happen:
+//! [`OverloadPolicy::Bounded`]: a hard depth cap on every shard queue.
+//! The rules for where shedding may and may not happen:
 //!
 //! * **Shedding happens only at the source-submission boundary**
 //!   (`route_home_batch`, the path that admits a source's burst into
@@ -68,10 +35,10 @@
 //!   they enter any queue — servers answer a cheap prebuilt 503/BUSY
 //!   there instead of queueing doomed work.
 //! * **Admitted events are never dropped.** Requeues
-//!   (`Step::WouldBlock`, fairness budgets), I/O-pool completions,
-//!   work-steal transfers and a parking shard's drain-forward all move
-//!   events that already passed admission; none of those paths consults
-//!   the cap, so a flow that entered the graph always reaches an `End`.
+//!   (`Step::WouldBlock`, fairness budgets), I/O-pool completions and
+//!   work-steal transfers all move events that already passed
+//!   admission; none of those paths consults the cap, so a flow that
+//!   entered the graph always reaches an `End`.
 //! * **Every shed is counted.** The conservation invariant `offered ==
 //!   admitted + shed` is exposed through
 //!   [`ServerStats::overload`](stats::OverloadStat) /
@@ -147,7 +114,6 @@ pub mod locks;
 pub mod profile;
 pub mod profile_socket;
 pub mod registry;
-pub mod ring;
 pub mod runtimes;
 pub mod server;
 pub mod stats;
@@ -157,13 +123,9 @@ pub use locks::{FlowId, LockManager, ReentrantRwLock};
 pub use profile::{HotOrder, HotPath, PathProfiler};
 pub use profile_socket::handle_profile_conn;
 pub use registry::{NodeOutcome, NodeRegistry, SourceOutcome};
-pub use ring::{CachePadded, EventRing};
-pub use runtimes::{
-    shard_index, start, AdaptiveConfig, AdaptivePolicy, OverloadConfig, OverloadPolicy,
-    RuntimeKind, ServerHandle, ShardQueueKind,
-};
+pub use runtimes::{shard_index, start, OverloadConfig, OverloadPolicy, RuntimeKind, ServerHandle};
 pub use server::{FlowCursor, FluxServer, FusionMode, LockWait, Step};
 pub use stats::{
-    AdaptiveStat, FanoutStat, LatencyHistogram, NetCounters, OverloadStat, PinningStat,
-    ServerStats, ShardLoadWindow, ShardSample, ShardStat,
+    CachePadded, FanoutStat, LatencyHistogram, NetCounters, OverloadStat, PinningStat, ServerStats,
+    ShardStat,
 };

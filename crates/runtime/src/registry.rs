@@ -185,9 +185,8 @@ impl<P> NodeRegistry<P> {
 
     /// Like [`NodeRegistry::session`], but additionally *pins* each
     /// flow to its session's home shard in the sharded event runtime:
-    /// a pinned event that surfaces anywhere else — via work stealing
-    /// or an adaptive shard remap — is forwarded home instead of
-    /// executing there. Keyed state indexed by the session id (e.g. a
+    /// a pinned event that surfaces anywhere else — via work stealing —
+    /// is forwarded home instead of executing there. Keyed state indexed by the session id (e.g. a
     /// pub/sub topic's aggregation window) therefore only ever runs on
     /// one dispatcher at a time and stays effectively lock-free. Other
     /// runtimes treat this exactly like [`NodeRegistry::session`].

@@ -42,61 +42,11 @@
 //!   Per-shard queue-depth, steal and affinity counters land in
 //!   [`crate::stats::ShardStat`].
 //!
-//!   **Adaptive shard scaling.** With
-//!   [`AdaptivePolicy::Adaptive`], a controller thread
-//!   (`flux-adaptive`) samples every shard's depth/steal/batch counters
-//!   into a [`ShardLoadWindow`](crate::stats::ShardLoadWindow) each
-//!   tick and resizes the *routing prefix* `0..active`: after a full
-//!   idle window it parks the highest active shard, and the first tick
-//!   that shows standing queue depth it wakes the lowest parked one
-//!   (SEDA-style load-driven sizing; `AdaptivePolicy::Static` keeps the
-//!   paper's fixed dispatcher set). The park protocol preserves three
-//!   invariants: (1) *enqueuers can't race a park* — the prefix shrink
-//!   and the shard's `deactivated` flag are written inside that shard's
-//!   queue lock, the same lock every enqueuer holds, so a submitter
-//!   either routes by the new prefix or its event lands where the
-//!   parked dispatcher will see it; (2) *work drains before a park
-//!   commits* — the deactivated dispatcher forwards its whole queue to
-//!   active siblings (counted in `ShardStat::forwarded`) before first
-//!   blocking, and keeps forwarding stragglers while parked, so no
-//!   event is ever executed on, or stranded behind, a parked shard;
-//!   (3) *session affinity follows the prefix* — `home_of` hashes over
-//!   the active count only, so new flows, I/O completions and
-//!   `WouldBlock` retries never target a parked shard (affinity is a
-//!   locality heuristic; the lock manager is global, so a prefix resize
-//!   remaps sessions without any correctness impact). Park/wake totals
-//!   and the live active count surface in
-//!   [`crate::stats::ServerStats::adaptive`].
-//!
-//!   **Shard queue kinds.** The per-shard queue comes in two
-//!   interchangeable implementations, selected by [`ShardQueueKind`]
-//!   (builder knob, [`RuntimeKind::shard_queue`], or the
-//!   `FLUX_SHARD_QUEUE` env override): the default
-//!   [`ShardQueueKind::Mutex`] is the classic `Mutex<VecDeque>` under a
-//!   condvar described above, and [`ShardQueueKind::Ring`] swaps in a
-//!   lock-free bounded MPSC ring ([`crate::ring::EventRing`]) where
-//!   producers batch-claim slots with one CAS per event group and the
-//!   dispatcher batch-consumes whole published runs into a local run
-//!   buffer. Under the ring, the parked-flag handshake becomes a SeqCst
-//!   Dekker protocol (publish-then-check-parked on the producer side,
-//!   park-then-re-check-emptiness on the consumer side, notify under
-//!   the shard's sleep mutex), ring-full submissions spill to a mutexed
-//!   overflow sidecar (never dropped, never unbounded spinning), steals
-//!   claim the oldest half of the victim's published run via the same
-//!   head CAS the owner uses, and a deactivating shard forward-drains
-//!   ring + sidecar through `route_home` re-checking its flag per
-//!   event. The full ordering discipline is in the [`crate::ring`]
-//!   module docs; the Mutex path remains the ablation baseline and
-//!   semantic oracle.
-//!
 //!   **Shutdown.** A shard may exit only when every source loop has
 //!   exited *and* the global live-event count is zero; the count is
 //!   incremented at submission and decremented at `Step::Done`, so
 //!   events parked in sibling queues or the I/O pool keep every shard
-//!   alive until the system is fully drained. A controller-parked shard
-//!   obeys the same rule: its wait loop re-checks the drain condition
-//!   (woken by the same `wake_all` broadcasts), so shutdown never hangs
-//!   on a parked dispatcher.
+//!   alive until the system is fully drained.
 //! * **Staged** — a SEDA-style runtime (paper §3.2.3 reports a prototype
 //!   "that targets Java, using both SEDA and a custom runtime
 //!   implementation"): every concrete node is a stage with its own FIFO
@@ -106,9 +56,8 @@
 //! Because Flux programs are runtime-independent, the same
 //! [`FluxServer`] value runs unchanged on any of the four.
 
-use crate::ring::EventRing;
 use crate::server::{FlowCursor, FluxServer, LockWait, Step};
-use crate::stats::{ShardLoadWindow, ShardStat};
+use crate::stats::ShardStat;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -117,141 +66,21 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// How the sharded event-driven runtime sizes its dispatcher set while
-/// running.
-///
-/// [`AdaptivePolicy::Static`] keeps every configured shard hot for the
-/// server's whole life — the paper's fixed-dispatcher semantics (and
-/// with `shards: 1`, its exact single-dispatcher configuration).
-/// [`AdaptivePolicy::Adaptive`] starts all `shards` dispatchers but
-/// runs a controller loop that *parks* idle dispatchers and wakes them
-/// when load returns: SEDA's observation that per-stage controllers
-/// driven by observed load beat static sizing, applied to the paper's
-/// event runtime. See the module docs ("Adaptive shard scaling") for
-/// the park/wake protocol and its invariants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdaptivePolicy {
-    /// Fixed dispatcher set; no controller thread. The default, and the
-    /// paper's semantics.
-    #[default]
-    Static,
-    /// Park idle dispatchers and wake them on burst, governed by the
-    /// given controller configuration. With `shards: 1` the controller
-    /// has nothing to do (the floor is one dispatcher), so no
-    /// controller thread is started and
-    /// [`crate::stats::AdaptiveStat::enabled`] reports `false` — the
-    /// runtime is exactly the paper's single-dispatcher configuration.
-    Adaptive(AdaptiveConfig),
-}
-
-impl AdaptivePolicy {
-    /// The adaptive controller with its default tuning
-    /// ([`AdaptiveConfig::default`]).
-    pub fn adaptive() -> Self {
-        AdaptivePolicy::Adaptive(AdaptiveConfig::default())
-    }
-}
-
-/// Tuning of the adaptive shard controller (see [`AdaptivePolicy`]).
-///
-/// The controller samples every shard's depth/steal/batch counters into
-/// a [`ShardLoadWindow`] once per `sample_every` tick, then applies two
-/// rules with deliberate asymmetry — parking is slow (a full idle
-/// window of `park_after` ticks), waking is fast (one tick observing
-/// standing depth) — so bursts never wait on hysteresis but a brief lull
-/// doesn't thrash the dispatcher set:
-///
-/// * **Park** when the trailing `park_after` ticks were all idle (zero
-///   standing depth, at most `park_below` events executed per tick) and
-///   more than `min_shards` dispatchers are active: deactivate the
-///   highest-indexed active shard.
-/// * **Wake** when the most recent tick shows at least `wake_depth`
-///   events of standing queue depth and a parked shard exists:
-///   reactivate the lowest-indexed parked shard — within one sampling
-///   interval of the burst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveConfig {
-    /// Dispatchers the controller must keep active (clamped to
-    /// `1..=shards`). With `min_shards: 1`, a fully idle server runs
-    /// one dispatcher — the paper's configuration.
-    pub min_shards: usize,
-    /// Controller tick: how often the load window samples the shard
-    /// counters (and therefore the worst-case wake latency).
-    pub sample_every: Duration,
-    /// Consecutive idle ticks required before one shard is parked.
-    pub park_after: u32,
-    /// Executed events per tick (across all shards) at or below which a
-    /// tick counts as idle.
-    pub park_below: u64,
-    /// Standing queue depth (across all shards) at a tick that triggers
-    /// an immediate wake.
-    pub wake_depth: u64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            min_shards: 1,
-            sample_every: Duration::from_millis(1),
-            park_after: 16,
-            park_below: 2,
-            wake_depth: 2,
-        }
-    }
-}
-
-/// Which implementation backs each dispatcher shard's run queue (see
-/// the module docs, "Shard queue kinds").
-///
-/// Selected per server through [`RuntimeKind::shard_queue`] or the
-/// `ServerBuilder::shard_queue` knob; the `FLUX_SHARD_QUEUE` env var
-/// (`"mutex"` / `"ring"`) overrides either at start, mirroring the
-/// `FLUX_PIN`/`FLUX_POLLER` operator overrides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardQueueKind {
-    /// `Mutex<VecDeque>` under a condvar — the default until the
-    /// multi-core CI gate confirms the ring wins, and the ablation
-    /// baseline / semantic oracle thereafter.
-    #[default]
-    Mutex,
-    /// Lock-free bounded MPSC ring ([`crate::ring::EventRing`]) with a
-    /// mutexed overflow sidecar. Ring capacity defaults to 1024 slots
-    /// per shard; `FLUX_SHARD_RING_CAP` overrides (rounded up to a
-    /// power of two).
-    Ring,
-}
-
-impl ShardQueueKind {
-    /// The `FLUX_SHARD_QUEUE` operator override, when set to a
-    /// recognized value.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("FLUX_SHARD_QUEUE")
-            .ok()?
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "ring" => Some(ShardQueueKind::Ring),
-            "mutex" => Some(ShardQueueKind::Mutex),
-            _ => None,
-        }
-    }
-}
-
 /// Whether the sharded event runtime bounds its per-shard queues.
 ///
 /// [`OverloadPolicy::Unbounded`] (the default, and the paper's
 /// semantics) lets queues grow without limit — past saturation, latency
 /// and memory grow with them. [`OverloadPolicy::Bounded`] enforces a
-/// hard depth cap on every shard queue (both [`ShardQueueKind`]s) and
-/// converts enqueue-over-cap into **shed-at-source**: the overflow
-/// payloads of a source batch are counted per shard
+/// hard depth cap on every shard queue and converts enqueue-over-cap
+/// into **shed-at-source**: the overflow payloads of a source batch are
+/// counted per shard
 /// ([`crate::stats::ShardStat`]'s `shed`, rolled up in
 /// [`crate::stats::OverloadStat`]) and handed to the registry's
 /// `on_shed` handler *before* they enter any queue, so servers answer a
 /// cheap 503/BUSY instead of queueing doomed work. Shedding happens
 /// only at the source-submission boundary; events already admitted are
-/// never dropped mid-graph (requeues, stealing and drain-forward are
-/// exempt from the cap — see the module docs, "Overload invariants").
+/// never dropped mid-graph (requeues and stealing are exempt from the
+/// cap — see the module docs, "Overload invariants").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverloadPolicy {
     /// Unbounded shard queues; no shedding. The default.
@@ -295,16 +124,10 @@ pub enum RuntimeKind {
     ThreadPool { workers: usize },
     /// `shards` dispatcher threads with session-affine routing and work
     /// stealing; blocking nodes off-loaded to `io_workers` helpers.
-    /// `shards: 1` is the paper's single-dispatcher configuration,
-    /// `adaptive` decides whether the dispatcher set is fixed
-    /// ([`AdaptivePolicy::Static`]) or resized under load by the
-    /// controller loop ([`AdaptivePolicy::Adaptive`]), and `queue`
-    /// selects the shard-queue implementation ([`ShardQueueKind`]).
+    /// `shards: 1` is the paper's single-dispatcher configuration.
     EventDriven {
         shards: usize,
         io_workers: usize,
-        adaptive: AdaptivePolicy,
-        queue: ShardQueueKind,
         /// Whether shard queues are depth-capped with shed-at-source
         /// ([`OverloadPolicy`]); `Unbounded` is the paper's semantics.
         overload: OverloadPolicy,
@@ -320,8 +143,6 @@ impl RuntimeKind {
         RuntimeKind::EventDriven {
             shards: 1,
             io_workers,
-            adaptive: AdaptivePolicy::Static,
-            queue: ShardQueueKind::Mutex,
             overload: OverloadPolicy::Unbounded,
         }
     }
@@ -331,33 +152,8 @@ impl RuntimeKind {
         RuntimeKind::EventDriven {
             shards,
             io_workers,
-            adaptive: AdaptivePolicy::Static,
-            queue: ShardQueueKind::Mutex,
             overload: OverloadPolicy::Unbounded,
         }
-    }
-
-    /// The multi-core event-driven runtime with the adaptive shard
-    /// controller (default tuning).
-    pub fn event_driven_adaptive(shards: usize, io_workers: usize) -> Self {
-        RuntimeKind::EventDriven {
-            shards,
-            io_workers,
-            adaptive: AdaptivePolicy::adaptive(),
-            queue: ShardQueueKind::Mutex,
-            overload: OverloadPolicy::Unbounded,
-        }
-    }
-
-    /// Selects the shard-queue implementation of an event-driven
-    /// runtime (no-op on the other kinds), composing with the
-    /// constructors: `RuntimeKind::event_driven_sharded(4, 4)
-    /// .shard_queue(ShardQueueKind::Ring)`.
-    pub fn shard_queue(mut self, kind: ShardQueueKind) -> Self {
-        if let RuntimeKind::EventDriven { queue, .. } = &mut self {
-            *queue = kind;
-        }
-        self
     }
 
     /// Selects the overload policy of an event-driven runtime (no-op on
@@ -411,17 +207,8 @@ pub fn start<P: Send + 'static>(server: Arc<FluxServer<P>>, kind: RuntimeKind) -
         RuntimeKind::EventDriven {
             shards,
             io_workers,
-            adaptive,
-            queue,
             overload,
-        } => start_event_driven(
-            &server,
-            shards.max(1),
-            io_workers.max(1),
-            adaptive,
-            queue,
-            overload,
-        ),
+        } => start_event_driven(&server, shards.max(1), io_workers.max(1), overload),
         RuntimeKind::Staged { stage_workers } => start_staged(&server, stage_workers.max(1)),
     };
     ServerHandle { server, threads }
@@ -547,96 +334,22 @@ pub fn shard_index(key: u64, shards: usize) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % shards.max(1)
 }
 
-/// A shard's run queue: the classic mutexed deque or the lock-free
-/// ring, per [`ShardQueueKind`]. Every shard of a run uses the same
-/// kind.
-// One instance per shard for the lifetime of the run (inside an Arc'd
-// Shard), so the Ring variant's cache-line-padded atomics (≥256 bytes)
-// cost nothing per event; boxing it would buy no memory and add a
-// pointer hop to every enqueue/dequeue.
-#[allow(clippy::large_enum_variant)]
-enum ShardQueue<P> {
-    Mutex(Mutex<VecDeque<Event<P>>>),
-    Ring(EventRing<Event<P>>),
-}
-
-impl<P> ShardQueue<P> {
-    /// The mutexed deque — only called on code paths that are
-    /// statically reachable only under [`ShardQueueKind::Mutex`].
-    fn as_mutex(&self) -> &Mutex<VecDeque<Event<P>>> {
-        match self {
-            ShardQueue::Mutex(m) => m,
-            ShardQueue::Ring(_) => unreachable!("mutex-path call on a ring shard"),
-        }
-    }
-
-    /// The ring — mirror of [`ShardQueue::as_mutex`] for the ring-only
-    /// paths.
-    fn as_ring(&self) -> &EventRing<Event<P>> {
-        match self {
-            ShardQueue::Ring(r) => r,
-            ShardQueue::Mutex(_) => unreachable!("ring-path call on a mutex shard"),
-        }
-    }
-}
-
 /// One dispatcher shard: a local FIFO run queue plus a wake-up condvar.
 struct Shard<P> {
-    queue: ShardQueue<P>,
+    queue: Mutex<VecDeque<Event<P>>>,
     cond: Condvar,
-    /// The mutex the ring dispatcher's condvar waits on (the Mutex
-    /// queue kind waits on its queue lock instead and never touches
-    /// this). Producers that observe `parked == true` acquire-release
-    /// it before notifying, so a notify can never fall between the
-    /// dispatcher's emptiness re-check and its wait.
-    sleep: Mutex<()>,
     /// True while the dispatcher is (about to be) blocked in its
-    /// condvar wait.
-    ///
-    /// Under [`ShardQueueKind::Mutex`]: set and cleared under `queue`'s
-    /// lock, and read by enqueuers while they hold that same lock, so
-    /// the check is race-free: a known-awake shard (parked == false) is
-    /// guaranteed to re-examine its queue before it can park, and
-    /// skipping the `notify_one` saves a futex syscall per event on a
-    /// busy shard.
-    ///
-    /// Under [`ShardQueueKind::Ring`] there is no queue lock; the same
-    /// guarantee comes from a SeqCst Dekker handshake (see
-    /// [`crate::ring`] docs): the producer's claim RMW precedes its
-    /// `parked` load, the dispatcher's `parked` store precedes its
-    /// emptiness re-check, so one side always observes the other.
+    /// condvar wait. Set and cleared under `queue`'s lock, and read by
+    /// enqueuers while they hold that same lock, so the check is
+    /// race-free: a known-awake shard (parked == false) is guaranteed
+    /// to re-examine its queue before it can park, and skipping the
+    /// `notify_one` saves a futex syscall per event on a busy shard.
     parked: AtomicBool,
-    /// True while the adaptive controller has taken this shard out of
-    /// the routing prefix.
-    ///
-    /// Under [`ShardQueueKind::Mutex`]: set and cleared under `queue`'s
-    /// lock (the same discipline as `parked`, and by the controller
-    /// thread only), so a racing enqueuer can never observe the old
-    /// routing prefix *and* miss the flag: the dispatcher
-    /// drain-forwards everything in its queue to active siblings before
-    /// the park commits, and forwards any straggler that slips in
-    /// afterwards.
-    ///
-    /// Under [`ShardQueueKind::Ring`]: written SeqCst after the routing
-    /// prefix shrinks (park) / before it grows (wake); an enqueuer that
-    /// raced the park and landed here wakes this shard's forwarding
-    /// loop through the ordinary parked-flag notify, so stragglers are
-    /// still forwarded promptly.
-    deactivated: AtomicBool,
 }
 
 /// The shared state of the sharded event-driven runtime.
 struct ShardSet<P> {
     shards: Vec<Shard<P>>,
-    /// Length of the *routing prefix*: shards `0..active` receive new
-    /// events, shards `active..shards.len()` are parked by the adaptive
-    /// controller. Always the full count under
-    /// [`AdaptivePolicy::Static`]. Written only by the controller
-    /// thread, inside the affected shard's queue lock (see
-    /// [`ShardSet::park_one`]); read lock-free by routers — a stale
-    /// read can at worst route one event to a freshly-parked shard,
-    /// whose dispatcher forwards it back before committing its park.
-    active: AtomicUsize,
     /// This run's per-shard counters (also published into the server's
     /// [`crate::stats::ServerStats`] for observers).
     stats: Arc<[ShardStat]>,
@@ -654,9 +367,9 @@ struct ShardSet<P> {
     step_budget: usize,
     /// Per-shard queue depth at which *source* submissions shed
     /// (`usize::MAX` under [`OverloadPolicy::Unbounded`]). Only
-    /// [`ShardSet::route_home_batch`] consults it: requeues, steals and
-    /// drain-forwards move events that were already admitted, and
-    /// dropping those would strand flows mid-graph.
+    /// [`ShardSet::route_home_batch`] consults it: requeues and steals
+    /// move events that were already admitted, and dropping those would
+    /// strand flows mid-graph.
     max_depth: usize,
     /// Sink for shed payloads (the registry's `on_shed`): invoked on
     /// the source thread, before the payload enters any queue. `None`
@@ -669,8 +382,6 @@ impl<P> ShardSet<P> {
     fn new(
         n: usize,
         sources: usize,
-        kind: ShardQueueKind,
-        ring_cap: usize,
         step_budget: usize,
         max_depth: usize,
         shed_handler: Option<Arc<dyn Fn(P) + Send + Sync>>,
@@ -678,19 +389,11 @@ impl<P> ShardSet<P> {
         ShardSet {
             shards: (0..n)
                 .map(|_| Shard {
-                    queue: match kind {
-                        ShardQueueKind::Mutex => ShardQueue::Mutex(Mutex::new(VecDeque::new())),
-                        ShardQueueKind::Ring => {
-                            ShardQueue::Ring(EventRing::with_capacity(ring_cap))
-                        }
-                    },
+                    queue: Mutex::new(VecDeque::new()),
                     cond: Condvar::new(),
-                    sleep: Mutex::new(()),
                     parked: AtomicBool::new(false),
-                    deactivated: AtomicBool::new(false),
                 })
                 .collect(),
-            active: AtomicUsize::new(n),
             stats: (0..n).map(|_| ShardStat::default()).collect(),
             active_sources: AtomicUsize::new(sources),
             live: AtomicUsize::new(0),
@@ -702,14 +405,11 @@ impl<P> ShardSet<P> {
 
     /// The home shard for a cursor: session id when the source declares
     /// one (affinity keeps session-scoped locks core-local), otherwise
-    /// the flow id (spreads sessionless flows evenly). Hashed over the
-    /// *active* routing prefix, never over parked shards — when the
-    /// adaptive controller resizes the prefix, sessions simply remap
-    /// (affinity is a locality heuristic; the lock manager is global,
-    /// so correctness never depends on placement).
+    /// the flow id (spreads sessionless flows evenly). Affinity is a
+    /// locality heuristic; the lock manager is global, so correctness
+    /// never depends on placement.
     fn home_of(&self, cursor: &FlowCursor) -> usize {
-        let active = self.active.load(Ordering::SeqCst);
-        shard_index(cursor.session.unwrap_or(cursor.flow_id), active)
+        shard_index(cursor.session.unwrap_or(cursor.flow_id), self.shards.len())
     }
 
     /// Enqueues an event on its home shard (affinity routing: new
@@ -725,10 +425,10 @@ impl<P> ShardSet<P> {
     }
 
     /// [`ShardSet::route_home`] without the affinity accounting: a
-    /// parked shard handing its backlog to the active prefix is moving
-    /// an event that was already counted when it was first routed, so
-    /// counting it again would make `affine` exceed the number of
-    /// session events actually submitted.
+    /// thief handing a stolen pinned event back to its home shard is
+    /// moving an event that was already counted when it was first
+    /// routed, so counting it again would make `affine` exceed the
+    /// number of session events actually submitted.
     fn forward_home(&self, ev: Event<P>) {
         let home = self.home_of(&ev.cursor);
         self.enqueue(home, ev);
@@ -772,10 +472,7 @@ impl<P> ShardSet<P> {
     /// in-flight batch per producer — acceptable for a load-shedding
     /// threshold, and the dispatcher side only ever *shrinks* depth.
     fn shed_overflow(&self, si: usize, group: &mut Vec<Event<P>>) {
-        let depth = match &self.shards[si].queue {
-            ShardQueue::Mutex(m) => m.lock().len(),
-            ShardQueue::Ring(r) => r.len(),
-        };
+        let depth = self.shards[si].queue.lock().len();
         let room = self.max_depth.saturating_sub(depth);
         if group.len() <= room {
             return;
@@ -797,52 +494,26 @@ impl<P> ShardSet<P> {
         }
     }
 
-    /// Appends `group` to shard `si`'s queue in one lock acquisition
-    /// (Mutex kind) or one slot-claim CAS per contiguous free run (Ring
-    /// kind), waking the dispatcher only if it is parked (a running
-    /// shard re-examines its queue anyway — the notify would be a
-    /// wasted syscall). Counted in
-    /// [`ShardStat::batches`]/`batch_events`.
+    /// Appends `group` to shard `si`'s queue in one lock acquisition,
+    /// waking the dispatcher only if it is parked (a running shard
+    /// re-examines its queue anyway — the notify would be a wasted
+    /// syscall). Counted in [`ShardStat::batches`]/`batch_events`.
     fn enqueue_batch(&self, si: usize, group: &mut Vec<Event<P>>) {
         let count = group.len() as u64;
         let shard = &self.shards[si];
         let st = &self.stats[si];
-        let depth = match &shard.queue {
-            ShardQueue::Mutex(m) => {
-                let mut q = m.lock();
-                q.extend(group.drain(..));
-                let depth = q.len() as u64;
-                // Gauge store inside the lock: serialized with the
-                // dispatcher's stores, so the final store after a drain
-                // is the dispatcher's 0, never a stale producer value.
-                st.enqueue(depth);
-                let parked = shard.parked.load(Ordering::SeqCst);
-                drop(q);
-                if parked {
-                    shard.cond.notify_one();
-                }
-                depth
-            }
-            ShardQueue::Ring(r) => {
-                // The push's tail CAS (or the sidecar's length RMW) is
-                // the producer-side SeqCst operation of the Dekker
-                // handshake; the parked load must come after it.
-                let pushed = r.push_batch(group);
-                st.ring_claims.fetch_add(pushed.claims, Ordering::Relaxed);
-                if pushed.overflowed > 0 {
-                    st.overflowed
-                        .fetch_add(pushed.overflowed, Ordering::Relaxed);
-                }
-                let depth = r.len() as u64;
-                // High-water only: the depth gauge of a ring shard is
-                // single-writer (the owning dispatcher).
-                st.observe_depth(depth);
-                if shard.parked.load(Ordering::SeqCst) {
-                    self.notify_sleeper(si);
-                }
-                depth
-            }
-        };
+        let mut q = shard.queue.lock();
+        q.extend(group.drain(..));
+        let depth = q.len() as u64;
+        // Gauge store inside the lock: serialized with the dispatcher's
+        // stores, so the final store after a drain is the dispatcher's
+        // 0, never a stale producer value.
+        st.enqueue(depth);
+        let parked = shard.parked.load(Ordering::SeqCst);
+        drop(q);
+        if parked {
+            shard.cond.notify_one();
+        }
         st.batches.fetch_add(1, Ordering::Relaxed);
         st.batch_events.fetch_add(count, Ordering::Relaxed);
         self.nudge_sibling(si, depth);
@@ -853,146 +524,29 @@ impl<P> ShardSet<P> {
     fn enqueue(&self, si: usize, ev: Event<P>) {
         let shard = &self.shards[si];
         let st = &self.stats[si];
-        let depth = match &shard.queue {
-            ShardQueue::Mutex(m) => {
-                let mut q = m.lock();
-                q.push_back(ev);
-                let depth = q.len() as u64;
-                // In-lock gauge store — see `enqueue_batch`.
-                st.enqueue(depth);
-                let parked = shard.parked.load(Ordering::SeqCst);
-                drop(q);
-                if parked {
-                    shard.cond.notify_one();
-                }
-                depth
-            }
-            ShardQueue::Ring(r) => {
-                let pushed = r.push(ev);
-                st.ring_claims.fetch_add(pushed.claims, Ordering::Relaxed);
-                if pushed.overflowed > 0 {
-                    st.overflowed
-                        .fetch_add(pushed.overflowed, Ordering::Relaxed);
-                }
-                let depth = r.len() as u64;
-                st.observe_depth(depth);
-                if shard.parked.load(Ordering::SeqCst) {
-                    self.notify_sleeper(si);
-                }
-                depth
-            }
-        };
+        let mut q = shard.queue.lock();
+        q.push_back(ev);
+        let depth = q.len() as u64;
+        // In-lock gauge store — see `enqueue_batch`.
+        st.enqueue(depth);
+        let parked = shard.parked.load(Ordering::SeqCst);
+        drop(q);
+        if parked {
+            shard.cond.notify_one();
+        }
         self.nudge_sibling(si, depth);
-    }
-
-    /// Wakes a ring dispatcher that published `parked == true`:
-    /// acquiring (and immediately releasing) the sleep mutex first
-    /// means the dispatcher is either before its emptiness re-check
-    /// (it will observe our claim — SeqCst Dekker) or already inside
-    /// `wait`, where the notify lands; the notify can never fall into
-    /// the gap between the two.
-    fn notify_sleeper(&self, si: usize) {
-        let shard = &self.shards[si];
-        drop(shard.sleep.lock());
-        shard.cond.notify_one();
     }
 
     /// Backlog building on one shard: nudge a sibling so an idle thief
     /// notices without waiting out its idle timeout. Unconditional —
     /// unlike the own-shard notify, a sibling's `parked` flag is not
     /// read under that sibling's queue lock here, so gating on it could
-    /// miss a shard that is between its empty-check and its park. The
-    /// target comes from the *active* routing prefix so the nudge
-    /// reaches a dispatcher that will actually steal, not one the
-    /// controller parked (`si` itself may be outside the prefix when a
-    /// straggler lands on a freshly-parked shard).
+    /// miss a shard that is between its empty-check and its park.
     fn nudge_sibling(&self, si: usize, depth: u64) {
-        let active = self.active.load(Ordering::SeqCst);
-        if depth > 1 && active > 1 {
-            let t = (si + 1) % active;
-            if t != si {
-                self.shards[t].cond.notify_one();
-            }
-        } else if depth > 0 && si >= active && active >= 1 {
-            // A straggler on a parked shard with no thief traffic: make
-            // sure at least one active dispatcher (or the parked
-            // shard's own forwarding loop, already notified by the
-            // enqueue) can pick it up promptly.
-            self.shards[si % active].cond.notify_one();
+        let n = self.shards.len();
+        if depth > 1 && n > 1 {
+            self.shards[(si + 1) % n].cond.notify_one();
         }
-    }
-
-    /// Parks the highest-indexed active shard: shrinks the routing
-    /// prefix and flags the shard, both inside that shard's queue lock,
-    /// then wakes its dispatcher so it drain-forwards its backlog and
-    /// commits the park. Returns the parked index, or `None` at the
-    /// `min` floor. Called only from the controller thread (single
-    /// writer of `active` and `deactivated`).
-    fn park_one(&self, min: usize) -> Option<usize> {
-        let active = self.active.load(Ordering::SeqCst);
-        if active <= min.max(1) {
-            return None;
-        }
-        let si = active - 1;
-        let shard = &self.shards[si];
-        match &shard.queue {
-            ShardQueue::Mutex(m) => {
-                let q = m.lock();
-                // Both writes inside the queue lock: an enqueuer that
-                // already routed here is either holding the lock now
-                // (its event will be drain-forwarded) or will take it
-                // later and notify the parked dispatcher's forwarding
-                // loop.
-                self.active.store(si, Ordering::SeqCst);
-                shard.deactivated.store(true, Ordering::SeqCst);
-                drop(q);
-            }
-            ShardQueue::Ring(_) => {
-                // No queue lock to serialize under; order alone
-                // suffices: shrink the prefix first, then flag. A
-                // racing enqueuer either routes by the new prefix (to
-                // an active sibling) or lands here — where the
-                // dispatcher's forwarding loop (notified below, or via
-                // the enqueuer's own parked-flag notify) drains it.
-                self.active.store(si, Ordering::SeqCst);
-                shard.deactivated.store(true, Ordering::SeqCst);
-                drop(shard.sleep.lock());
-            }
-        }
-        shard.cond.notify_one();
-        Some(si)
-    }
-
-    /// Wakes the lowest-indexed parked shard: clears its flag and grows
-    /// the routing prefix (inside the queue lock, mirroring
-    /// [`ShardSet::park_one`]), then notifies the dispatcher. Returns
-    /// the woken index, or `None` when every shard is already active.
-    fn wake_one(&self) -> Option<usize> {
-        let active = self.active.load(Ordering::SeqCst);
-        if active >= self.shards.len() {
-            return None;
-        }
-        let si = active;
-        let shard = &self.shards[si];
-        match &shard.queue {
-            ShardQueue::Mutex(m) => {
-                let q = m.lock();
-                shard.deactivated.store(false, Ordering::SeqCst);
-                self.active.store(active + 1, Ordering::SeqCst);
-                drop(q);
-            }
-            ShardQueue::Ring(_) => {
-                // Mirror of park_one: clear the flag before growing the
-                // prefix, so an enqueuer that routes here by the new
-                // prefix finds a shard that executes rather than
-                // forwards.
-                shard.deactivated.store(false, Ordering::SeqCst);
-                self.active.store(active + 1, Ordering::SeqCst);
-                drop(shard.sleep.lock());
-            }
-        }
-        shard.cond.notify_one();
-        Some(si)
     }
 
     /// Wakes every shard so it can re-check the exit condition.
@@ -1016,17 +570,8 @@ fn start_event_driven<P: Send + 'static>(
     server: &Arc<FluxServer<P>>,
     shards: usize,
     io_workers: usize,
-    adaptive: AdaptivePolicy,
-    queue: ShardQueueKind,
     overload: OverloadPolicy,
 ) -> Vec<JoinHandle<()>> {
-    // Operator overrides, mirroring FLUX_PIN/FLUX_POLLER: the env wins
-    // over whatever the builder configured.
-    let queue = ShardQueueKind::from_env().unwrap_or(queue);
-    let ring_cap = std::env::var("FLUX_SHARD_RING_CAP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1024);
     let step_budget = std::env::var("FLUX_FUSE_BUDGET")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -1040,8 +585,6 @@ fn start_event_driven<P: Send + 'static>(
     let set = Arc::new(ShardSet::<P>::new(
         shards,
         server.flow_count(),
-        queue,
-        ring_cap,
         step_budget,
         max_depth,
         server.shed_handler(),
@@ -1062,20 +605,6 @@ fn start_event_driven<P: Send + 'static>(
         Ordering::Relaxed,
     );
     ost.offered.store(0, Ordering::Relaxed);
-
-    // Publish this run's controller state (reset: a server can be
-    // restarted under a different policy or shard count).
-    let controller = match adaptive {
-        AdaptivePolicy::Adaptive(cfg) if shards > 1 => Some(cfg),
-        _ => None,
-    };
-    let ast = &server.stats.adaptive;
-    ast.enabled.store(controller.is_some(), Ordering::Relaxed);
-    ast.configured_shards
-        .store(shards as u64, Ordering::Relaxed);
-    ast.active_shards.store(shards as u64, Ordering::Relaxed);
-    ast.parks.store(0, Ordering::Relaxed);
-    ast.wakes.store(0, Ordering::Relaxed);
 
     // Core pinning (opt out with FLUX_PIN=0): shard N takes core
     // N mod host_cores, so session-affine queues stay cache-local. The
@@ -1177,79 +706,11 @@ fn start_event_driven<P: Send + 'static>(
         ));
     }
 
-    // The adaptive shard controller (see the module docs): one thread
-    // sampling the shard counters into a ShardLoadWindow and issuing
-    // park/wake decisions. Exits with the rest of the runtime once the
-    // system is drained.
-    if let Some(cfg) = controller {
-        let srv = server.clone();
-        let set = set.clone();
-        threads.push(
-            thread::Builder::new()
-                .name("flux-adaptive".into())
-                .spawn(move || run_controller(&srv, &set, cfg))
-                .expect("spawn adaptive controller"),
-        );
-    }
     threads
 }
 
-/// The adaptive controller loop: every `cfg.sample_every` it samples
-/// per-shard depth/steal/batch counters into a [`ShardLoadWindow`],
-/// wakes a parked shard the first tick it observes standing queue depth
-/// of at least `cfg.wake_depth`, and parks the highest active shard
-/// after `cfg.park_after` consecutive idle ticks (down to
-/// `cfg.min_shards`). Park/wake totals and the current active count are
-/// published in [`crate::stats::ServerStats::adaptive`].
-fn run_controller<P: Send + 'static>(srv: &FluxServer<P>, set: &ShardSet<P>, cfg: AdaptiveConfig) {
-    let min = cfg.min_shards.clamp(1, set.shards.len());
-    let mut window = ShardLoadWindow::new(
-        set.shards.len(),
-        (cfg.park_after.max(1) as usize).saturating_mul(2).max(8),
-    );
-    let ast = &srv.stats.adaptive;
-    while !set.drained() {
-        thread::sleep(cfg.sample_every.max(Duration::from_micros(50)));
-        window.sample(&set.stats);
-        if window.queued_now() >= cfg.wake_depth {
-            // Burst: events are standing in queues faster than the
-            // active dispatchers drain them. Wake one parked shard per
-            // tick (a sustained burst ramps the whole set back up).
-            if set.wake_one().is_some() {
-                ast.wakes.fetch_add(1, Ordering::Relaxed);
-                ast.active_shards
-                    .store(set.active.load(Ordering::SeqCst) as u64, Ordering::Relaxed);
-            }
-        } else if window.idle_streak(cfg.park_below) >= cfg.park_after as usize
-            && set.park_one(min).is_some()
-        {
-            ast.parks.fetch_add(1, Ordering::Relaxed);
-            ast.active_shards
-                .store(set.active.load(Ordering::SeqCst) as u64, Ordering::Relaxed);
-            // Demand a fresh full idle window before the next park so a
-            // long lull ramps down gradually, not instantly.
-            window.reset();
-        }
-    }
-}
-
-/// One dispatcher shard's main loop: dispatches on the queue kind
-/// every shard of this run was built with.
+/// One dispatcher shard's main loop.
 fn run_shard<P: Send + 'static>(
-    srv: &FluxServer<P>,
-    set: &ShardSet<P>,
-    si: usize,
-    io_tx: &Sender<Event<P>>,
-) {
-    match &set.shards[si].queue {
-        ShardQueue::Mutex(_) => run_shard_mutex(srv, set, si, io_tx),
-        ShardQueue::Ring(_) => run_shard_ring(srv, set, si, io_tx),
-    }
-}
-
-/// The dispatcher loop over the classic mutexed deque
-/// ([`ShardQueueKind::Mutex`]).
-fn run_shard_mutex<P: Send + 'static>(
     srv: &FluxServer<P>,
     set: &ShardSet<P>,
     si: usize,
@@ -1259,16 +720,6 @@ fn run_shard_mutex<P: Send + 'static>(
     let n = set.shards.len();
     let mut blocked_streak = 0usize;
     loop {
-        // A shard the controller deactivated stops executing: it
-        // forwards its backlog to the active prefix, commits the park,
-        // and sleeps until woken (or the system drains).
-        if set.shards[si].deactivated.load(Ordering::SeqCst) {
-            park_dispatcher(set, si);
-            if set.drained() {
-                return;
-            }
-            continue;
-        }
         // Own queue first, then steal from a sibling's queue, then
         // wait. A steal takes the oldest *half* of the victim's queue
         // (front-stealing shares the victim's one lock and preserves
@@ -1277,7 +728,7 @@ fn run_shard_mutex<P: Send + 'static>(
         // saturated shard sheds backlog in one lock acquisition instead
         // of one per event.
         let mut next = {
-            let mut q = set.shards[si].queue.as_mutex().lock();
+            let mut q = set.shards[si].queue.lock();
             let ev = q.pop_front();
             if ev.is_some() {
                 stats[si].depth.store(q.len() as u64, Ordering::Relaxed);
@@ -1288,7 +739,7 @@ fn run_shard_mutex<P: Send + 'static>(
         if next.is_none() && n > 1 {
             for k in 1..n {
                 let j = (si + k) % n;
-                let mut qj = set.shards[j].queue.as_mutex().lock();
+                let mut qj = set.shards[j].queue.lock();
                 if let Some(ev) = qj.pop_front() {
                     // Half the victim's queue, rounded up to include
                     // the event executing now.
@@ -1301,7 +752,7 @@ fn run_shard_mutex<P: Send + 'static>(
                         stats[si]
                             .stolen_batch
                             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        let mut q = set.shards[si].queue.as_mutex().lock();
+                        let mut q = set.shards[si].queue.lock();
                         // Prepend: events routed here between the two
                         // lock acquisitions are younger than the stolen
                         // batch, so the batch goes in front to preserve
@@ -1318,15 +769,11 @@ fn run_shard_mutex<P: Send + 'static>(
                         // (same rationale as ShardSet::enqueue's nudge,
                         // and unconditional for the same reason as
                         // `nudge_sibling` — the sibling's parked flag
-                        // is not readable race-free from here). Pick
-                        // from the active routing prefix (a parked
-                        // dispatcher would just forward, not steal) and
-                        // skip the victim `j` — it is saturated, not
-                        // idle — which with 2 active shards leaves no
-                        // one to nudge.
-                        let active = set.active.load(Ordering::SeqCst).max(1);
-                        let t = (si + 1) % active;
-                        let t = if t == j { (si + 2) % active } else { t };
+                        // is not readable race-free from here). Skip
+                        // the victim `j` — it is saturated, not idle —
+                        // which with 2 shards leaves no one to nudge.
+                        let t = (si + 1) % n;
+                        let t = if t == j { (si + 2) % n } else { t };
                         if t != si && t != j {
                             set.shards[t].cond.notify_one();
                         }
@@ -1340,7 +787,7 @@ fn run_shard_mutex<P: Send + 'static>(
             if set.drained() {
                 return;
             }
-            let mut q = set.shards[si].queue.as_mutex().lock();
+            let mut q = set.shards[si].queue.lock();
             if q.is_empty() && !set.drained() {
                 // Wake-ups come from submissions to this shard, backlog
                 // nudges from busy siblings, and drain/shutdown
@@ -1359,9 +806,9 @@ fn run_shard_mutex<P: Send + 'static>(
             continue;
         };
         // Topic-keyed pinning: a pinned event executes only on its
-        // session's current home shard. Stealing or an adaptive prefix
-        // resize may surface it here instead — forward it home rather
-        // than running session-keyed state off its shard.
+        // session's home shard. Stealing may surface it here instead —
+        // forward it home rather than running session-keyed state off
+        // its shard.
         if ev.cursor.pinned && set.home_of(&ev.cursor) != si {
             stats[si].pinned_rerouted.fetch_add(1, Ordering::Relaxed);
             set.forward_home(ev);
@@ -1413,7 +860,7 @@ fn run_shard_mutex<P: Send + 'static>(
                     // Every queued event may be waiting on a lock held
                     // by an off-loaded flow; back off instead of
                     // spinning.
-                    let depth = set.shards[si].queue.as_mutex().lock().len();
+                    let depth = set.shards[si].queue.lock().len();
                     if blocked_streak > depth.max(4) {
                         thread::sleep(Duration::from_micros(100));
                     }
@@ -1425,277 +872,6 @@ fn run_shard_mutex<P: Send + 'static>(
                 }
             }
         }
-    }
-}
-
-/// The dispatcher loop over the lock-free ring
-/// ([`ShardQueueKind::Ring`]).
-///
-/// Events are batch-consumed from the shard's own ring (then the
-/// overflow sidecar, then a sibling steal) into a thread-local *run
-/// buffer* and executed from there. The buffer is what preserves PR 3's
-/// FIFO steal discipline without a deque to prepend into: a steal
-/// happens only when the local buffer, own ring and sidecar are all
-/// empty, so a stolen (older) run always finishes executing before any
-/// younger own-ring arrival is popped.
-fn run_shard_ring<P: Send + 'static>(
-    srv: &FluxServer<P>,
-    set: &ShardSet<P>,
-    si: usize,
-    io_tx: &Sender<Event<P>>,
-) {
-    /// Events batch-consumed per refill: bounds how long a sibling's
-    /// published run is held in one claim (steal granularity) without
-    /// giving up batching.
-    const RUN: usize = 64;
-    let stats = &set.stats;
-    let n = set.shards.len();
-    let shard = &set.shards[si];
-    let ring = shard.queue.as_ring();
-    let mut local: VecDeque<Event<P>> = VecDeque::new();
-    let mut blocked_streak = 0usize;
-    loop {
-        if shard.deactivated.load(Ordering::SeqCst) {
-            park_dispatcher_ring(set, si, &mut local);
-            if set.drained() {
-                return;
-            }
-            continue;
-        }
-        if local.is_empty() {
-            // Refill order is the FIFO discipline: own published run,
-            // then the sidecar (swapped only when the ring is empty —
-            // EventRing::take_overflow enforces that), then steal.
-            let mut got = ring.pop_run(&mut local, RUN);
-            if got == 0 {
-                got = ring.take_overflow(&mut local);
-            }
-            if got == 0 && n > 1 {
-                for k in 1..n {
-                    let j = (si + k) % n;
-                    let rj = set.shards[j].queue.as_ring();
-                    // Scan up to half the ring: steal_run halves the
-                    // scanned run again, so a deep victim sheds up to a
-                    // quarter of its capacity per steal — bulk transfer
-                    // comparable to the mutex thief's take-half, not
-                    // RUN-sized nibbles (which made steal-heavy shard
-                    // counts measurably slower than the mutex path).
-                    let stolen = rj.steal_run(&mut local, (rj.capacity() / 2).max(RUN));
-                    if stolen > 0 {
-                        // No store of the victim's depth gauge: it is
-                        // single-writer (shard j's dispatcher refreshes
-                        // it on its next refill) — a thief's store here
-                        // could land after the victim's final 0 and
-                        // leave a stale non-zero gauge behind.
-                        stats[si].stolen.fetch_add(1, Ordering::Relaxed);
-                        if stolen > 1 {
-                            stats[si]
-                                .stolen_batch
-                                .fetch_add(stolen as u64 - 1, Ordering::Relaxed);
-                        }
-                        // The thief is busy with the stolen run: nudge
-                        // another active sibling at the transferred
-                        // backlog, as the mutex steal path does.
-                        let active = set.active.load(Ordering::SeqCst).max(1);
-                        let t = (si + 1) % active;
-                        let t = if t == j { (si + 2) % active } else { t };
-                        if t != si && t != j {
-                            set.shards[t].cond.notify_one();
-                        }
-                        break;
-                    }
-                }
-            }
-            stats[si]
-                .depth
-                .store((ring.len() + local.len()) as u64, Ordering::Relaxed);
-        }
-        let Some(mut ev) = local.pop_front() else {
-            if set.drained() {
-                return;
-            }
-            // Park protocol (SeqCst Dekker, see crate::ring docs):
-            // publish parked under the sleep mutex, then re-check for
-            // claims; a producer's claim RMW precedes its parked load,
-            // so one side always sees the other, and notify_sleeper's
-            // lock acquisition means a notify can't fall between this
-            // re-check and the wait.
-            let mut g = shard.sleep.lock();
-            shard.parked.store(true, Ordering::SeqCst);
-            if !ring.is_empty() || set.drained() {
-                shard.parked.store(false, Ordering::SeqCst);
-                drop(g);
-                // A claimed-but-unpublished slot shows up as non-empty
-                // with nothing consumable yet; yield while the producer
-                // finishes publishing.
-                thread::yield_now();
-                continue;
-            }
-            shard.cond.wait_for(&mut g, Duration::from_millis(10));
-            shard.parked.store(false, Ordering::SeqCst);
-            drop(g);
-            continue;
-        };
-        // Topic-keyed pinning (see run_shard_mutex): the ring's
-        // steal_run claims contiguous runs and cannot skip individual
-        // events, so the execute-time forward is the uniform
-        // enforcement point for both queue kinds.
-        if ev.cursor.pinned && set.home_of(&ev.cursor) != si {
-            stats[si].pinned_rerouted.fetch_add(1, Ordering::Relaxed);
-            set.forward_home(ev);
-            continue;
-        }
-        // "Events this dispatcher ran" — includes stolen and sidecar
-        // events (see ShardStat::executed docs).
-        stats[si].executed.fetch_add(1, Ordering::Relaxed);
-        let budget = set.step_budget;
-        let mut spent = 0usize;
-        loop {
-            if srv.at_blocking_exec(&ev.cursor) {
-                let _ = io_tx.send(ev);
-                blocked_streak = 0;
-                break;
-            }
-            // Fairness budget per queue turn (see run_shard_mutex):
-            // re-queue onto this shard's own ring, not affinity
-            // routing — a stolen event keeps running on the thief.
-            let cost = srv.exec_cost(&ev.cursor);
-            if cost > 0 && spent > 0 && spent + cost > budget {
-                set.enqueue(si, ev);
-                break;
-            }
-            match srv.step(&mut ev.cursor, &mut ev.payload, LockWait::Try) {
-                Step::Continue => {
-                    blocked_streak = 0;
-                    let fused = ev.cursor.take_fused_execs();
-                    if fused > 0 {
-                        stats[si].fused_execs.fetch_add(fused, Ordering::Relaxed);
-                        spent += fused as usize;
-                    } else {
-                        spent += cost;
-                    }
-                }
-                Step::Done(_) => {
-                    blocked_streak = 0;
-                    if set.live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        set.wake_all();
-                    }
-                    break;
-                }
-                Step::WouldBlock => {
-                    blocked_streak += 1;
-                    let depth = ring.len() + local.len();
-                    if blocked_streak > depth.max(4) {
-                        thread::sleep(Duration::from_micros(100));
-                    }
-                    set.route_home(ev);
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// One controller-parked dispatcher: the park protocol's shard side.
-///
-/// Before the park commits (i.e. before this thread first blocks), the
-/// whole queue is *drain-forwarded*: every event re-routes through
-/// [`ShardSet::route_home`], whose routing prefix no longer includes
-/// this shard, so it lands on an active sibling and wakes it. While
-/// parked, the dispatcher keeps acting as a forwarder — an enqueuer
-/// that raced the park (it computed its home shard from the old prefix)
-/// notifies this shard's condvar like any other enqueue, and the
-/// straggler is forwarded the same way. Events are therefore never
-/// *executed* on a deactivated shard, and never stranded on one either.
-/// Returns when the controller reactivates the shard or the system
-/// drains.
-fn park_dispatcher<P: Send + 'static>(set: &ShardSet<P>, si: usize) {
-    let shard = &set.shards[si];
-    loop {
-        // Drain-forward: pop one event at a time so the queue lock is
-        // never held across route_home (which takes sibling locks).
-        // Re-check the flag before every pop — once the controller
-        // re-activates this shard, its index is back in the routing
-        // prefix and a forward could land right back here, so
-        // forwarding must stop (the remaining queue simply executes
-        // normally).
-        while shard.deactivated.load(Ordering::SeqCst) {
-            let ev = {
-                let mut q = shard.queue.as_mutex().lock();
-                let ev = q.pop_front();
-                set.stats[si].depth.store(q.len() as u64, Ordering::Relaxed);
-                ev
-            };
-            let Some(ev) = ev else { break };
-            set.stats[si].forwarded.fetch_add(1, Ordering::Relaxed);
-            set.forward_home(ev);
-        }
-        if !shard.deactivated.load(Ordering::SeqCst) || set.drained() {
-            return;
-        }
-        let mut q = shard.queue.as_mutex().lock();
-        if q.is_empty() && shard.deactivated.load(Ordering::SeqCst) && !set.drained() {
-            // Same parked-flag discipline as the idle wait in
-            // `run_shard_mutex`: enqueuers and the controller notify
-            // through the condvar; the timeout is a drain/shutdown
-            // backstop.
-            shard.parked.store(true, Ordering::SeqCst);
-            shard.cond.wait_for(&mut q, Duration::from_millis(50));
-            shard.parked.store(false, Ordering::SeqCst);
-        }
-    }
-}
-
-/// [`park_dispatcher`] for the ring queue kind: forward-drains the
-/// local run buffer, the ring and the overflow sidecar through
-/// [`ShardSet::forward_home`], re-checking the `deactivated` flag per
-/// event (once the controller reactivates this shard a forward could
-/// land right back here, so forwarding must stop — any remainder in
-/// `local` simply executes normally on return). Waits parked on the
-/// sleep mutex between stragglers, with the same SeqCst Dekker re-check
-/// as the idle wait in [`run_shard_ring`].
-fn park_dispatcher_ring<P: Send + 'static>(
-    set: &ShardSet<P>,
-    si: usize,
-    local: &mut VecDeque<Event<P>>,
-) {
-    let shard = &set.shards[si];
-    let ring = shard.queue.as_ring();
-    loop {
-        while shard.deactivated.load(Ordering::SeqCst) {
-            if local.is_empty() && ring.pop_run(local, 64) == 0 && ring.take_overflow(local) == 0 {
-                break; // nothing forwardable right now
-            }
-            if let Some(ev) = local.pop_front() {
-                set.stats[si].forwarded.fetch_add(1, Ordering::Relaxed);
-                set.forward_home(ev);
-            }
-            set.stats[si]
-                .depth
-                .store((ring.len() + local.len()) as u64, Ordering::Relaxed);
-        }
-        if !shard.deactivated.load(Ordering::SeqCst) || set.drained() {
-            // Refresh the gauge before handing back (or exiting): the
-            // dispatch loop stores it only on refills, so it may still
-            // show the size of a local run that has since executed.
-            set.stats[si]
-                .depth
-                .store((ring.len() + local.len()) as u64, Ordering::Relaxed);
-            return;
-        }
-        let mut g = shard.sleep.lock();
-        shard.parked.store(true, Ordering::SeqCst);
-        if !ring.is_empty() || !shard.deactivated.load(Ordering::SeqCst) || set.drained() {
-            // A straggler claimed a slot (or the controller already
-            // reactivated us): don't sleep on it. The claim may not be
-            // published yet — yield and retry the forward loop.
-            shard.parked.store(false, Ordering::SeqCst);
-            drop(g);
-            thread::yield_now();
-            continue;
-        }
-        shard.cond.wait_for(&mut g, Duration::from_millis(50));
-        shard.parked.store(false, Ordering::SeqCst);
     }
 }
 
@@ -1900,25 +1076,6 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_ring_completes_all() {
-        for shards in [1, 2, 4] {
-            let kind =
-                RuntimeKind::event_driven_sharded(shards, 2).shard_queue(ShardQueueKind::Ring);
-            let (done, sum) = run_on(kind, 500);
-            assert_eq!(done, 500, "ring shards={shards}");
-            assert_eq!(sum, (0..500).sum::<u64>(), "ring shards={shards}");
-        }
-    }
-
-    #[test]
-    fn event_driven_ring_adaptive_completes_all() {
-        let kind = RuntimeKind::event_driven_adaptive(4, 2).shard_queue(ShardQueueKind::Ring);
-        let (done, sum) = run_on(kind, 500);
-        assert_eq!(done, 500);
-        assert_eq!(sum, (0..500).sum::<u64>());
-    }
-
-    #[test]
     fn staged_completes_all() {
         let (done, sum) = run_on(RuntimeKind::Staged { stage_workers: 2 }, 500);
         assert_eq!(done, 500);
@@ -1999,9 +1156,6 @@ mod tests {
             RuntimeKind::ThreadPool { workers: 8 },
             RuntimeKind::event_driven_sharded(1, 4),
             RuntimeKind::event_driven_sharded(4, 4),
-            RuntimeKind::event_driven_adaptive(4, 4),
-            RuntimeKind::event_driven_sharded(4, 4).shard_queue(ShardQueueKind::Ring),
-            RuntimeKind::event_driven_adaptive(4, 4).shard_queue(ShardQueueKind::Ring),
             RuntimeKind::Staged { stage_workers: 4 },
         ] {
             let program = flux_core::compile(SRC).unwrap();

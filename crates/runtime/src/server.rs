@@ -32,8 +32,7 @@ use std::time::Instant;
 /// Whether the server fuses straight-line vertex chains into single-step
 /// segments. `Off` keeps the per-node interpreter — the semantic oracle
 /// differential tests and ablations compare against. The `FLUX_FUSE`
-/// env var (`0`/`off` or `1`/`on`) overrides whatever the builder chose,
-/// mirroring `FLUX_SHARD_QUEUE`.
+/// env var (`0`/`off` or `1`/`on`) overrides whatever the builder chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FusionMode {
     /// Fuse chains; one queue turn executes a whole segment.
@@ -134,7 +133,7 @@ pub struct FlowCursor {
     pub session: Option<u64>,
     /// Pinned flows execute only on their session's home shard: the
     /// sharded event dispatchers forward a pinned event home instead of
-    /// running it where stealing or an adaptive remap surfaced it.
+    /// running it where stealing surfaced it.
     pub pinned: bool,
     /// Flow start time (latency measurement, path timing).
     pub started: Instant,

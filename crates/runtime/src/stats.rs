@@ -2,7 +2,6 @@
 //! log-scaled latency histogram, cheap enough to stay on in production
 //! (the benchmark harness reads throughput and latency from here).
 
-use crate::ring::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -84,9 +83,37 @@ impl LatencyHistogram {
     }
 }
 
+/// Pads and aligns a value to a 64-byte cache line, so two hot atomics
+/// written by different threads never share a line (false sharing turns
+/// every counter increment into cross-core cache traffic).
+#[derive(Default, Debug)]
+#[repr(align(64))]
+pub struct CachePadded<T> {
+    value: T,
+}
+
+impl<T> CachePadded<T> {
+    /// Wraps `value` with cache-line alignment.
+    pub const fn new(value: T) -> Self {
+        CachePadded { value }
+    }
+}
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> std::ops::DerefMut for CachePadded<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.value
+    }
+}
+
 /// Per-shard counters for the sharded event-driven runtime: queue depth
-/// (current and high-water), executed events, work-stealing traffic and
-/// adaptive-controller forwarding.
+/// (current and high-water), executed events and work-stealing traffic.
 ///
 /// The hottest counters — `executed` (written by the owning dispatcher
 /// per event), `stolen` (written by thieves) and `batch_events`
@@ -102,12 +129,7 @@ pub struct ShardStat {
     pub depth: AtomicU64,
     /// High-water mark of `depth`.
     pub max_depth: AtomicU64,
-    /// Events this shard dequeued from its own queue. Under
-    /// [`crate::runtimes::ShardQueueKind::Ring`] this counts every
-    /// event the dispatcher popped from its local run buffer — own-ring
-    /// pops, overflow-sidecar drains *and* stolen events it went on to
-    /// execute (the ring has no per-event "own vs stolen" dequeue
-    /// boundary, so `executed` there is "events this dispatcher ran").
+    /// Events this shard dequeued from its own queue.
     pub executed: CachePadded<AtomicU64>,
     /// Steals this shard performed: each takes the oldest event from a
     /// sibling's queue for immediate execution (plus a bulk transfer
@@ -129,21 +151,6 @@ pub struct ShardStat {
     /// batches` is the mean batch size — the amortization factor of the
     /// per-event lock+notify cost.
     pub batch_events: CachePadded<AtomicU64>,
-    /// Successful ring slot-claim CASes this shard's queue performed
-    /// (`ring_claims / batch_events` inverts to the events-per-CAS
-    /// amortization factor). Zero under
-    /// [`crate::runtimes::ShardQueueKind::Mutex`].
-    pub ring_claims: AtomicU64,
-    /// Events that missed the ring (full, or the sidecar was already
-    /// non-empty) and went through the mutexed overflow sidecar. Zero
-    /// under [`crate::runtimes::ShardQueueKind::Mutex`].
-    pub overflowed: AtomicU64,
-    /// Events this shard re-routed to an active sibling while it was
-    /// deactivated by the adaptive controller: the drain that must
-    /// complete before a park commits, plus any straggler enqueued by a
-    /// racing submitter that had already computed the old routing
-    /// prefix. Zero under [`crate::runtimes::AdaptivePolicy::Static`].
-    pub forwarded: AtomicU64,
     /// Node executions performed inside fused segments on this shard
     /// (see `flux_core::fuse`): a queue turn that runs a 3-node fused
     /// chain adds 3 here but only 1 to [`ShardStat::executed`], so
@@ -153,8 +160,7 @@ pub struct ShardStat {
     /// Pinned events (`NodeRegistry::session_pinned`) this shard
     /// declined to execute and forwarded to their session's home shard
     /// instead — the enforcement counter of topic-keyed affinity under
-    /// work stealing and adaptive prefix resizes. Zero when no source
-    /// pins its sessions.
+    /// work stealing. Zero when no source pins its sessions.
     pub pinned_rerouted: AtomicU64,
     /// Source-batch events refused because this shard's queue stood at
     /// the configured depth cap (see
@@ -167,21 +173,12 @@ pub struct ShardStat {
 
 impl ShardStat {
     /// Records a post-enqueue depth observation: gauge plus high-water
-    /// mark. Mutex-kind callers invoke this while still holding the
-    /// shard's queue lock, which serializes the gauge store with the
-    /// dispatcher's own stores — the final store after a drain is
-    /// therefore always the dispatcher's `0`.
+    /// mark. Callers invoke this while still holding the shard's queue
+    /// lock, which serializes the gauge store with the dispatcher's own
+    /// stores — the final store after a drain is therefore always the
+    /// dispatcher's `0`.
     pub(crate) fn enqueue(&self, new_depth: u64) {
         self.depth.store(new_depth, Ordering::Relaxed);
-        self.max_depth.fetch_max(new_depth, Ordering::Relaxed);
-    }
-
-    /// Producer-side depth observation for the ring kind: high-water
-    /// mark only. There is no lock to serialize gauge stores on a ring
-    /// shard, so the `depth` gauge is single-writer — only the owning
-    /// dispatcher stores it — and a slow producer can never overwrite
-    /// the dispatcher's final `0` with a stale snapshot.
-    pub(crate) fn observe_depth(&self, new_depth: u64) {
         self.max_depth.fetch_max(new_depth, Ordering::Relaxed);
     }
 }
@@ -304,175 +301,6 @@ impl PinningStat {
     }
 }
 
-/// State of the adaptive shard controller of the most recent sharded
-/// event-runtime run: how many dispatchers are currently hot, and how
-/// often the controller parked or woke one. All-zero (with
-/// `enabled == false`) under [`crate::runtimes::AdaptivePolicy::Static`]
-/// and the non-event runtimes, except that `configured_shards` and
-/// `active_shards` still record the fixed shard count so observers can
-/// read one field regardless of policy.
-#[derive(Debug, Default)]
-pub struct AdaptiveStat {
-    /// An adaptive controller loop is (was) running for this server.
-    pub enabled: std::sync::atomic::AtomicBool,
-    /// Dispatcher shards the runtime was started with.
-    pub configured_shards: AtomicU64,
-    /// Dispatcher shards currently executing events (the routing
-    /// prefix); the rest are parked. Updated by the controller after
-    /// every park/wake decision.
-    pub active_shards: AtomicU64,
-    /// Shards the controller parked (cumulative).
-    pub parks: AtomicU64,
-    /// Parked shards the controller woke on load (cumulative).
-    pub wakes: AtomicU64,
-}
-
-impl AdaptiveStat {
-    /// One-line summary for logs and bench records.
-    pub fn describe(&self) -> String {
-        let active = self.active_shards.load(Ordering::Relaxed);
-        let configured = self.configured_shards.load(Ordering::Relaxed);
-        if !self.enabled.load(Ordering::Relaxed) {
-            return format!("static ({configured} shard(s))");
-        }
-        format!(
-            "adaptive {active}/{configured} active ({} parks, {} wakes)",
-            self.parks.load(Ordering::Relaxed),
-            self.wakes.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// One controller tick's observation of one shard: instantaneous queue
-/// depth plus the per-tick deltas of the cumulative [`ShardStat`]
-/// counters the controller feeds on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardSample {
-    /// Queue depth at the sample instant.
-    pub depth: u64,
-    /// Events executed since the previous sample (own-queue dequeues
-    /// plus steals — everything this shard actually ran).
-    pub executed: u64,
-    /// Events moved by stealing since the previous sample (the direct
-    /// steal plus its bulk transfer): imbalance pressure.
-    pub stolen: u64,
-    /// Events that arrived through batched appends since the previous
-    /// sample: burst arrival pressure.
-    pub batch_events: u64,
-}
-
-/// A sliding window of per-shard load samples — the adaptive
-/// controller's entire world view. Each [`ShardLoadWindow::sample`]
-/// call reads the cumulative [`ShardStat`] counters, converts them to
-/// per-tick deltas, and appends one tick (bounded by `cap`; the oldest
-/// tick falls off). Decision helpers (`queued_now`, `idle_streak`) are
-/// pure reads over the window, so the controller's policy is unit
-/// testable without threads.
-#[derive(Debug)]
-pub struct ShardLoadWindow {
-    cap: usize,
-    /// Cumulative counter values at the previous sample, per shard:
-    /// (executed+stolen, stolen+stolen_batch, batch_events).
-    prev: Vec<(u64, u64, u64)>,
-    /// Per-tick deltas, oldest first; each tick holds one sample per
-    /// shard.
-    ticks: std::collections::VecDeque<Vec<ShardSample>>,
-}
-
-impl ShardLoadWindow {
-    /// A window over `shards` shards keeping the last `cap` ticks.
-    pub fn new(shards: usize, cap: usize) -> Self {
-        ShardLoadWindow {
-            cap: cap.max(1),
-            prev: vec![(0, 0, 0); shards],
-            ticks: std::collections::VecDeque::new(),
-        }
-    }
-
-    /// Reads the cumulative counters and appends one tick of per-shard
-    /// deltas.
-    pub fn sample(&mut self, shards: &[ShardStat]) {
-        // Recycle the evicted tick's buffer once the window is full, so
-        // the steady-state controller tick allocates nothing.
-        let mut tick = if self.ticks.len() == self.cap {
-            let mut t = self.ticks.pop_front().unwrap_or_default();
-            t.clear();
-            t
-        } else {
-            Vec::with_capacity(shards.len())
-        };
-        for (si, st) in shards.iter().enumerate() {
-            let executed = st.executed.load(Ordering::Relaxed) + st.stolen.load(Ordering::Relaxed);
-            let stolen =
-                st.stolen.load(Ordering::Relaxed) + st.stolen_batch.load(Ordering::Relaxed);
-            let batch_events = st.batch_events.load(Ordering::Relaxed);
-            let (pe, ps, pb) = self.prev[si];
-            self.prev[si] = (executed, stolen, batch_events);
-            tick.push(ShardSample {
-                depth: st.depth.load(Ordering::Relaxed),
-                executed: executed.saturating_sub(pe),
-                stolen: stolen.saturating_sub(ps),
-                batch_events: batch_events.saturating_sub(pb),
-            });
-        }
-        self.ticks.push_back(tick);
-    }
-
-    /// Ticks currently held (saturates at the window capacity).
-    pub fn len(&self) -> usize {
-        self.ticks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ticks.is_empty()
-    }
-
-    /// The most recent tick's samples, one per shard.
-    pub fn last(&self) -> Option<&[ShardSample]> {
-        self.ticks.back().map(|t| t.as_slice())
-    }
-
-    /// Total queue depth across all shards at the most recent tick —
-    /// the controller's wake signal: a burst outrunning the active
-    /// dispatchers shows up as standing depth within one tick.
-    pub fn queued_now(&self) -> u64 {
-        self.last()
-            .map(|t| t.iter().map(|s| s.depth).sum())
-            .unwrap_or(0)
-    }
-
-    /// Events executed across all shards during the most recent tick.
-    pub fn executed_now(&self) -> u64 {
-        self.last()
-            .map(|t| t.iter().map(|s| s.executed).sum())
-            .unwrap_or(0)
-    }
-
-    /// Number of consecutive trailing ticks that were *idle*: zero
-    /// standing queue depth and at most `park_below` executed events
-    /// across all shards — the controller's park signal. A single busy
-    /// tick resets the streak, so one park requires a full quiet
-    /// window.
-    pub fn idle_streak(&self, park_below: u64) -> usize {
-        self.ticks
-            .iter()
-            .rev()
-            .take_while(|t| {
-                let depth: u64 = t.iter().map(|s| s.depth).sum();
-                let executed: u64 = t.iter().map(|s| s.executed).sum();
-                depth == 0 && executed <= park_below
-            })
-            .count()
-    }
-
-    /// Forgets all held ticks (the per-shard cumulative baselines
-    /// survive). Called after a park so the next park decision demands
-    /// a fresh full idle window instead of reusing the old streak.
-    pub fn reset(&mut self) {
-        self.ticks.clear();
-    }
-}
-
 /// Fan-out counters for streaming (pub/sub) servers: one *publish* is
 /// one aggregation round whose encoded result is delivered to every
 /// subscriber of a topic. All-zero for request/response servers.
@@ -524,10 +352,6 @@ pub struct ServerStats {
     /// Core-affinity state of the most recent sharded event-runtime
     /// run (see [`PinningStat`]); all-zero under other runtimes.
     pub pinning: PinningStat,
-    /// Adaptive shard-controller state of the most recent sharded
-    /// event-runtime run (see [`AdaptiveStat`]): current active shard
-    /// count plus cumulative park/wake counters.
-    pub adaptive: AdaptiveStat,
     /// Overload-control state of the most recent sharded event-runtime
     /// run (see [`OverloadStat`]): depth cap plus the offered-event
     /// count the per-shard `shed` counters reconcile against.
@@ -638,20 +462,19 @@ impl ServerStats {
     }
 
     /// One-line summary for logs and bench records, composing the
-    /// sub-block summaries: flow outcomes, pinning, adaptive state, and
-    /// — when a sharded run installed its counter block — dispatcher
+    /// sub-block summaries: flow outcomes, pinning, and — when a sharded
+    /// run installed its counter block — the shard count and dispatcher
     /// turn/steal/fusion totals (so a fused workload's low turn count
     /// reads as fusion, not idleness).
     pub fn describe(&self) -> String {
         let mut out = format!(
-            "flows {} (completed {}, errored {}, handled {}, nomatch {}) | {} | {}",
+            "flows {} (completed {}, errored {}, handled {}, nomatch {}) | {}",
             self.finished(),
             self.completed.load(Ordering::Relaxed),
             self.errored.load(Ordering::Relaxed),
             self.handled.load(Ordering::Relaxed),
             self.nomatch.load(Ordering::Relaxed),
             self.pinning.describe(),
-            self.adaptive.describe(),
         );
         if let Some(shards) = self.shard_stats() {
             let turns: u64 = shards
@@ -659,7 +482,8 @@ impl ServerStats {
                 .map(|st| st.executed.load(Ordering::Relaxed) + st.stolen.load(Ordering::Relaxed))
                 .sum();
             out.push_str(&format!(
-                " | turns {turns}, stolen {}, fused execs {}",
+                " | {} shard(s) | turns {turns}, stolen {}, fused execs {}",
+                shards.len(),
                 self.total_steals(),
                 self.total_fused_execs(),
             ));
@@ -748,71 +572,6 @@ mod tests {
         assert_eq!(s.finished(), 3);
     }
 
-    /// Drives a [`ShardLoadWindow`] through busy and idle ticks and
-    /// checks the pure decision helpers the controller relies on.
-    #[test]
-    fn load_window_deltas_and_idle_streak() {
-        let shards: Vec<ShardStat> = (0..2).map(|_| ShardStat::default()).collect();
-        let mut w = ShardLoadWindow::new(2, 4);
-        assert!(w.is_empty());
-        assert_eq!(w.queued_now(), 0);
-        assert_eq!(w.idle_streak(0), 0);
-
-        // Busy tick: shard 0 executed 5 events and has 3 queued.
-        shards[0].executed.store(5, Ordering::Relaxed);
-        shards[0].depth.store(3, Ordering::Relaxed);
-        shards[1].stolen.store(2, Ordering::Relaxed);
-        shards[1].stolen_batch.store(4, Ordering::Relaxed);
-        shards[1].batch_events.store(7, Ordering::Relaxed);
-        w.sample(&shards);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.queued_now(), 3);
-        assert_eq!(
-            w.executed_now(),
-            7,
-            "executed counts own dequeues plus steals"
-        );
-        let last = w.last().unwrap();
-        assert_eq!(last[0].executed, 5);
-        assert_eq!(last[1].stolen, 6);
-        assert_eq!(last[1].batch_events, 7);
-        assert_eq!(w.idle_streak(0), 0, "busy tick is not idle");
-
-        // Counters stop moving and the queue drains: idle ticks.
-        shards[0].depth.store(0, Ordering::Relaxed);
-        w.sample(&shards);
-        w.sample(&shards);
-        assert_eq!(w.idle_streak(0), 2, "deltas are per-tick, not cumulative");
-
-        // A fresh busy tick resets the trailing streak.
-        shards[0].executed.store(25, Ordering::Relaxed);
-        w.sample(&shards);
-        assert_eq!(w.idle_streak(0), 0);
-        assert_eq!(w.executed_now(), 20);
-
-        // The window is bounded by its capacity, and reset() clears the
-        // held ticks without disturbing the delta baselines.
-        w.sample(&shards);
-        assert_eq!(w.len(), 4);
-        w.reset();
-        assert!(w.is_empty());
-        w.sample(&shards);
-        assert_eq!(w.executed_now(), 0, "baseline survived the reset");
-        assert_eq!(w.idle_streak(0), 1);
-    }
-
-    #[test]
-    fn adaptive_stat_describe() {
-        let a = AdaptiveStat::default();
-        a.configured_shards.store(4, Ordering::Relaxed);
-        a.active_shards.store(4, Ordering::Relaxed);
-        assert_eq!(a.describe(), "static (4 shard(s))");
-        a.enabled.store(true, Ordering::Relaxed);
-        a.active_shards.store(1, Ordering::Relaxed);
-        a.parks.store(3, Ordering::Relaxed);
-        assert_eq!(a.describe(), "adaptive 1/4 active (3 parks, 0 wakes)");
-    }
-
     #[test]
     fn server_stats_describe_composes() {
         let s = ServerStats::new();
@@ -820,7 +579,7 @@ mod tests {
         let d = s.describe();
         assert!(d.starts_with("flows 1 (completed 1,"), "{d}");
         assert!(d.contains("unpinned"), "{d}");
-        assert!(d.contains("static"), "{d}");
+        assert!(!d.contains("shard(s)"), "no shard block installed: {d}");
         assert!(!d.contains("fused execs"), "no shard block installed: {d}");
         // Installing a shard block surfaces the fused counter.
         let shards: std::sync::Arc<[ShardStat]> = (0..2).map(|_| ShardStat::default()).collect();
@@ -828,6 +587,7 @@ mod tests {
         shards[1].fused_execs.fetch_add(9, Ordering::Relaxed);
         s.install_shards(shards);
         let d = s.describe();
+        assert!(d.contains("| 2 shard(s) |"), "{d}");
         assert!(d.contains("turns 4"), "{d}");
         assert!(d.contains("fused execs 9"), "{d}");
         assert_eq!(s.total_fused_execs(), 9);

@@ -13,9 +13,9 @@ use std::sync::{Mutex, MutexGuard};
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Serializes tests that set/remove process environment variables
-/// (`FLUX_SHARD_QUEUE`, `FLUX_SHARD_RING_CAP`, `FLUX_FUSE`,
-/// `FLUX_FUSE_BUDGET`, ...). Hold the guard for the whole test,
-/// including the part that *reads* the env (server/runtime startup).
+/// (`FLUX_FUSE`, `FLUX_FUSE_BUDGET`, ...). Hold the guard for the whole
+/// test, including the part that *reads* the env (server/runtime
+/// startup).
 ///
 /// Poisoning is ignored: a panic in one env test must not cascade into
 /// spurious failures of every later env test.

@@ -1,10 +1,9 @@
 //! Integration tests for the sharded event-driven runtime: session
-//! affinity, work stealing, per-shard stats, adaptive shard
-//! parking/waking, and clean shutdown with non-empty shard queues.
+//! affinity, work stealing, per-shard stats, the idle-dispatcher wake
+//! protocol, and clean shutdown with non-empty shard queues.
 
 use flux_runtime::{
-    shard_index, start, AdaptiveConfig, AdaptivePolicy, FluxServer, NodeOutcome, NodeRegistry,
-    OverloadPolicy, RuntimeKind, ShardQueueKind, SourceOutcome,
+    shard_index, start, FluxServer, NodeOutcome, NodeRegistry, RuntimeKind, SourceOutcome,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,13 +38,6 @@ fn session_server(total: u64, sessions: Arc<Vec<u64>>) -> Arc<FluxServer<u64>> {
     reg.node("Out", |_| NodeOutcome::Ok);
     Arc::new(FluxServer::new(program, reg).unwrap())
 }
-
-// Tests that set or depend on `FLUX_SHARD_RING_CAP` serialize on the
-// crate-wide env lock (the env is process-wide: the differential
-// proptest shrinks the cap to force sidecar traffic, which would starve
-// the steal assertions of concurrently running ring tests — steals only
-// see the ring, never the sidecar).
-use flux_runtime::testutil::test_env_lock;
 
 /// Session ids that all hash to shard 0 under `shards` shards.
 fn sessions_on_shard_zero(shards: usize, count: usize) -> Vec<u64> {
@@ -210,10 +202,10 @@ fn steals_take_half_the_victims_queue() {
 
 /// Batch delivery ordering: a source that hands over bursts via
 /// `SourceOutcome::Batch` keeps exact FIFO execution order on a single
-/// shard — a burst is appended intact (one queue lock for the mutex
-/// kind, one tail CAS for the ring), and cross-batch order follows
-/// submission order. Shared body for both queue kinds.
-fn batched_fifo_on_single_shard(kind: ShardQueueKind) {
+/// shard — a burst is appended intact under one queue lock, and
+/// cross-batch order follows submission order.
+#[test]
+fn batched_submission_preserves_fifo_on_single_shard() {
     let program = flux_core::compile(
         "
         Gen () => (int v);
@@ -247,10 +239,7 @@ fn batched_fifo_on_single_shard(kind: ShardQueueKind) {
         NodeOutcome::Ok
     });
     let server = Arc::new(FluxServer::new(program, reg).unwrap());
-    let handle = start(
-        server.clone(),
-        RuntimeKind::event_driven_sharded(1, 1).shard_queue(kind),
-    );
+    let handle = start(server.clone(), RuntimeKind::event_driven_sharded(1, 1));
     handle.join();
     assert_eq!(server.stats.finished(), total);
     let order = order.lock();
@@ -265,88 +254,6 @@ fn batched_fifo_on_single_shard(kind: ShardQueueKind) {
         stats[0].batches.load(Ordering::Relaxed) < total,
         "bursts amortize: fewer appends than events"
     );
-    if kind == ShardQueueKind::Ring {
-        assert!(
-            stats[0].ring_claims.load(Ordering::Relaxed) > 0,
-            "ring kind must claim slots via tail CAS"
-        );
-    }
-}
-
-#[test]
-fn batched_submission_preserves_fifo_on_single_shard() {
-    batched_fifo_on_single_shard(ShardQueueKind::Mutex);
-}
-
-/// Ring port: batch claims publish in position order, so the published
-/// run a consumer sees is exactly the submission order — same FIFO
-/// guarantee as the mutex kind.
-#[test]
-fn ring_batched_submission_preserves_fifo_on_single_shard() {
-    batched_fifo_on_single_shard(ShardQueueKind::Ring);
-}
-
-/// Ring steal path end-to-end: with every session homed on shard 0 and
-/// slow nodes, thieves must claim runs off the victim's ring via the
-/// head CAS, no event is lost or doubled, and all queues end empty.
-#[test]
-fn ring_stealing_drains_saturated_shard() {
-    // Hold the env lock for the whole run: with a shrunken ring cap
-    // (set by the differential proptest) the backlog would sit in the
-    // unstealable overflow sidecar and the steal assertion would flake.
-    let _env = test_env_lock();
-    std::env::remove_var("FLUX_SHARD_RING_CAP");
-    const SHARDS: usize = 4;
-    let sessions = Arc::new(sessions_on_shard_zero(SHARDS, 8));
-    let program = flux_core::compile(
-        "
-        Gen () => (int sid);
-        Spin (int sid) => ();
-        Flow = Spin;
-        source Gen => Flow;
-        ",
-    )
-    .unwrap();
-    let total = 2_000u64;
-    let produced = AtomicU64::new(0);
-    let mut reg: NodeRegistry<u64> = NodeRegistry::new();
-    let s2 = sessions.clone();
-    reg.source("Gen", move || {
-        let start = produced.load(Ordering::SeqCst);
-        if start >= total {
-            return SourceOutcome::Shutdown;
-        }
-        let k = (start % 5 + 1).min(total - start);
-        produced.fetch_add(k, Ordering::SeqCst);
-        SourceOutcome::Batch(
-            (start..start + k)
-                .map(|i| s2[(i % s2.len() as u64) as usize])
-                .collect(),
-        )
-    });
-    reg.session("Gen", |sid: &u64| *sid);
-    reg.node("Spin", |_| {
-        let t0 = std::time::Instant::now();
-        while t0.elapsed() < Duration::from_micros(100) {
-            std::hint::spin_loop();
-        }
-        NodeOutcome::Ok
-    });
-    let server = Arc::new(FluxServer::new(program, reg).unwrap());
-    let handle = start(
-        server.clone(),
-        RuntimeKind::event_driven_sharded(SHARDS, 1).shard_queue(ShardQueueKind::Ring),
-    );
-    handle.join();
-    assert_eq!(server.stats.finished(), total, "no event lost or doubled");
-    assert!(
-        server.stats.total_steals() > 0,
-        "thieves must steal from the saturated home shard's ring"
-    );
-    let stats = server.stats.shard_stats().unwrap();
-    for (i, st) in stats.iter().enumerate() {
-        assert_eq!(st.depth.load(Ordering::Relaxed), 0, "shard {i} drained");
-    }
 }
 
 /// Batched routing composes with work stealing (the stolen-batch FIFO
@@ -410,170 +317,59 @@ fn batched_routing_survives_stealing() {
     }
 }
 
-/// An aggressive controller tuning for tests: ticks of 200 µs, parks
-/// after `park_after` idle ticks, wakes at depth 1 — maximum park/wake
-/// churn, so races in the handshake surface fast.
-fn aggressive(park_after: u32) -> AdaptivePolicy {
-    AdaptivePolicy::Adaptive(AdaptiveConfig {
-        min_shards: 1,
-        sample_every: Duration::from_micros(200),
-        park_after,
-        park_below: 1,
-        wake_depth: 1,
-    })
-}
-
-/// Deterministic park-then-burst scenario. Phase 1: the source idles
-/// (Skip) until the controller has parked down from 4 dispatchers.
-/// Phase 2: the source floods spin events; the controller must wake
-/// parked shards (the wake rule triggers on the first sampling tick
-/// that observes standing depth) and every event must complete.
+/// The idle-dispatcher wake protocol: flows spaced 500 µs apart each
+/// meet a dispatcher parked in its condvar wait, so every hand-off
+/// depends on the enqueuer reading `parked == true` under the queue
+/// lock and notifying. A lost notify leaves the flow waiting out the
+/// 10 ms wait backstop, which shows in the median source-return →
+/// node-start wait. Same shape as the repository benchmark's
+/// `runtime.dispatch.handoff_us` probe.
 #[test]
-fn controller_parks_idle_shards_and_wakes_on_burst() {
-    const SHARDS: usize = 4;
-    const TOTAL: u64 = 800;
-    let program = flux_core::compile(
-        "
-        Gen () => (int v);
-        Spin (int v) => ();
-        Flow = Spin;
-        source Gen => Flow;
-        ",
-    )
-    .unwrap();
-    let burst = Arc::new(AtomicU64::new(0)); // 0 = idle, 1 = burst, 2 = done
-    let produced = AtomicU64::new(0);
-    let mut reg: NodeRegistry<u64> = NodeRegistry::new();
-    let b2 = burst.clone();
-    reg.source("Gen", move || match b2.load(Ordering::SeqCst) {
-        0 => {
-            std::thread::sleep(Duration::from_millis(1));
-            SourceOutcome::Skip
-        }
-        _ => {
-            let start = produced.load(Ordering::SeqCst);
-            if start >= TOTAL {
+fn spaced_flows_wake_a_parked_dispatcher_promptly() {
+    use std::time::Instant;
+    const FLOWS: u64 = 200;
+    for shards in [1usize, 4] {
+        let program = flux_core::compile(
+            "
+            Gen () => (int v);
+            Sink (int v) => ();
+            Flow = Sink;
+            source Gen => Flow;
+            ",
+        )
+        .unwrap();
+        let produced = AtomicU64::new(0);
+        let mut reg: NodeRegistry<Instant> = NodeRegistry::new();
+        reg.source("Gen", move || {
+            if produced.fetch_add(1, Ordering::SeqCst) >= FLOWS {
                 return SourceOutcome::Shutdown;
             }
-            let k = 8.min(TOTAL - start);
-            produced.fetch_add(k, Ordering::SeqCst);
-            SourceOutcome::Batch((start..start + k).collect())
+            std::thread::sleep(Duration::from_micros(500));
+            SourceOutcome::New(Instant::now())
+        });
+        let waits: Arc<parking_lot::Mutex<Vec<Duration>>> =
+            Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let w2 = waits.clone();
+        reg.node("Sink", move |stamp: &mut Instant| {
+            w2.lock().push(stamp.elapsed());
+            NodeOutcome::Ok
+        });
+        let server = Arc::new(FluxServer::new(program, reg).unwrap());
+        let handle = start(server.clone(), RuntimeKind::event_driven_sharded(shards, 1));
+        handle.join();
+        assert_eq!(server.stats.finished(), FLOWS, "shards={shards}");
+        let mut waits = std::mem::take(&mut *waits.lock());
+        waits.sort();
+        let median = waits[waits.len() / 2];
+        assert!(
+            median < Duration::from_millis(2),
+            "shards={shards}: median hand-off wait {median:?} — a parked \
+             dispatcher is waiting out its timeout instead of being notified"
+        );
+        let stats = server.stats.shard_stats().unwrap();
+        for (i, st) in stats.iter().enumerate() {
+            assert_eq!(st.depth.load(Ordering::Relaxed), 0, "shard {i} drained");
         }
-    });
-    reg.node("Spin", |_| {
-        let t0 = std::time::Instant::now();
-        while t0.elapsed() < Duration::from_micros(50) {
-            std::hint::spin_loop();
-        }
-        NodeOutcome::Ok
-    });
-    let server = Arc::new(FluxServer::new(program, reg).unwrap());
-    let handle = start(
-        server.clone(),
-        RuntimeKind::EventDriven {
-            shards: SHARDS,
-            io_workers: 1,
-            adaptive: aggressive(4),
-            queue: ShardQueueKind::Mutex,
-            overload: OverloadPolicy::Unbounded,
-        },
-    );
-
-    // Phase 1: with no load, the controller must park below the
-    // configured count (and, given time, down to the floor of 1).
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let ast = &server.stats.adaptive;
-    while ast.active_shards.load(Ordering::SeqCst) > 1 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(
-        ast.active_shards.load(Ordering::SeqCst),
-        1,
-        "idle server must park down to min_shards ({})",
-        ast.describe()
-    );
-    let parks_before_burst = ast.parks.load(Ordering::SeqCst);
-    assert!(
-        parks_before_burst >= (SHARDS - 1) as u64,
-        "{}",
-        ast.describe()
-    );
-
-    // Phase 2: burst. The wake rule fires on the first tick that sees
-    // standing depth, so with a 200 µs tick the ramp-up is bounded by
-    // milliseconds; the generous deadline only absorbs CI scheduling
-    // noise, and the burst is sized to outlast the ramp even on a
-    // slow host.
-    burst.store(1, Ordering::SeqCst);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while ast.wakes.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    assert!(
-        ast.wakes.load(Ordering::SeqCst) > 0,
-        "burst must wake parked dispatchers within the controller's \
-         sampling cadence ({})",
-        ast.describe()
-    );
-
-    handle.join();
-    assert_eq!(server.stats.finished(), TOTAL, "{}", ast.describe());
-    let stats = server.stats.shard_stats().unwrap();
-    for (i, st) in stats.iter().enumerate() {
-        assert_eq!(st.depth.load(Ordering::Relaxed), 0, "shard {i} drained");
-    }
-}
-
-/// A server whose load dies and returns repeatedly under an aggressive
-/// controller: parks and wakes interleave with live traffic, and the
-/// accounting still balances.
-#[test]
-fn controller_survives_alternating_idle_and_load() {
-    const SHARDS: usize = 3;
-    let program = flux_core::compile(
-        "
-        Gen () => (int v);
-        Work (int v) => ();
-        Flow = Work;
-        source Gen => Flow;
-        ",
-    )
-    .unwrap();
-    // 12 cycles of (idle 3 ms, burst of 40): each idle gap is ~15
-    // controller ticks, enough to park; each burst must wake and drain.
-    let cycle = AtomicU64::new(0);
-    let mut reg: NodeRegistry<u64> = NodeRegistry::new();
-    reg.source("Gen", move || {
-        let c = cycle.fetch_add(1, Ordering::SeqCst);
-        if c >= 12 {
-            return SourceOutcome::Shutdown;
-        }
-        std::thread::sleep(Duration::from_millis(3));
-        SourceOutcome::Batch((0..40).collect())
-    });
-    reg.node("Work", |_| NodeOutcome::Ok);
-    let server = Arc::new(FluxServer::new(program, reg).unwrap());
-    let handle = start(
-        server.clone(),
-        RuntimeKind::EventDriven {
-            shards: SHARDS,
-            io_workers: 1,
-            adaptive: aggressive(2),
-            queue: ShardQueueKind::Mutex,
-            overload: OverloadPolicy::Unbounded,
-        },
-    );
-    handle.join();
-    assert_eq!(server.stats.finished(), 12 * 40);
-    let ast = &server.stats.adaptive;
-    assert!(
-        ast.parks.load(Ordering::SeqCst) > 0,
-        "3 ms idle gaps must trigger parks ({})",
-        ast.describe()
-    );
-    let stats = server.stats.shard_stats().unwrap();
-    for (i, st) in stats.iter().enumerate() {
-        assert_eq!(st.depth.load(Ordering::Relaxed), 0, "shard {i} drained");
     }
 }
 
@@ -675,123 +471,6 @@ mod properties {
     use super::*;
     use proptest::prelude::*;
 
-    /// Shared body for the adaptive-interleaving property, parametrized
-    /// by shard-queue kind: an aggressive controller churns parks and
-    /// wakes while skewed traffic flows; conservation, drained queues
-    /// and balanced books must hold for Mutex and Ring alike. Plain
-    /// asserts (not `prop_assert!`) still fail and shrink under
-    /// proptest via panic.
-    fn adaptive_interleaving_body(
-        kind: ShardQueueKind,
-        shards: usize,
-        io_workers: usize,
-        total: u64,
-        sessions: u64,
-        park_after: u32,
-        min_shards: usize,
-    ) {
-        let ids = Arc::new((0..sessions).collect::<Vec<_>>());
-        let server = session_server(total, ids);
-        let handle = start(
-            server.clone(),
-            RuntimeKind::EventDriven {
-                shards,
-                io_workers,
-                adaptive: AdaptivePolicy::Adaptive(AdaptiveConfig {
-                    min_shards,
-                    sample_every: Duration::from_micros(200),
-                    park_after,
-                    park_below: 1,
-                    wake_depth: 1,
-                }),
-                queue: kind,
-                overload: OverloadPolicy::Unbounded,
-            },
-        );
-        handle.join();
-        // Conservation: every flow finished exactly once.
-        assert_eq!(server.stats.finished(), total, "[{kind:?}] lost events");
-        let stats = server.stats.shard_stats().unwrap();
-        assert_eq!(stats.len(), shards);
-        // Nothing stranded on any shard — in particular not on a shard
-        // that ended the run parked: a parked dispatcher forwards every
-        // straggler before blocking, so a non-zero final depth there
-        // would mean an event was delivered to a permanently-parked
-        // shard.
-        let active = server.stats.adaptive.active_shards.load(Ordering::SeqCst) as usize;
-        assert!(active >= min_shards.min(shards) && active <= shards);
-        for (i, st) in stats.iter().enumerate() {
-            assert_eq!(
-                st.depth.load(Ordering::Relaxed),
-                0,
-                "[{kind:?}] shard {i} (active prefix {active}) must end drained"
-            );
-        }
-        // The controller's books balance: it can't have woken more
-        // shards than it parked, and the active count is exactly
-        // configured - parks + wakes.
-        let parks = server.stats.adaptive.parks.load(Ordering::SeqCst);
-        let wakes = server.stats.adaptive.wakes.load(Ordering::SeqCst);
-        assert!(wakes <= parks, "[{kind:?}] wakes {wakes} > parks {parks}");
-        assert_eq!(
-            shards as u64 + wakes - parks,
-            active as u64,
-            "[{kind:?}] active count must equal configured - parks + wakes"
-        );
-    }
-
-    /// Runs one generated event script on a single shard and returns
-    /// the global execution order (event = index into `script`, whose
-    /// entry is that event's session id). Used as a differential
-    /// harness: the mutex kind is the semantic oracle for the ring.
-    fn run_script(kind: ShardQueueKind, script: Arc<Vec<u64>>) -> Vec<u64> {
-        let program = flux_core::compile(
-            "
-            Gen () => (int v);
-            Work (int v) => ();
-            Flow = Work;
-            source Gen => Flow;
-            ",
-        )
-        .unwrap();
-        let total = script.len() as u64;
-        let produced = AtomicU64::new(0);
-        let mut reg: NodeRegistry<u64> = NodeRegistry::new();
-        reg.source("Gen", move || {
-            let start = produced.load(Ordering::SeqCst);
-            if start >= total {
-                return SourceOutcome::Shutdown;
-            }
-            // Varying batch sizes 1..=4 cover the New/Batch boundary
-            // deterministically for a given script length.
-            let k = (start % 4 + 1).min(total - start);
-            produced.fetch_add(k, Ordering::SeqCst);
-            if k == 1 {
-                SourceOutcome::New(start)
-            } else {
-                SourceOutcome::Batch((start..start + k).collect())
-            }
-        });
-        let s2 = script.clone();
-        reg.session("Gen", move |v: &u64| s2[*v as usize]);
-        let order: Arc<parking_lot::Mutex<Vec<u64>>> =
-            Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let o2 = order.clone();
-        reg.node("Work", move |v: &mut u64| {
-            o2.lock().push(*v);
-            NodeOutcome::Ok
-        });
-        let server = Arc::new(FluxServer::new(program, reg).unwrap());
-        let handle = start(
-            server.clone(),
-            RuntimeKind::event_driven_sharded(1, 1).shard_queue(kind),
-        );
-        handle.join();
-        assert_eq!(server.stats.finished(), total, "[{kind:?}] lost events");
-        let v = order.lock().clone();
-        v
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -817,82 +496,6 @@ mod properties {
             for (i, st) in stats.iter().enumerate() {
                 prop_assert_eq!(st.depth.load(Ordering::Relaxed), 0, "shard {} drained", i);
             }
-        }
-
-        /// Random enqueue/steal/park/wake interleavings: an aggressive
-        /// adaptive controller (200 µs ticks, parks after 1–4 idle
-        /// ticks, wakes at depth 1) churns the dispatcher set while
-        /// sources submit skewed session traffic. No event may be lost,
-        /// doubled, executed on a parked shard, or stranded behind one.
-        #[test]
-        fn adaptive_interleaving_loses_no_events(
-            shards in 2usize..6,
-            io_workers in 1usize..3,
-            total in 1u64..400,
-            sessions in 1u64..12,
-            park_after in 1u32..5,
-            min_shards in 1usize..3,
-        ) {
-            adaptive_interleaving_body(
-                ShardQueueKind::Mutex,
-                shards, io_workers, total, sessions, park_after, min_shards,
-            );
-        }
-
-        /// Ring port of the adaptive-interleaving property: the
-        /// lock-free MPSC ring plus the Dekker parked-flag handshake
-        /// must uphold exactly the invariants the mutex kind does under
-        /// random park/wake/steal interleavings.
-        #[test]
-        fn ring_adaptive_interleaving_loses_no_events(
-            shards in 2usize..6,
-            io_workers in 1usize..3,
-            total in 1u64..400,
-            sessions in 1u64..12,
-            park_after in 1u32..5,
-            min_shards in 1usize..3,
-        ) {
-            adaptive_interleaving_body(
-                ShardQueueKind::Ring,
-                shards, io_workers, total, sessions, park_after, min_shards,
-            );
-        }
-
-        /// Differential oracle: the same generated event script runs on
-        /// a single shard under both queue kinds, and the per-session
-        /// execution order must be identical. A tiny ring capacity
-        /// (`FLUX_SHARD_RING_CAP=8`) forces traffic through the
-        /// overflow sidecar, so the overflow-first FIFO rules are under
-        /// test too, not just the in-ring fast path. The env lock keeps
-        /// the process-wide cap from leaking into the steal-sensitive
-        /// ring tests running concurrently.
-        #[test]
-        fn ring_matches_mutex_execution_order(
-            script in proptest::collection::vec(0u64..6, 1..200usize),
-        ) {
-            let _env = test_env_lock();
-            std::env::set_var("FLUX_SHARD_RING_CAP", "8");
-            let script = Arc::new(script);
-            let mutex_order = run_script(ShardQueueKind::Mutex, script.clone());
-            let ring_order = run_script(ShardQueueKind::Ring, script.clone());
-            std::env::remove_var("FLUX_SHARD_RING_CAP");
-            for sid in 0..6u64 {
-                let by_session = |order: &[u64]| -> Vec<u64> {
-                    order
-                        .iter()
-                        .copied()
-                        .filter(|&v| script[v as usize] == sid)
-                        .collect()
-                };
-                prop_assert_eq!(
-                    by_session(&mutex_order),
-                    by_session(&ring_order),
-                    "session {} order diverged between Mutex and Ring", sid
-                );
-            }
-            // Single shard, one dispatcher: both kinds are in fact
-            // exact global FIFO, a strictly stronger statement.
-            prop_assert_eq!(mutex_order, ring_order, "global order diverged");
         }
     }
 }

@@ -26,9 +26,7 @@
 
 use flux_core::CompiledProgram;
 use flux_net::{ConnDriver, NetConfig};
-use flux_runtime::{
-    AdaptivePolicy, FusionMode, NodeRegistry, OverloadPolicy, RuntimeKind, ShardQueueKind,
-};
+use flux_runtime::{FusionMode, NodeRegistry, OverloadPolicy, RuntimeKind};
 use std::sync::Arc;
 
 /// What a server kind must provide to be built: its compiled program,
@@ -73,20 +71,12 @@ pub struct RunningServer<P: Send + 'static, C> {
 pub struct ServerBuilder<S: ServerSpec> {
     spec: S,
     runtime: RuntimeKind,
-    /// Set by [`ServerBuilder::adaptive`]; applied to the event-driven
-    /// runtime at [`ServerBuilder::spawn`], so `.adaptive(...)` and
-    /// `.runtime(...)` compose in either order.
-    adaptive: Option<AdaptivePolicy>,
-    /// Set by [`ServerBuilder::shard_queue`]; applied at
-    /// [`ServerBuilder::spawn`] like `adaptive`, so it composes with
-    /// `.runtime(...)` in either order.
-    shard_queue: Option<ShardQueueKind>,
     /// Set by [`ServerBuilder::fusion`]; [`FusionMode::On`] (segment
     /// execution) when unset.
     fusion: Option<FusionMode>,
-    /// Set by [`ServerBuilder::overload`]; applied at
-    /// [`ServerBuilder::spawn`] like `adaptive`, so it composes with
-    /// `.runtime(...)` in either order.
+    /// Set by [`ServerBuilder::overload`]; applied to the event-driven
+    /// runtime at [`ServerBuilder::spawn`], so `.overload(...)` and
+    /// `.runtime(...)` compose in either order.
     overload: Option<OverloadPolicy>,
     net: NetConfig,
     profile: bool,
@@ -102,8 +92,6 @@ impl<S: ServerSpec> ServerBuilder<S> {
         ServerBuilder {
             spec,
             runtime: RuntimeKind::event_driven_sharded(1, 4),
-            adaptive: None,
-            shard_queue: None,
             fusion: None,
             overload: None,
             net: NetConfig::default(),
@@ -115,33 +103,6 @@ impl<S: ServerSpec> ServerBuilder<S> {
     /// Which runtime executes the flows (paper §3.2).
     pub fn runtime(mut self, kind: RuntimeKind) -> Self {
         self.runtime = kind;
-        self
-    }
-
-    /// Sets the adaptive shard policy of the event-driven runtime:
-    /// [`AdaptivePolicy::Adaptive`] runs the controller loop that parks
-    /// idle dispatchers and wakes them on burst,
-    /// [`AdaptivePolicy::Static`] (the default) keeps the paper's fixed
-    /// dispatcher set. Applied at [`ServerBuilder::spawn`], so it
-    /// composes with [`ServerBuilder::runtime`] in either call order;
-    /// ignored by the non-event runtimes, and inert when the
-    /// event-driven runtime has a single shard (one dispatcher is
-    /// already the controller's floor — `stats.adaptive.describe()`
-    /// reports which state is actually running).
-    pub fn adaptive(mut self, policy: AdaptivePolicy) -> Self {
-        self.adaptive = Some(policy);
-        self
-    }
-
-    /// Selects the shard-queue implementation of the event-driven
-    /// runtime ([`ShardQueueKind::Mutex`] is the default;
-    /// [`ShardQueueKind::Ring`] swaps in the lock-free bounded ring).
-    /// Applied at [`ServerBuilder::spawn`] so it composes with
-    /// [`ServerBuilder::runtime`] in either call order; ignored by the
-    /// non-event runtimes. The `FLUX_SHARD_QUEUE` env var overrides
-    /// either choice at start.
-    pub fn shard_queue(mut self, kind: ShardQueueKind) -> Self {
-        self.shard_queue = Some(kind);
         self
     }
 
@@ -235,16 +196,6 @@ impl<S: ServerSpec> ServerBuilder<S> {
 
     /// Compiles, binds and starts the server.
     pub fn spawn(mut self) -> RunningServer<S::Flow, S::Ctx> {
-        if let (Some(policy), RuntimeKind::EventDriven { adaptive, .. }) =
-            (self.adaptive, &mut self.runtime)
-        {
-            *adaptive = policy;
-        }
-        if let (Some(kind), RuntimeKind::EventDriven { queue, .. }) =
-            (self.shard_queue, &mut self.runtime)
-        {
-            *queue = kind;
-        }
         if let (Some(policy), RuntimeKind::EventDriven { overload, .. }) =
             (self.overload, &mut self.runtime)
         {

@@ -4,12 +4,10 @@
 //!    it on all four runtimes — the paper's runtime-independence claim;
 //! 2. stand up a real server (the §4.2 web server) through the one
 //!    typed `ServerBuilder`, which owns the remaining knobs: the
-//!    runtime kind, the adaptive shard policy (`AdaptivePolicy`: park
-//!    idle dispatchers, wake them on burst), the network configuration
-//!    (`NetConfig`: readiness backend, write-buffer bound, event-poll
-//!    timeout), the flow interpreter (`FusionMode`: fused straight-line
-//!    segments vs per-node queue turns) and the stats/profiling
-//!    toggles;
+//!    runtime kind, the network configuration (`NetConfig`: readiness
+//!    backend, write-buffer bound, event-poll timeout), the flow
+//!    interpreter (`FusionMode`: fused straight-line segments vs
+//!    per-node queue turns) and the stats/profiling toggles;
 //! 3. a *streaming* server through the same builder: the pub/sub
 //!    server subscribes clients to topics, aggregates each topic's
 //!    publishes over a sliding window, and multicasts the encoded
@@ -179,17 +177,8 @@ fn main() {
     let listener = net.listen("quickstart").unwrap();
     let mut docroot = flux::http::DocRoot::new();
     docroot.insert("/hello.html", "hello from the builder");
-    // `.adaptive(AdaptivePolicy::adaptive())` makes the dispatcher set
-    // elastic: a controller parks idle shards down to one and wakes
-    // them within a millisecond-scale sampling tick when load returns
-    // (AdaptiveConfig tunes the cadence and thresholds). The default —
-    // AdaptivePolicy::Static — keeps the paper's fixed dispatcher set;
-    // either way `stats.adaptive` reports active shards and park/wake
-    // totals.
-    use flux::runtime::AdaptivePolicy;
     let server = ServerBuilder::new(WebSpec::new(Box::new(listener), docroot))
         .runtime(RuntimeKind::event_driven_sharded(2, 2))
-        .adaptive(AdaptivePolicy::adaptive())
         .net(NetConfig::default()) // epoll on Linux; FLUX_POLLER=poll falls back
         .spawn();
 
@@ -206,7 +195,7 @@ fn main() {
         "web server via ServerBuilder: {} ({} readiness backend, {})",
         String::from_utf8_lossy(&body),
         server.ctx.driver.poller_backend(),
-        server.handle.server().stats.adaptive.describe(),
+        server.handle.server().stats.describe(),
     );
     flux::servers::web::stop(server);
 

@@ -14,7 +14,7 @@
 
 use flux::http::DocRoot;
 use flux::net::{Listener as _, NetConfig, TcpAcceptor, TcpConn};
-use flux::runtime::{AdaptivePolicy, OverloadPolicy, RuntimeKind, ShardQueueKind};
+use flux::runtime::RuntimeKind;
 use flux::servers::{web::WebSpec, ServerBuilder};
 use std::io::Write as _;
 use std::sync::atomic::Ordering;
@@ -57,34 +57,14 @@ fn main() {
     // Linux, FLUX_POLLER overrides), the per-connection write-buffer
     // bound and the Listen source's event-poll timeout.
     let net = NetConfig::default();
-    // Adaptive shard scaling by default (FLUX_ADAPTIVE=0 opts out):
-    // the controller parks idle dispatchers down to one and wakes them
-    // within a sampling interval of a burst, so an idle server costs
-    // one hot dispatcher no matter how many cores it was sized for.
-    // (With a single shard — e.g. a 1-core host without FLUX_SHARDS —
-    // one dispatcher is already the floor, so no controller runs and
-    // the startup banner reports "static".)
-    let adaptive = if std::env::var("FLUX_ADAPTIVE").as_deref() == Ok("0") {
-        AdaptivePolicy::Static
-    } else {
-        AdaptivePolicy::adaptive()
-    };
     let server = ServerBuilder::new(WebSpec::new(Box::new(acceptor), docroot()))
-        .runtime(RuntimeKind::EventDriven {
-            shards,
-            io_workers: 4,
-            adaptive,
-            // Mutex/Condvar dispatch is still the default; FLUX_SHARD_QUEUE=ring
-            // selects the lock-free MPSC ring at startup (see crate docs).
-            queue: ShardQueueKind::Mutex,
-            overload: OverloadPolicy::Unbounded,
-        })
+        .runtime(RuntimeKind::event_driven_sharded(shards, 4))
         .net(net)
         .spawn();
     let stats = &server.handle.server().stats;
     println!(
-        "Flux web server (event-driven runtime, {shards} shard(s), {}, {} backend) on http://{addr}/",
-        stats.adaptive.describe(),
+        "Flux web server (event-driven runtime, {}, {} backend) on http://{addr}/",
+        stats.describe(),
         server.ctx.driver.poller_backend()
     );
 
@@ -116,7 +96,7 @@ fn main() {
     println!(
         "served {} requests over real TCP ({})",
         server.ctx.requests.load(Ordering::Relaxed),
-        server.handle.server().stats.adaptive.describe(),
+        server.handle.server().stats.describe(),
     );
     // Responses ride the reactor's non-blocking write path: every one
     // drains through the driver, hitting POLLOUT only when the socket

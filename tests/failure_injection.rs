@@ -12,8 +12,8 @@
 
 use flux::core::EndKind;
 use flux::runtime::{
-    start, AdaptivePolicy, FluxServer, HotOrder, NodeOutcome, NodeRegistry, OverloadPolicy,
-    RuntimeKind, ShardQueueKind, SourceOutcome,
+    start, FluxServer, HotOrder, NodeOutcome, NodeRegistry, OverloadPolicy, RuntimeKind,
+    SourceOutcome,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,8 +25,6 @@ const ALL_RUNTIMES: [RuntimeKind; 4] = [
     RuntimeKind::EventDriven {
         shards: 1,
         io_workers: 2,
-        adaptive: AdaptivePolicy::Static,
-        queue: ShardQueueKind::Mutex,
         overload: OverloadPolicy::Unbounded,
     },
     RuntimeKind::Staged { stage_workers: 2 },
