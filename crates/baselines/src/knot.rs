@@ -139,7 +139,7 @@ pub fn handle_request(path: &str, params: &[(String, String)], docroot: &DocRoot
         }
     } else {
         let effective = if path == "/" { "/index.html" } else { path };
-        Response::ok(mime_for(effective), content.to_vec())
+        Response::ok(mime_for(effective), content.clone())
     }
 }
 

@@ -5,6 +5,7 @@
 //! (HTTP/1.1 defaults to persistent connections; `Connection: close`
 //! or HTTP/1.0 without `keep-alive` closes), and standard responses.
 
+use flux_net::SharedPayload;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
@@ -256,22 +257,44 @@ pub fn sanitize_path(p: &str) -> Option<String> {
 }
 
 /// An HTTP response under construction.
+///
+/// The body is a refcounted [`SharedPayload`]: a static file's response
+/// shares the document root's buffer instead of copying it, and a
+/// dynamic or error page wraps the `Vec<u8>` it was rendered into
+/// (`From<Vec<u8>>`) — one body type for both.
 #[derive(Debug, Clone)]
 pub struct Response {
     pub status: u16,
     pub reason: &'static str,
     pub headers: Vec<(String, String)>,
-    pub body: Vec<u8>,
+    pub body: SharedPayload,
+}
+
+const STATUS_LINE_PREFIX: &str = "HTTP/1.1 ";
+const CONTENT_LENGTH: &str = "Content-Length: ";
+const SERVER_LINE: &str = "Server: flux-rs/0.1\r\n";
+
+fn connection_line(keep_alive: bool) -> &'static str {
+    if keep_alive {
+        "Connection: keep-alive\r\n"
+    } else {
+        "Connection: close\r\n"
+    }
+}
+
+/// Decimal digits in `n`.
+fn decimal_len(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
 }
 
 impl Response {
     /// 200 with a content type.
-    pub fn ok(content_type: &str, body: Vec<u8>) -> Response {
+    pub fn ok(content_type: &str, body: impl Into<SharedPayload>) -> Response {
         Response {
             status: 200,
             reason: "OK",
             headers: vec![("Content-Type".into(), content_type.into())],
-            body,
+            body: body.into(),
         }
     }
 
@@ -286,7 +309,8 @@ impl Response {
                 "<html><head><title>{status} {reason}</title></head>\
                  <body><h1>{status} {reason}</h1></body></html>"
             )
-            .into_bytes(),
+            .into_bytes()
+            .into(),
         }
     }
 
@@ -302,56 +326,63 @@ impl Response {
     }
 
     /// Serializes status line, headers (adding `Content-Length`,
-    /// `Connection` and `Server`) and the body.
+    /// `Connection` and `Server`) and the body to any writer, as two
+    /// writes. A server that can transmit the body by reference
+    /// serializes [`Response::write_head_to`] alone instead.
     pub fn write_to(&self, w: &mut dyn Write, keep_alive: bool) -> io::Result<()> {
-        self.write_head_to(w, keep_alive, self.body.len())?;
+        let body_len = self.body.len();
+        let mut head = Vec::with_capacity(self.head_len(keep_alive, body_len));
+        self.write_head_to(&mut head, keep_alive, body_len);
+        w.write_all(&head)?;
         w.write_all(&self.body)?;
         w.flush()
     }
 
-    /// Serializes the head alone, announcing a body of `body_len`
-    /// bytes: for a caller that holds the body elsewhere (a shared
-    /// cache entry) and appends it itself, so it need not be cloned
-    /// into `self.body` first.
-    pub fn write_head_to(
-        &self,
-        w: &mut dyn Write,
-        keep_alive: bool,
-        body_len: usize,
-    ) -> io::Result<()> {
-        let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason);
+    /// Appends the head alone to `out`, announcing a body of `body_len`
+    /// bytes: for a caller that sends the body from where it already is
+    /// (this response's shared payload, a cache entry). Formats straight
+    /// into `out`; allocates only if `out` must grow.
+    pub fn write_head_to(&self, out: &mut Vec<u8>, keep_alive: bool, body_len: usize) {
+        out.reserve(self.head_len(keep_alive, body_len));
+        out.extend_from_slice(STATUS_LINE_PREFIX.as_bytes());
+        write!(out, "{} {}\r\n", self.status, self.reason).expect("writing to a Vec cannot fail");
         for (k, v) in &self.headers {
-            head.push_str(k);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
+            out.extend_from_slice(k.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(v.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
-        head.push_str(&format!("Content-Length: {body_len}\r\n"));
-        head.push_str("Server: flux-rs/0.1\r\n");
-        head.push_str(if keep_alive {
-            "Connection: keep-alive\r\n"
-        } else {
-            "Connection: close\r\n"
-        });
-        head.push_str("\r\n");
-        w.write_all(head.as_bytes())
+        out.extend_from_slice(CONTENT_LENGTH.as_bytes());
+        write!(out, "{body_len}\r\n").expect("writing to a Vec cannot fail");
+        out.extend_from_slice(SERVER_LINE.as_bytes());
+        out.extend_from_slice(connection_line(keep_alive).as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+
+    /// Bytes [`Response::write_head_to`] emits for a body of `body_len`.
+    pub fn head_len(&self, keep_alive: bool, body_len: usize) -> usize {
+        let headers: usize = self
+            .headers
+            .iter()
+            .map(|(k, v)| k.len() + 2 + v.len() + 2)
+            .sum();
+        STATUS_LINE_PREFIX.len()
+            + decimal_len(self.status as usize)
+            + 1
+            + self.reason.len()
+            + 2
+            + headers
+            + CONTENT_LENGTH.len()
+            + decimal_len(body_len)
+            + 2
+            + SERVER_LINE.len()
+            + connection_line(keep_alive).len()
+            + 2
     }
 
     /// Total bytes `write_to` will emit (for throughput accounting).
     pub fn wire_len(&self, keep_alive: bool) -> usize {
-        let mut n = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason).len();
-        for (k, v) in &self.headers {
-            n += k.len() + 2 + v.len() + 2;
-        }
-        n += format!("Content-Length: {}\r\n", self.body.len()).len();
-        n += "Server: flux-rs/0.1\r\n".len();
-        n += if keep_alive {
-            "Connection: keep-alive\r\n".len()
-        } else {
-            "Connection: close\r\n".len()
-        };
-        n += 2 + self.body.len();
-        n
+        self.head_len(keep_alive, self.body.len()) + self.body.len()
     }
 }
 
@@ -510,6 +541,81 @@ mod tests {
         let (status, body) = read_response(&mut cursor).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, b"body!");
+    }
+
+    /// The head serializer before it wrote straight into the caller's
+    /// buffer, kept as the oracle for the wire format.
+    fn reference_wire(resp: &Response, keep_alive: bool) -> Vec<u8> {
+        let mut head = format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason);
+        for (k, v) in &resp.headers {
+            head.push_str(k);
+            head.push_str(": ");
+            head.push_str(v);
+            head.push_str("\r\n");
+        }
+        head.push_str(&format!("Content-Length: {}\r\n", resp.body.len()));
+        head.push_str("Server: flux-rs/0.1\r\n");
+        head.push_str(if keep_alive {
+            "Connection: keep-alive\r\n"
+        } else {
+            "Connection: close\r\n"
+        });
+        head.push_str("\r\n");
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&resp.body);
+        wire
+    }
+
+    /// Golden test: for every status with a reason phrase (and one
+    /// without), keep-alive on and off, with and without extra headers,
+    /// and body lengths on both sides of each digit-count step the
+    /// sizes are computed from, the wire bytes are what the reference
+    /// serializer produced and the arithmetic lengths agree with them.
+    #[test]
+    fn wire_bytes_match_the_reference_serializer() {
+        let statuses = [
+            200u16, 204, 301, 302, 304, 400, 403, 404, 405, 413, 500, 501, 503, 299,
+        ];
+        for status in statuses {
+            for body_len in [0usize, 9, 10, 1_048_576] {
+                for extra in [false, true] {
+                    for keep_alive in [false, true] {
+                        let mut resp = Response::error(status);
+                        resp.body = vec![b'x'; body_len].into();
+                        if extra {
+                            resp = resp
+                                .header("X-Test", "1")
+                                .header("Cache-Control", "no-store");
+                        }
+                        let want = reference_wire(&resp, keep_alive);
+                        let mut wire = Vec::new();
+                        resp.write_to(&mut wire, keep_alive).unwrap();
+                        let case = format!("{status} len={body_len} extra={extra} ka={keep_alive}");
+                        assert!(wire == want, "wire bytes differ: {case}");
+                        assert_eq!(resp.wire_len(keep_alive), want.len(), "{case}");
+                        let mut head = b"prefix".to_vec();
+                        resp.write_head_to(&mut head, keep_alive, body_len);
+                        assert!(head[6..] == want[..want.len() - body_len], "{case}");
+                        assert_eq!(
+                            head.len() - 6,
+                            resp.head_len(keep_alive, body_len),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A head written into a buffer with room performs no allocation:
+    /// the buffer is neither moved nor grown.
+    #[test]
+    fn head_is_written_in_place() {
+        let resp = Response::ok("text/html", vec![0u8; 10]).header("X-Test", "1");
+        let mut out = Vec::with_capacity(512);
+        let (at, cap) = (out.as_ptr(), out.capacity());
+        resp.write_head_to(&mut out, true, resp.body.len());
+        assert_eq!((out.as_ptr(), out.capacity()), (at, cap));
     }
 
     #[test]

@@ -63,7 +63,12 @@
 //! [`ConnDriver::take_write_buf`]) is recycled through a bounded
 //! [`crate::pool::BytePool`] as soon as the transport has taken or
 //! buffered the bytes, so steady-state response serialization performs
-//! no heap allocation. [`ConnDriver::remove_when_flushed`] defers a
+//! no heap allocation. [`ConnDriver::submit_response`] is the
+//! two-part variant a web server replies through: a pooled head and a
+//! refcounted [`SharedPayload`] body leave in one gather write and
+//! count as one submission, and a body the socket could not take at
+//! once is buffered by reference — a static file is never copied on
+//! its way out. [`ConnDriver::remove_when_flushed`] defers a
 //! close until every queued byte has drained, and
 //! [`ConnDriver::set_max_pending_out`] bounds each connection's buffer
 //! (replacing the blocking path's socket-buffer backpressure) so a peer
@@ -212,9 +217,9 @@ pub struct DriverCounters {
     pub write_would_block: AtomicU64,
     /// Writes that failed (connection removed).
     pub writes_failed: AtomicU64,
-    /// Shared fan-out payloads handed to
-    /// [`ConnDriver::submit_write_shared`] (each is also counted in
-    /// `writes_submitted`).
+    /// Shared payloads handed to [`ConnDriver::submit_write_shared`]
+    /// or, as a response body, to [`ConnDriver::submit_response`]
+    /// (each is also counted in `writes_submitted`).
     pub writes_shared: AtomicU64,
     /// Connections evicted because a submission would push their
     /// output buffer past [`ConnDriver::set_max_pending_out`] — the
@@ -774,6 +779,27 @@ impl ConnDriver {
         self.submit_with(token, payload.len(), |conn| {
             conn.enqueue_write_shared(payload)
         })
+    }
+
+    /// Submits a response as one write of two parts: `head`, serialized
+    /// into a buffer from [`ConnDriver::take_write_buf`] (recycled here,
+    /// as in [`ConnDriver::submit_write_buf`]), and a refcounted `body`
+    /// that is transmitted, and if need be buffered, by reference — see
+    /// [`Conn::enqueue_write_parts`]. One submission: one completion
+    /// event, `writes_submitted` and `writes_shared` each advance by
+    /// one. Eviction and failure semantics are those of `submit_write`.
+    pub fn submit_response(
+        self: &Arc<Self>,
+        token: Token,
+        head: Vec<u8>,
+        body: &SharedPayload,
+    ) -> bool {
+        self.counters.writes_shared.fetch_add(1, Ordering::Relaxed);
+        let ok = self.submit_with(token, head.len() + body.len(), |conn| {
+            conn.enqueue_write_parts(&head, body)
+        });
+        self.write_bufs.put(head);
+        ok
     }
 
     /// Common body of the submit paths: slot/generation validation, the
@@ -2081,6 +2107,304 @@ mod tests {
         }
         assert!(driver.get(token).is_none(), "removed after the drain");
         driver.stop();
+    }
+
+    /// The two-part response path ([`ConnDriver::submit_response`]):
+    /// head and shared body over real TCP with a send buffer small
+    /// enough that every response is a partial write, and over the
+    /// shaped in-memory link (the `flux-net-drain` thread path).
+    mod response_parts {
+        use super::*;
+        use crate::tcp::TcpConn;
+
+        const BODY_LEN: usize = 1024 * 1024;
+
+        fn head(n: u8) -> Vec<u8> {
+            format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
+                 X-Response: {n}\r\nContent-Length: {BODY_LEN}\r\nServer: flux-rs/0.1\r\n\
+                 Connection: keep-alive\r\n\r\n"
+            )
+            .into_bytes()
+        }
+
+        fn body(n: u8) -> SharedPayload {
+            let bytes: Vec<u8> = (0..BODY_LEN).map(|i| (i % 251) as u8 ^ n).collect();
+            SharedPayload::detached(bytes)
+        }
+
+        /// Submits `head` through a pooled buffer, as a server would.
+        fn submit(driver: &Arc<ConnDriver>, token: Token, head: &[u8], body: &SharedPayload) {
+            let mut buf = driver.take_write_buf();
+            buf.extend_from_slice(head);
+            assert!(driver.submit_response(token, buf, body));
+        }
+
+        fn read_exactly(client: &mut dyn Read, len: usize) -> Vec<u8> {
+            let mut got = vec![0u8; len];
+            client.read_exact(&mut got).unwrap();
+            got
+        }
+
+        /// Waits for the drain's last reference to `payload` to go: the
+        /// reactor and the drain thread drop their handle to a removed
+        /// connection (and with it its output buffer) on their own time.
+        fn released(payload: &SharedPayload) -> bool {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while payload.ref_count() > 1 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            payload.ref_count() == 1
+        }
+
+        fn expect_done(driver: &ConnDriver, token: Token, n: usize) {
+            for _ in 0..n {
+                assert_eq!(
+                    driver.next_event(Duration::from_secs(10)),
+                    Some(DriverEvent::WriteDone(token))
+                );
+            }
+            assert_eq!(
+                driver.next_event(Duration::from_millis(50)),
+                None,
+                "exactly one WriteDone per response"
+            );
+        }
+
+        /// A loopback pair whose server side has the smallest send
+        /// buffer the kernel grants, so the client has to read before a
+        /// response can finish.
+        #[cfg(target_os = "linux")]
+        fn tight_tcp_pair() -> (TcpConn, std::net::TcpStream) {
+            use std::ffi::{c_int, c_void};
+            use std::os::fd::AsRawFd;
+            const SOL_SOCKET: c_int = 1;
+            const SO_SNDBUF: c_int = 7;
+            extern "C" {
+                fn setsockopt(
+                    fd: c_int,
+                    level: c_int,
+                    name: c_int,
+                    value: *const c_void,
+                    len: u32,
+                ) -> c_int;
+            }
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (server, _) = listener.accept().unwrap();
+            let tiny: c_int = 1;
+            // SAFETY: `tiny` is a live c_int of the length passed; the fd
+            // belongs to `server`.
+            let rc = unsafe {
+                setsockopt(
+                    server.as_raw_fd(),
+                    SOL_SOCKET,
+                    SO_SNDBUF,
+                    (&tiny as *const c_int).cast(),
+                    std::mem::size_of::<c_int>() as u32,
+                )
+            };
+            assert_eq!(rc, 0, "setsockopt(SO_SNDBUF)");
+            (TcpConn::new(server), client)
+        }
+
+        /// One 1 MiB response whose first `sendmsg` is stopped at `cut`
+        /// bytes (`None`: wherever the tiny send buffer stops it) arrives
+        /// byte-exact behind a stalled reader, as one submission with
+        /// one completion, and the body is referenced — never copied —
+        /// for exactly as long as some of it is unsent.
+        #[cfg(target_os = "linux")]
+        fn one_response_split_at(cut: Option<usize>) {
+            let (mut conn, mut client) = tight_tcp_pair();
+            if let Some(cut) = cut {
+                conn.cap_next_send(cut);
+            }
+            let driver = Arc::new(ConnDriver::new());
+            let token = driver.add(Box::new(conn));
+            let (head, body) = (head(1), body(1));
+            let total = head.len() + body.len();
+
+            submit(&driver, token, &head, &body);
+            let pending = driver.pending_out(token);
+            match cut {
+                Some(cut) => assert_eq!(pending, total - cut, "cut={cut}"),
+                None => assert!(pending > 0 && pending < body.len(), "pending={pending}"),
+            }
+            assert_eq!(
+                body.ref_count(),
+                2,
+                "the unsent body is buffered by reference"
+            );
+            assert_eq!(driver.next_event(Duration::from_millis(50)), None);
+
+            let got = read_exactly(&mut client, total);
+            assert!(got[..head.len()] == head[..], "head bytes (cut={cut:?})");
+            assert!(got[head.len()..] == body[..], "body bytes (cut={cut:?})");
+            expect_done(&driver, token, 1);
+            assert_eq!(body.ref_count(), 1, "released by the drain");
+            let counters = driver.counters();
+            assert_eq!(counters.writes_submitted.load(Ordering::Relaxed), 1);
+            assert_eq!(counters.writes_shared.load(Ordering::Relaxed), 1);
+            assert_eq!(counters.writes_drained.load(Ordering::Relaxed), 1);
+            driver.stop();
+        }
+
+        #[test]
+        #[cfg(target_os = "linux")]
+        fn tcp_first_send_stops_mid_head() {
+            one_response_split_at(Some(head(1).len() / 2));
+        }
+
+        #[test]
+        #[cfg(target_os = "linux")]
+        fn tcp_first_send_stops_at_the_head_body_boundary() {
+            one_response_split_at(Some(head(1).len()));
+        }
+
+        #[test]
+        #[cfg(target_os = "linux")]
+        fn tcp_first_send_stops_mid_body() {
+            one_response_split_at(Some(head(1).len() + 1000));
+        }
+
+        #[test]
+        #[cfg(target_os = "linux")]
+        fn tcp_first_send_stops_where_the_socket_is_full() {
+            one_response_split_at(None);
+        }
+
+        /// Two responses pipelined on one connection, the second queued
+        /// whole behind the first's remainder: head₁ body₁ head₂ body₂
+        /// on the wire, one `WriteDone` each.
+        fn pipelined_responses_keep_order(
+            driver: Arc<ConnDriver>,
+            token: Token,
+            client: &mut dyn Read,
+        ) {
+            let (h1, b1, h2, b2) = (head(1), body(1), head(2), body(2));
+            for (h, b) in [(&h1, &b1), (&h2, &b2)] {
+                submit(&driver, token, h, b);
+            }
+            assert_eq!((b1.ref_count(), b2.ref_count()), (2, 2));
+            assert_eq!(driver.counters().writes_deferred.load(Ordering::Relaxed), 1);
+            for (h, b) in [(&h1, &b1), (&h2, &b2)] {
+                assert!(read_exactly(client, h.len()) == h[..], "head in order");
+                assert!(read_exactly(client, b.len()) == b[..], "body in order");
+            }
+            expect_done(&driver, token, 2);
+            assert_eq!((b1.ref_count(), b2.ref_count()), (1, 1));
+            assert_eq!(
+                driver.counters().writes_submitted.load(Ordering::Relaxed),
+                2
+            );
+            assert_eq!(driver.counters().writes_shared.load(Ordering::Relaxed), 2);
+            driver.stop();
+        }
+
+        /// Removing the connection mid-drain fails the submission and
+        /// releases the body.
+        fn removal_mid_drain_releases_the_body(driver: Arc<ConnDriver>, token: Token) {
+            let body = body(3);
+            submit(&driver, token, &head(3), &body);
+            assert_eq!(body.ref_count(), 2);
+            drop(driver.remove(token));
+            assert_eq!(
+                driver.next_event(Duration::from_secs(5)),
+                Some(DriverEvent::WriteFailed(token))
+            );
+            assert!(released(&body), "refs left: {}", body.ref_count());
+            driver.stop();
+        }
+
+        #[test]
+        #[cfg(target_os = "linux")]
+        fn tcp_pipelined_responses_keep_order() {
+            let (conn, mut client) = tight_tcp_pair();
+            let driver = Arc::new(ConnDriver::new());
+            let token = driver.add(Box::new(conn));
+            pipelined_responses_keep_order(driver, token, &mut client);
+        }
+
+        #[test]
+        #[cfg(target_os = "linux")]
+        fn tcp_removal_mid_drain_releases_the_body() {
+            let (conn, _client) = tight_tcp_pair();
+            let driver = Arc::new(ConnDriver::new());
+            let token = driver.add(Box::new(conn));
+            removal_mid_drain_releases_the_body(driver, token);
+        }
+
+        /// A server-side connection on a 16 MB/s in-memory link: the
+        /// 1 MiB bodies overrun the shaper's burst, so every response is
+        /// buffered for the drain thread.
+        fn shaped_mem_pair() -> (Arc<ConnDriver>, Token, crate::mem::MemConn) {
+            let net = MemNet::new();
+            net.set_link_capacity(Some(16_000_000.0));
+            let listener = net.listen("srv").unwrap();
+            let driver = Arc::new(ConnDriver::new());
+            driver.spawn_acceptor(Box::new(listener));
+            let client = net.connect("srv").unwrap();
+            let DriverEvent::Incoming(token) = driver.next_event(Duration::from_secs(2)).unwrap()
+            else {
+                panic!("expected Incoming");
+            };
+            (driver, token, client)
+        }
+
+        #[test]
+        fn shaped_mem_response_drains_by_reference() {
+            let (driver, token, mut client) = shaped_mem_pair();
+            let (head, body) = (head(1), body(1));
+            submit(&driver, token, &head, &body);
+            assert_eq!(
+                body.ref_count(),
+                2,
+                "buffered for the drain thread by reference"
+            );
+            assert!(read_exactly(&mut client, head.len()) == head[..]);
+            assert!(read_exactly(&mut client, body.len()) == body[..]);
+            expect_done(&driver, token, 1);
+            assert_eq!(body.ref_count(), 1);
+            assert_eq!(
+                driver.counters().writes_submitted.load(Ordering::Relaxed),
+                1
+            );
+            assert_eq!(driver.counters().writes_shared.load(Ordering::Relaxed), 1);
+            driver.stop();
+        }
+
+        #[test]
+        fn shaped_mem_pipelined_responses_keep_order() {
+            let (driver, token, mut client) = shaped_mem_pair();
+            pipelined_responses_keep_order(driver, token, &mut client);
+        }
+
+        #[test]
+        fn shaped_mem_removal_mid_drain_releases_the_body() {
+            let (driver, token, _client) = shaped_mem_pair();
+            removal_mid_drain_releases_the_body(driver, token);
+        }
+
+        /// On an unshaped pipe the response completes synchronously and
+        /// nothing holds the body afterwards.
+        #[test]
+        fn mem_response_completes_synchronously() {
+            let driver = Arc::new(ConnDriver::new());
+            let (mut client, server) = crate::mem::MemConn::pair();
+            let token = driver.add(Box::new(server));
+            let (head, body) = (head(1), body(1));
+            submit(&driver, token, &head, &body);
+            assert_eq!(driver.pending_out(token), 0);
+            assert_eq!(body.ref_count(), 1);
+            expect_done(&driver, token, 1);
+            assert!(read_exactly(&mut client, head.len()) == head[..]);
+            assert!(read_exactly(&mut client, body.len()) == body[..]);
+            assert!(
+                driver.take_write_buf().capacity() >= head.len(),
+                "the head buffer went back to the pool"
+            );
+            driver.stop();
+        }
     }
 
     /// The fd-reuse race end-to-end: remove a connection (closing its

@@ -9,14 +9,17 @@
 //!   so benchmarks are reproducible and can exhibit network saturation;
 //! * **tcp** — real TCP/UDP over `std::net`; the acceptor waits for
 //!   connections in `poll(2)` and output goes out with
-//!   `send(MSG_DONTWAIT)`, so nothing at this edge sleep-polls or flips
-//!   socket modes;
+//!   `sendmsg(MSG_DONTWAIT)` — a gather write over a response's head
+//!   and body, or over the queued segments of a drain — so nothing at
+//!   this edge sleep-polls, flips socket modes or copies a body;
 //! * **driver** — a readiness multiplexer ([`ConnDriver`]) that turns
 //!   accepts, per-connection readability and asynchronous write
 //!   completions into one event stream, which Flux source nodes consume
-//!   (the paper's select loop). [`ConnDriver::submit_write`] queues
-//!   response bytes without blocking; `WriteDone`/`WriteFailed` events
-//!   report completion. Construction goes through [`NetConfig`]
+//!   (the paper's select loop). [`ConnDriver::submit_write`] and its
+//!   by-reference siblings ([`ConnDriver::submit_response`],
+//!   [`ConnDriver::submit_write_shared`]) queue output without
+//!   blocking; `WriteDone`/`WriteFailed` events report completion.
+//!   Construction goes through [`NetConfig`]
 //!   (backend choice, output-buffer bound, event-poll timeout) —
 //!   servers reach it via `flux_servers::ServerBuilder`;
 //! * **reactor** — the single multiplexer thread behind the driver:
@@ -94,22 +97,32 @@
 //!   `Vec<DriverEvent>` and consumers drain it via
 //!   [`ConnDriver::next_events`] — one channel transfer and (in the
 //!   runtime) one shard-queue lock per round instead of per event.
-//! * **Buffer pooling.** Response payloads are serialized into buffers
-//!   checked out of a bounded [`pool::BytePool`]
-//!   ([`ConnDriver::take_write_buf`]/[`ConnDriver::submit_write_buf`])
-//!   and recycled after the transport takes the bytes; per-connection
-//!   read scratch ([`ConnDriver::take_read_buf`]) is reused across all
-//!   requests on a keep-alive connection.
-//! * **Shared fan-out payloads.** Multicast results are encoded once,
-//!   sealed into a refcounted [`pool::SharedPayload`]
-//!   ([`ConnDriver::seal_write_buf`]) and submitted to every
-//!   subscriber via [`ConnDriver::submit_write_shared`]. A blocked
-//!   connection buffers a *reference* in its segment-queue
-//!   [`pool::OutBuf`], not a copy, and the buffer returns to the pool
-//!   exactly once when the last drain (or teardown) releases it. A
-//!   subscriber whose output buffer would exceed the configured bound
-//!   is evicted (slow-consumer policy) rather than buffering without
-//!   limit.
+//! * **Buffer pooling: heads and small messages.** What a server
+//!   serializes per reply is small — a response head, a pub/sub line, a
+//!   BitTorrent block reply — and goes into a buffer checked out of a
+//!   bounded [`pool::BytePool`] ([`ConnDriver::take_write_buf`]),
+//!   recycled as soon as the transport has taken (or buffered) the
+//!   bytes ([`ConnDriver::submit_write_buf`],
+//!   [`ConnDriver::submit_response`]); per-connection read scratch
+//!   ([`ConnDriver::take_read_buf`]) is reused across all requests on a
+//!   keep-alive connection. Bodies never pass through the pool.
+//! * **Shared payloads: bodies leave by reference.** Bytes that many
+//!   writes share are held once, in a refcounted
+//!   [`pool::SharedPayload`], and every write of them is a reference.
+//!   A web reply is a pooled head plus the document root's own buffer
+//!   as the body ([`ConnDriver::submit_response`]): one submission, one
+//!   `sendmsg` over `[head, body]`, one completion event. A multicast
+//!   result is encoded once, sealed ([`ConnDriver::seal_write_buf`])
+//!   and submitted to every subscriber
+//!   ([`ConnDriver::submit_write_shared`]). In both cases a connection
+//!   that cannot take the bytes at once buffers a *reference* in its
+//!   segment-queue [`pool::OutBuf`] (for a reply: a copy of the head's
+//!   unsent tail and the body at its offset), the reactor's `POLLOUT`
+//!   drain gathers the queued segments into one `sendmsg` per wake, and
+//!   a sealed buffer returns to the pool exactly once, when the last
+//!   drain (or teardown) releases it. A connection whose output buffer
+//!   would exceed the configured bound is evicted (slow-consumer
+//!   policy) rather than buffering without limit.
 //!
 //! On multi-core hosts the reactor thread pins itself to a core
 //! ([`affinity`]; opt out with `FLUX_PIN=0`), matching the runtime's

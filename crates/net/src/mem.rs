@@ -235,6 +235,24 @@ impl Conn for MemConn {
         Ok(crate::traits::WriteProgress::Complete)
     }
 
+    fn enqueue_write_parts(
+        &mut self,
+        head: &[u8],
+        body: &SharedPayload,
+    ) -> io::Result<crate::traits::WriteProgress> {
+        if let Some(shaper) = self.shaper.clone() {
+            if !self.out.is_empty() || !shaper.try_consume(head.len() + body.len()) {
+                // Blocked: the whole message waits for the drain thread,
+                // the body as a reference.
+                self.out.push_parts(head, body, 0);
+                return Ok(crate::traits::WriteProgress::Pending);
+            }
+        }
+        self.tx.write(head)?;
+        self.tx.write(body)?;
+        Ok(crate::traits::WriteProgress::Complete)
+    }
+
     fn pending_out(&self) -> usize {
         self.out.len()
     }

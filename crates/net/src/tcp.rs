@@ -6,17 +6,20 @@
 //! `poll(2)` on its fd (bounded by the accept timeout, when one is
 //! set), so a connect wakes the acceptor at once and a backlog drains
 //! without sleeping between accepts. Output is sent with
-//! `send(MSG_DONTWAIT)`: the socket's `O_NONBLOCK` flag — which lives on
-//! the open file description and is therefore shared with every
-//! `try_clone`d handle — is never touched, so a blocking `read` on a
-//! clone cannot see a spurious `WouldBlock`. Accepted and connected
-//! sockets carry `TCP_NODELAY`: responses are written whole, and a
-//! small write must not wait out the peer's delayed ACK.
+//! `sendmsg(MSG_DONTWAIT)`, a gather write: a response's head and its
+//! shared body, or several queued segments on a `POLLOUT` drain, leave
+//! in one system call and are copied nowhere on the way. The socket's
+//! `O_NONBLOCK` flag — which lives on the open file description and is
+//! therefore shared with every `try_clone`d handle — is never touched,
+//! so a blocking `read` on a clone cannot see a spurious `WouldBlock`.
+//! Accepted and connected sockets carry `TCP_NODELAY`: responses are
+//! written whole, and a small write must not wait out the peer's
+//! delayed ACK.
 
 use crate::pool::{OutBuf, SharedPayload};
 use crate::traits::{Conn, Datagram, Listener, WriteProgress};
 use parking_lot::Mutex;
-use std::io;
+use std::io::{self, IoSlice};
 use std::net::{TcpListener, TcpStream, UdpSocket};
 use std::time::{Duration, Instant};
 
@@ -27,15 +30,24 @@ use std::time::{Duration, Instant};
 /// would block are buffered and drained with non-blocking partial
 /// writes, so the reactor can finish them on `POLLOUT` without ever
 /// parking a thread in `send(2)`. The buffer is a segment queue
-/// ([`OutBuf`]): plain writes copy their unwritten tail, shared fan-out
-/// payloads ([`Conn::enqueue_write_shared`]) buffer a refcounted
-/// reference instead of a per-subscriber copy.
+/// ([`OutBuf`]): plain writes copy their unwritten tail, shared
+/// payloads ([`Conn::enqueue_write_shared`], the body of
+/// [`Conn::enqueue_write_parts`]) buffer a refcounted reference
+/// instead of a copy.
 pub struct TcpConn {
     stream: TcpStream,
     peer: String,
     /// Output segment queue for reactor-drained writes.
     out: OutBuf,
+    /// Test hook: the next gather send offers the socket at most this
+    /// many bytes, so a test can stop a write wherever it likes.
+    #[cfg(test)]
+    send_cap: Option<usize>,
 }
+
+/// Segments handed to one `sendmsg` on a drain. A response is two
+/// (head, body); more only queue up behind a stalled peer.
+const GATHER_SEGS: usize = 8;
 
 impl TcpConn {
     pub fn new(stream: TcpStream) -> Self {
@@ -47,6 +59,8 @@ impl TcpConn {
             stream,
             peer,
             out: OutBuf::new(),
+            #[cfg(test)]
+            send_cap: None,
         }
     }
 
@@ -57,64 +71,143 @@ impl TcpConn {
         Ok(TcpConn::new(stream))
     }
 
-    /// Non-blocking drain of the output buffer.
+    /// Arms the test hook: the next gather send is cut to `cap` bytes.
+    #[cfg(test)]
+    pub(crate) fn cap_next_send(&mut self, cap: usize) {
+        self.send_cap = Some(cap);
+    }
+
+    /// Offers `bufs` (in order, not all empty) to the socket in one
+    /// gather send and returns how many bytes it took. Fewer than
+    /// offered — possibly none — means the socket buffer is full: the
+    /// caller buffers the rest and waits for `POLLOUT`, which fires at
+    /// once if there is room after all.
+    fn send_gather(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        #[cfg(test)]
+        if let Some(cap) = self.send_cap.take() {
+            return capped_send(&self.stream, bufs, cap);
+        }
+        send_some(&self.stream, bufs)
+    }
+
+    /// Non-blocking drain of the output buffer: the front segments go
+    /// out together, one `sendmsg` per [`GATHER_SEGS`] of them.
     fn drain_nonblocking(&mut self) -> io::Result<WriteProgress> {
-        while let Some(front) = self.out.front() {
-            let n = nb_write(&self.stream, front)?;
-            let partial = n < front.len();
-            self.out.advance(n);
-            if partial {
+        while !self.out.is_empty() {
+            let mut iov = [IoSlice::new(&[]); GATHER_SEGS];
+            let (segs, offered) = self.out.io_slices(&mut iov);
+            let sent = send_some(&self.stream, &iov[..segs])?;
+            self.out.advance(sent);
+            if sent < offered {
                 return Ok(WriteProgress::Pending);
             }
         }
         Ok(WriteProgress::Complete)
     }
+
+    /// Common body of the three enqueue paths. With nothing buffered
+    /// the parts go straight to the socket and only the unwritten rest
+    /// is kept (via `keep`, which is told how many bytes were taken);
+    /// behind buffered bytes they are queued whole and the drain is
+    /// tried once more.
+    fn enqueue(
+        &mut self,
+        parts: &[IoSlice<'_>],
+        keep: impl FnOnce(&mut OutBuf, usize),
+    ) -> io::Result<WriteProgress> {
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        if total == 0 {
+            return Ok(WriteProgress::Complete);
+        }
+        if !self.out.is_empty() {
+            keep(&mut self.out, 0);
+            return self.drain_nonblocking();
+        }
+        let sent = self.send_gather(parts)?;
+        if sent == total {
+            return Ok(WriteProgress::Complete);
+        }
+        keep(&mut self.out, sent);
+        Ok(WriteProgress::Pending)
+    }
 }
 
-/// Writes as much of `buf` as the socket accepts without blocking,
-/// returning the number of bytes taken.
-fn nb_write(stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
-    let mut done = 0;
-    while done < buf.len() {
-        match send_nowait(stream, &buf[done..]) {
+/// One gather send of `bufs` (not all empty): the bytes the socket
+/// took, `0` when it would have blocked.
+fn send_some(stream: &TcpStream, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+    loop {
+        match sendmsg_nowait(stream, bufs) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
                     "socket accepted zero bytes",
                 ))
             }
-            Ok(n) => done += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(0),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         }
     }
-    Ok(done)
 }
 
-/// One `send(2)` that fails with `WouldBlock` instead of waiting for
-/// socket-buffer room: non-blocking per call (`MSG_DONTWAIT`), leaving
-/// the shared `O_NONBLOCK` flag alone (see the module docs).
+/// [`send_some`] over at most the first `cap` bytes of `bufs`.
+#[cfg(test)]
+fn capped_send(stream: &TcpStream, bufs: &[IoSlice<'_>], mut cap: usize) -> io::Result<usize> {
+    let mut cut = Vec::new();
+    for b in bufs {
+        let take = b.len().min(cap);
+        cap -= take;
+        if take > 0 {
+            cut.push(IoSlice::new(&b[..take]));
+        }
+    }
+    if cut.is_empty() {
+        return Ok(0);
+    }
+    send_some(stream, &cut)
+}
+
+/// One `sendmsg(2)` over `bufs` that fails with `WouldBlock` instead of
+/// waiting for socket-buffer room: non-blocking per call
+/// (`MSG_DONTWAIT`), leaving the shared `O_NONBLOCK` flag alone (see the
+/// module docs).
 #[cfg(target_os = "linux")]
-fn send_nowait(stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
+fn sendmsg_nowait(stream: &TcpStream, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
     use std::ffi::{c_int, c_void};
     use std::os::fd::AsRawFd;
     const MSG_DONTWAIT: c_int = 0x40;
     const MSG_NOSIGNAL: c_int = 0x4000;
-    extern "C" {
-        fn send(fd: c_int, buf: *const c_void, len: usize, flags: c_int) -> isize;
+    /// `struct msghdr` of `<sys/socket.h>`.
+    #[repr(C)]
+    struct MsgHdr {
+        name: *mut c_void,
+        namelen: u32,
+        iov: *const c_void,
+        iovlen: usize,
+        control: *mut c_void,
+        controllen: usize,
+        flags: c_int,
     }
-    // SAFETY: `buf` is a live slice for the duration of the call and
-    // `send` reads at most `buf.len()` bytes from it; the fd is owned
-    // by `stream`, which outlives the call.
-    let n = unsafe {
-        send(
-            stream.as_raw_fd(),
-            buf.as_ptr().cast(),
-            buf.len(),
-            MSG_DONTWAIT | MSG_NOSIGNAL,
-        )
+    extern "C" {
+        fn sendmsg(fd: c_int, msg: *const MsgHdr, flags: c_int) -> isize;
+    }
+    let msg = MsgHdr {
+        name: std::ptr::null_mut(),
+        namelen: 0,
+        iov: bufs.as_ptr().cast(),
+        iovlen: bufs.len(),
+        control: std::ptr::null_mut(),
+        controllen: 0,
+        flags: 0,
     };
+    // SAFETY: `msg` is a fully initialised `msghdr` that lives across
+    // the call; `IoSlice` is guaranteed ABI-compatible with `iovec` on
+    // Unix, so `iov`/`iovlen` describe `bufs.len()` valid `iovec`s, each
+    // over a live slice that `sendmsg` only reads; no address or control
+    // data is passed; the fd is owned by `stream`, which outlives the
+    // call.
+    let n = unsafe { sendmsg(stream.as_raw_fd(), &msg, MSG_DONTWAIT | MSG_NOSIGNAL) };
     if n < 0 {
         Err(io::Error::last_os_error())
     } else {
@@ -122,15 +215,34 @@ fn send_nowait(stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
     }
 }
 
-/// Off Linux `std` offers no per-call flag, so the mode is flipped
-/// around the write (and restored before returning).
+/// Off Linux `std` offers no per-call flag and no gather send, so the
+/// mode is flipped around one write per segment (and restored before
+/// returning).
 #[cfg(not(target_os = "linux"))]
-fn send_nowait(stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
+fn sendmsg_nowait(stream: &TcpStream, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
     use std::io::Write as _;
     stream.set_nonblocking(true)?;
-    let result = (&mut &*stream).write(buf);
+    let mut sent = 0;
+    let mut result = Ok(());
+    for buf in bufs.iter().filter(|b| !b.is_empty()) {
+        match (&mut &*stream).write(buf) {
+            Ok(n) => {
+                sent += n;
+                if n < buf.len() {
+                    break;
+                }
+            }
+            Err(e) => {
+                result = Err(e);
+                break;
+            }
+        }
+    }
     stream.set_nonblocking(false)?;
-    result
+    match result {
+        Err(e) if sent == 0 => Err(e),
+        _ => Ok(sent),
+    }
 }
 
 impl io::Read for TcpConn {
@@ -183,31 +295,25 @@ impl Conn for TcpConn {
     }
 
     fn enqueue_write(&mut self, bytes: &[u8]) -> io::Result<WriteProgress> {
-        if self.out.is_empty() {
-            // Fast path: nothing buffered, write straight from the
-            // caller's slice and keep only the unwritten tail.
-            let n = nb_write(&self.stream, bytes)?;
-            if n >= bytes.len() {
-                return Ok(WriteProgress::Complete);
-            }
-            self.out.push_owned(bytes, n);
-            return Ok(WriteProgress::Pending);
-        }
-        self.out.push_owned(bytes, 0);
-        self.drain_nonblocking()
+        self.enqueue(&[IoSlice::new(bytes)], |out, sent| {
+            out.push_owned(bytes, sent)
+        })
     }
 
     fn enqueue_write_shared(&mut self, payload: &SharedPayload) -> io::Result<WriteProgress> {
-        if self.out.is_empty() {
-            let n = nb_write(&self.stream, payload)?;
-            if n >= payload.len() {
-                return Ok(WriteProgress::Complete);
-            }
-            self.out.push_shared(payload, n);
-            return Ok(WriteProgress::Pending);
-        }
-        self.out.push_shared(payload, 0);
-        self.drain_nonblocking()
+        self.enqueue(&[IoSlice::new(payload)], |out, sent| {
+            out.push_shared(payload, sent)
+        })
+    }
+
+    fn enqueue_write_parts(
+        &mut self,
+        head: &[u8],
+        body: &SharedPayload,
+    ) -> io::Result<WriteProgress> {
+        self.enqueue(&[IoSlice::new(head), IoSlice::new(body)], |out, sent| {
+            out.push_parts(head, body, sent)
+        })
     }
 
     fn pending_out(&self) -> usize {

@@ -81,6 +81,24 @@ pub trait Conn: io::Read + io::Write + Send {
         self.enqueue_write(payload)
     }
 
+    /// Queues a message in two parts — a small serialized `head` and a
+    /// refcounted `body` — as one write, copying neither.
+    ///
+    /// TCP hands both to a single `sendmsg` and buffers only what the
+    /// socket did not take: a copy of the head's unwritten tail and a
+    /// *reference* to the body at its offset. This is how a static file
+    /// leaves the web server. The default queues the parts one after
+    /// the other, which is correct for any transport whose output
+    /// buffer is FIFO.
+    fn enqueue_write_parts(
+        &mut self,
+        head: &[u8],
+        body: &SharedPayload,
+    ) -> io::Result<WriteProgress> {
+        self.enqueue_write(head)?;
+        self.enqueue_write_shared(body)
+    }
+
     /// Bytes accepted by [`Conn::enqueue_write`] but not yet handed to
     /// the transport.
     fn pending_out(&self) -> usize {

@@ -275,7 +275,7 @@ impl OverloadStat {
 
 /// Thread-pinning state of the most recent sharded event-runtime run,
 /// recorded so benchmark artifacts can report whether a measurement ran
-/// with core affinity (`BENCH_hot_path.json` stores it per point).
+/// with core affinity.
 #[derive(Debug, Default)]
 pub struct PinningStat {
     /// Pinning was attempted (multi-core host, `FLUX_PIN` not `0`).

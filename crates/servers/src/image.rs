@@ -301,9 +301,11 @@ pub fn build_with(
                 // Head and body leave as one write: two would put the
                 // body behind the client's delayed ACK of the head.
                 let mut wire = Vec::with_capacity(jpeg.len() + 160);
-                Response::ok("image/jpeg", Vec::new())
-                    .write_head_to(&mut wire, !f.close, jpeg.len())
-                    .expect("serializing a response to memory cannot fail");
+                Response::ok("image/jpeg", Vec::new()).write_head_to(
+                    &mut wire,
+                    !f.close,
+                    jpeg.len(),
+                );
                 wire.extend_from_slice(jpeg);
                 let mut guard = conn.lock();
                 if guard.write_all(&wire).is_ok() {

@@ -764,6 +764,14 @@ mod tests {
             1,
             "payload-copy count per publish must be 1"
         );
+        // As in `run_pubsub_test`: the counter is bumped after the bytes
+        // are reader-visible, so wait for it rather than race it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+        while server.ctx.fanout.deliveries.load(Ordering::Relaxed) < 8
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
         assert_eq!(server.ctx.fanout.deliveries.load(Ordering::Relaxed), 8);
         assert_eq!(
             server

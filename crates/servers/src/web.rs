@@ -9,27 +9,28 @@
 //! mirrors the paper's web and BitTorrent servers, whose source nodes
 //! select over existing clients.
 //!
-//! Response transmission defaults to [`WriteMode::Reactor`]: the
-//! `Write` node enqueues the serialized response on the driver's
-//! non-blocking write path and completes immediately, leaving partial
-//! writes to the reactor's `POLLOUT` drain — no I/O worker is ever
-//! parked in `send(2)` and no connection lock is held across a send.
+//! A response leaves in two parts and is copied nowhere: the `Write`
+//! node serializes the *head* into one of the driver's pooled buffers
+//! and submits it together with the body — a refcounted
+//! [`flux_net::SharedPayload`], for a static file the document root's
+//! own buffer — through [`ConnDriver::submit_response`]. The transport
+//! hands both to one `sendmsg`; whatever the socket does not take at
+//! once is buffered *by reference* and drained by the reactor on
+//! `POLLOUT`, so the node completes immediately, no I/O worker is ever
+//! parked in `send(2)`, no connection lock is held across a send, and
+//! `ReadFromDisk` costs a reference-count increment — the paper's
+//! `http_response *resp` handed from node to node.
 //!
-//! Event delivery defaults to [`HotPath::Batched`]: `Listen` drains a
-//! whole reactor round per poll and hands the burst to the runtime as
-//! one `SourceOutcome::Batch` (one shard-queue lock downstream),
-//! responses serialize into the driver's pooled buffers, and request
-//! heads parse into per-connection scratch — the steady-state request
-//! path performs no hashing and no heap allocation.
-//! [`HotPath::PerEvent`] preserves the old behaviour for the
-//! old-vs-new ablation (`BENCH_hot_path.json`).
+//! Events arrive in batches: `Listen` drains a whole reactor round per
+//! poll and hands the burst to the runtime as one
+//! `SourceOutcome::Batch` (one shard-queue lock downstream), and
+//! request heads parse into per-connection scratch that is reused
+//! across a keep-alive connection's requests.
 
 use crate::builder::{RunningServer, ServerSpec};
 use flux_core::CompiledProgram;
-use flux_http::{
-    mime_for, read_request, read_request_buffered, DocRoot, ParseError, Request, Response, Value,
-};
-use flux_net::{ConnDriver, DriverEvent, Listener, NetConfig, SharedConn, Token};
+use flux_http::{mime_for, read_request_buffered, DocRoot, ParseError, Request, Response, Value};
+use flux_net::{ConnDriver, DriverEvent, Listener, NetConfig, SharedConn, SharedPayload, Token};
 use flux_runtime::{NodeOutcome, NodeRegistry, SourceOutcome};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -66,37 +67,6 @@ pub const FLUX_SRC: &str = r#"
     blocking ReadRequest;
 "#;
 
-/// How events travel from the driver into flows — the new batched,
-/// pooled hot path versus the pre-slab per-event behaviour (kept for
-/// the old-vs-new ablation, `BENCH_hot_path.json`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HotPath {
-    /// `Listen` drains a whole readiness batch per poll
-    /// (`ConnDriver::next_events` → `SourceOutcome::Batch`, one shard
-    /// queue lock per burst), responses serialize into pooled buffers,
-    /// and request heads parse into per-connection scratch. Default.
-    #[default]
-    Batched,
-    /// One event per poll, a fresh allocation per response and per
-    /// request head — the per-event delivery PRs 1–3 shipped.
-    PerEvent,
-}
-
-/// How the `Write` node transmits responses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WriteMode {
-    /// Enqueue on the connection's output buffer and complete: the
-    /// reactor drains partial writes via `POLLOUT`, so `Write` never
-    /// occupies an I/O worker or holds the connection lock across a
-    /// send. This is the default.
-    #[default]
-    Reactor,
-    /// The seed behaviour: `Write` is a blocking node that parks an I/O
-    /// worker in `write_all` under the connection lock for the full
-    /// send. Kept for the ablation benchmark.
-    Blocking,
-}
-
 /// Per-flow payload: the union of fields flowing between nodes, exactly
 /// like the paper's per-flow C struct.
 pub struct WebFlow {
@@ -115,12 +85,10 @@ pub struct WebCtx {
     pub bytes_out: AtomicU64,
     /// Requests served (any status).
     pub requests: AtomicU64,
-    /// Buffer pooling on (the [`HotPath::Batched`] configuration).
-    pooled: bool,
     /// Prebuilt `503 Service Unavailable` wire bytes (Connection:
-    /// close), serialized once at build time so the shed path costs one
-    /// pooled-buffer copy and no formatting.
-    busy_response: Vec<u8>,
+    /// close), serialized once at build time so the shed path costs a
+    /// reference-count increment: no formatting, no copy.
+    busy_response: SharedPayload,
 }
 
 impl WebCtx {
@@ -138,57 +106,31 @@ impl WebCtx {
         }
     }
 
-    /// Blocking-mode transmission: holds the connection lock across the
-    /// full send (the seed behaviour, kept for the ablation benchmark).
-    fn write_response(&self, flow_conn: &SharedConn, resp: &Response, close: bool) -> bool {
-        let mut conn = flow_conn.lock();
-        let ok = resp.write_to(&mut **conn, !close).is_ok();
-        if ok {
-            self.bytes_out
-                .fetch_add(resp.wire_len(!close) as u64, Ordering::Relaxed);
-        }
-        ok
-    }
-
-    /// Reactor-mode transmission: serializes the response and enqueues
-    /// it on the driver's non-blocking write path. Completion (and any
-    /// failure) arrives on the event stream as `WriteDone`/`WriteFailed`.
+    /// Transmits a response: the head, serialized into a pooled
+    /// buffer, and the body, by reference, as one submission on the
+    /// driver's non-blocking write path. Completion (and any failure)
+    /// arrives on the event stream as `WriteDone`/`WriteFailed`.
     /// `bytes_out` counts bytes *accepted for transmission*; a write
     /// that later fails mid-drain is still counted (benchmark goodput
     /// is measured client-side, so this only affects the server's own
-    /// gauge). With pooling on, the serialization buffer comes from
-    /// (and returns to) the driver's bounded pool, so the steady-state
-    /// reply path performs no heap allocation.
+    /// gauge).
     fn send_response(&self, token: Token, resp: &Response, close: bool) -> bool {
-        let mut bytes = if self.pooled {
-            self.driver.take_write_buf()
-        } else {
-            Vec::new()
-        };
-        bytes.reserve(resp.wire_len(!close));
-        resp.write_to(&mut bytes, !close)
-            .expect("serializing a response to memory cannot fail");
-        let len = bytes.len() as u64;
-        let ok = if self.pooled {
-            self.driver.submit_write_buf(token, bytes)
-        } else {
-            self.driver.submit_write(token, &bytes)
-        };
+        let mut head = self.driver.take_write_buf();
+        resp.write_head_to(&mut head, !close, resp.body.len());
+        let len = (head.len() + resp.body.len()) as u64;
+        let ok = self.driver.submit_response(token, head, &resp.body);
         if ok {
             self.bytes_out.fetch_add(len, Ordering::Relaxed);
         }
         ok
     }
 
-    /// The shed path: answers the prebuilt 503 from the pooled-buffer
-    /// write path and closes once it drains. Runs on the source thread,
-    /// *before* the flow enters any shard queue, so an overloaded
-    /// server refuses work at the edge for the cost of one buffered
-    /// write.
+    /// The shed path: answers the prebuilt 503 and closes once it
+    /// drains. Runs on the source thread, *before* the flow enters any
+    /// shard queue, so an overloaded server refuses work at the edge for
+    /// the cost of one write.
     fn shed_busy(&self, token: Token) {
-        let mut bytes = self.driver.take_write_buf();
-        bytes.extend_from_slice(&self.busy_response);
-        if self.driver.submit_write_buf(token, bytes) {
+        if self.driver.submit_write_shared(token, &self.busy_response) {
             self.driver.remove_when_flushed(token);
         } else {
             self.driver.remove(token);
@@ -200,34 +142,12 @@ impl WebCtx {
 pub struct WebSpec {
     pub listener: Box<dyn Listener>,
     pub docroot: DocRoot,
-    pub write_mode: WriteMode,
-    pub hot_path: HotPath,
 }
 
 impl WebSpec {
-    /// A spec with the default (reactor) write mode and the batched,
-    /// pooled hot path.
+    /// A web server on `listener` serving `docroot`.
     pub fn new(listener: Box<dyn Listener>, docroot: DocRoot) -> Self {
-        WebSpec {
-            listener,
-            docroot,
-            write_mode: WriteMode::Reactor,
-            hot_path: HotPath::Batched,
-        }
-    }
-
-    /// Overrides how the `Write` node transmits (the blocking mode is
-    /// kept for the ablation benchmark).
-    pub fn write_mode(mut self, mode: WriteMode) -> Self {
-        self.write_mode = mode;
-        self
-    }
-
-    /// Overrides the event-delivery/buffer strategy (the per-event mode
-    /// is kept for the old-vs-new hot-path ablation).
-    pub fn hot_path(mut self, mode: HotPath) -> Self {
-        self.hot_path = mode;
-        self
+        WebSpec { listener, docroot }
     }
 }
 
@@ -245,7 +165,7 @@ impl ServerSpec for WebSpec {
 }
 
 /// Builds the compiled program, node registry and shared context with
-/// the default (reactor) write mode and network configuration.
+/// the default network configuration.
 pub fn build(
     listener: Box<dyn Listener>,
     docroot: DocRoot,
@@ -260,27 +180,21 @@ pub fn build(
 pub fn build_with(
     listener: Box<dyn Listener>,
     docroot: DocRoot,
-    write_mode: WriteMode,
     net: &NetConfig,
 ) -> (CompiledProgram, NodeRegistry<WebFlow>, Arc<WebCtx>) {
-    build_spec(WebSpec::new(listener, docroot).write_mode(write_mode), net)
+    build_spec(WebSpec::new(listener, docroot), net)
 }
 
-/// How many driver events one `Listen` poll may drain in batched mode.
-/// Bounds a single shard-queue append (and the flow vector) without
-/// ever splitting a typical reactor round.
+/// How many driver events one `Listen` poll may drain. Bounds a single
+/// shard-queue append (and the flow vector) without ever splitting a
+/// typical reactor round.
 const LISTEN_BATCH: usize = 128;
 
 fn build_spec(
     spec: WebSpec,
     net: &NetConfig,
 ) -> (CompiledProgram, NodeRegistry<WebFlow>, Arc<WebCtx>) {
-    let WebSpec {
-        listener,
-        docroot,
-        write_mode,
-        hot_path,
-    } = spec;
+    let WebSpec { listener, docroot } = spec;
     let program = flux_core::compile(FLUX_SRC).expect("web server Flux program compiles");
     let driver = Arc::new(ConnDriver::with_config(net));
     driver.spawn_acceptor(listener);
@@ -294,8 +208,7 @@ fn build_spec(
         docroot,
         bytes_out: AtomicU64::new(0),
         requests: AtomicU64::new(0),
-        pooled: hot_path == HotPath::Batched,
-        busy_response,
+        busy_response: busy_response.into(),
     });
 
     let mut reg: NodeRegistry<WebFlow> = NodeRegistry::new();
@@ -305,65 +218,41 @@ fn build_spec(
     // completions need no action here — the driver already retired the
     // submission (and performed any deferred close on the final
     // `WriteDone`, or removed the connection on `WriteFailed`).
-    match hot_path {
-        HotPath::Batched => {
-            // Batched: one poll drains a whole reactor round; the burst
-            // of readable connections becomes one SourceOutcome::Batch,
-            // which the sharded runtime appends to each home shard
-            // under a single queue lock. The event buffer is reused
-            // across polls (the source closure is shared state, hence
-            // the mutex — it is only ever locked from the one source
-            // thread, so it is never contended).
-            let c = ctx.clone();
-            let events: Mutex<Vec<DriverEvent>> = Mutex::new(Vec::new());
-            reg.source("Listen", move || {
-                let mut buf = events.lock();
-                buf.clear();
-                if c.driver.next_events(&mut buf, LISTEN_BATCH, io_timeout) == 0 {
-                    return SourceOutcome::Skip;
-                }
-                let mut flows: Vec<WebFlow> = Vec::with_capacity(buf.len());
-                for ev in buf.drain(..) {
-                    match ev {
-                        DriverEvent::Incoming(token) => c.driver.arm(token),
-                        DriverEvent::WriteDone(_) | DriverEvent::WriteFailed(_) => {}
-                        DriverEvent::Readable(token) => flows.push(WebFlow {
-                            token,
-                            close: false,
-                            request: None,
-                            response: None,
-                            conn: c.driver.get(token),
-                        }),
-                    }
-                }
-                match flows.len() {
-                    0 => SourceOutcome::Skip,
-                    1 => SourceOutcome::New(flows.pop().expect("len checked")),
-                    _ => SourceOutcome::Batch(flows),
-                }
-            });
+    //
+    // One poll drains a whole reactor round; the burst of readable
+    // connections becomes one SourceOutcome::Batch, which the sharded
+    // runtime appends to each home shard under a single queue lock. The
+    // event buffer is reused across polls (the source closure is shared
+    // state, hence the mutex — it is only ever locked from the one
+    // source thread, so it is never contended).
+    let c = ctx.clone();
+    let events: Mutex<Vec<DriverEvent>> = Mutex::new(Vec::new());
+    reg.source("Listen", move || {
+        let mut buf = events.lock();
+        buf.clear();
+        if c.driver.next_events(&mut buf, LISTEN_BATCH, io_timeout) == 0 {
+            return SourceOutcome::Skip;
         }
-        HotPath::PerEvent => {
-            let c = ctx.clone();
-            reg.source("Listen", move || match c.driver.next_event(io_timeout) {
-                None => SourceOutcome::Skip,
-                Some(DriverEvent::Incoming(token)) => {
-                    c.driver.arm(token);
-                    SourceOutcome::Skip
-                }
-                Some(DriverEvent::WriteDone(_)) | Some(DriverEvent::WriteFailed(_)) => {
-                    SourceOutcome::Skip
-                }
-                Some(DriverEvent::Readable(token)) => SourceOutcome::New(WebFlow {
+        let mut flows: Vec<WebFlow> = Vec::with_capacity(buf.len());
+        for ev in buf.drain(..) {
+            match ev {
+                DriverEvent::Incoming(token) => c.driver.arm(token),
+                DriverEvent::WriteDone(_) | DriverEvent::WriteFailed(_) => {}
+                DriverEvent::Readable(token) => flows.push(WebFlow {
                     token,
                     close: false,
                     request: None,
                     response: None,
                     conn: c.driver.get(token),
                 }),
-            });
+            }
         }
-    }
+        match flows.len() {
+            0 => SourceOutcome::Skip,
+            1 => SourceOutcome::New(flows.pop().expect("len checked")),
+            _ => SourceOutcome::Batch(flows),
+        }
+    });
 
     let c = ctx.clone();
     reg.node_blocking("ReadRequest", move |f: &mut WebFlow| {
@@ -372,18 +261,13 @@ fn build_spec(
         };
         f.conn = Some(conn.clone());
         let mut guard = conn.lock();
-        // Pooled mode parses the request head into the connection's
-        // scratch buffer, reused across every request on a keep-alive
-        // connection (slot lock under conn lock is the crate-wide
-        // order, so taking it here is safe).
-        let parsed = if c.pooled {
-            let mut scratch = c.driver.take_read_buf(f.token);
-            let parsed = read_request_buffered(&mut **guard, &mut scratch);
-            c.driver.put_read_buf(f.token, scratch);
-            parsed
-        } else {
-            read_request(&mut **guard)
-        };
+        // The request head parses into the connection's scratch buffer,
+        // reused across every request on a keep-alive connection (slot
+        // lock under conn lock is the crate-wide order, so taking it
+        // here is safe).
+        let mut scratch = c.driver.take_read_buf(f.token);
+        let parsed = read_request_buffered(&mut **guard, &mut scratch);
+        c.driver.put_read_buf(f.token, scratch);
         match parsed {
             Ok(req) => {
                 drop(guard);
@@ -417,7 +301,8 @@ fn build_spec(
         let req = f.request.as_ref().expect("ReadRequest ran");
         match c.docroot.get(&req.path) {
             Some(body) => {
-                f.response = Some(Response::ok(mime_for(&req.path), body.to_vec()));
+                // The response shares the document root's buffer.
+                f.response = Some(Response::ok(mime_for(&req.path), body.clone()));
                 NodeOutcome::Ok
             }
             None => NodeOutcome::Err(404),
@@ -448,41 +333,24 @@ fn build_spec(
         }
     });
 
-    match write_mode {
-        WriteMode::Reactor => {
-            // Enqueue-and-complete: the node returns as soon as the
-            // response bytes are buffered; the reactor drains them via
-            // POLLOUT. Runs on a dispatcher shard, never the I/O pool.
-            let c = ctx.clone();
-            reg.node("Write", move |f: &mut WebFlow| {
-                debug_assert!(
-                    !std::thread::current()
-                        .name()
-                        .unwrap_or("")
-                        .starts_with("flux-io-"),
-                    "reactor-mode Write must not occupy an I/O worker"
-                );
-                let resp = f.response.as_ref().expect("handler set a response");
-                if !c.send_response(f.token, resp, f.close) {
-                    f.close = true; // connection already gone
-                }
-                NodeOutcome::Ok // delivery failure still completes the flow
-            });
+    // Enqueue-and-complete: the node returns as soon as the response is
+    // submitted; the reactor drains what the socket did not take via
+    // POLLOUT. Runs on a dispatcher shard, never the I/O pool.
+    let c = ctx.clone();
+    reg.node("Write", move |f: &mut WebFlow| {
+        debug_assert!(
+            !std::thread::current()
+                .name()
+                .unwrap_or("")
+                .starts_with("flux-io-"),
+            "Write must not occupy an I/O worker"
+        );
+        let resp = f.response.as_ref().expect("handler set a response");
+        if !c.send_response(f.token, resp, f.close) {
+            f.close = true; // connection already gone
         }
-        WriteMode::Blocking => {
-            let c = ctx.clone();
-            reg.node_blocking("Write", move |f: &mut WebFlow| {
-                let resp = f.response.as_ref().expect("handler set a response");
-                let Some(conn) = f.conn.clone() else {
-                    return NodeOutcome::Err(1);
-                };
-                if !c.write_response(&conn, resp, f.close) {
-                    f.close = true;
-                }
-                NodeOutcome::Ok // delivery failure still completes the flow
-            });
-        }
-    }
+        NodeOutcome::Ok // delivery failure still completes the flow
+    });
 
     let c = ctx.clone();
     reg.node("Complete", move |f: &mut WebFlow| {
@@ -498,7 +366,7 @@ fn build_spec(
 
     // Error handlers enqueue a diagnostic response and close or re-arm
     // (the driver's non-blocking write path works on every runtime, so
-    // these stay non-blocking nodes in both write modes).
+    // these are non-blocking nodes).
     let c = ctx.clone();
     reg.node("BadRequest", move |f: &mut WebFlow| {
         if c.send_response(f.token, &Response::error(400), true) {
@@ -572,17 +440,11 @@ mod tests {
     }
 
     fn run_web_test(runtime: RuntimeKind) {
-        run_web_test_mode(runtime, HotPath::Batched);
-    }
-
-    fn run_web_test_mode(runtime: RuntimeKind, hot_path: HotPath) {
         let net = MemNet::new();
         let listener = net.listen("web").unwrap();
-        let server = crate::ServerBuilder::new(
-            WebSpec::new(Box::new(listener), docroot()).hot_path(hot_path),
-        )
-        .runtime(runtime)
-        .spawn();
+        let server = crate::ServerBuilder::new(WebSpec::new(Box::new(listener), docroot()))
+            .runtime(runtime)
+            .spawn();
 
         let (status, body) = get(&net, "/index.html");
         assert_eq!((status, body.as_slice()), (200, b"<h1>home</h1>".as_ref()));
@@ -621,13 +483,6 @@ mod tests {
         run_web_test(RuntimeKind::ThreadPerFlow);
     }
 
-    /// The pre-slab per-event mode (kept for the old-vs-new hot-path
-    /// ablation) must stay fully functional.
-    #[test]
-    fn serves_on_per_event_hot_path() {
-        run_web_test_mode(RuntimeKind::event_driven_sharded(2, 4), HotPath::PerEvent);
-    }
-
     #[test]
     fn keep_alive_serves_five_requests_per_connection() {
         let net = MemNet::new();
@@ -649,6 +504,29 @@ mod tests {
             assert_eq!(body, b"alpha");
         }
         assert_eq!(server.ctx.requests.load(Ordering::Relaxed), 5);
+        stop(server);
+    }
+
+    /// The hermetic transport runs the same reply path as TCP: head and
+    /// body are one submission, the body a reference to the document
+    /// root's buffer that nothing holds once the reply has left.
+    #[test]
+    fn static_bodies_are_submitted_by_reference() {
+        let net = MemNet::new();
+        let listener = net.listen("web").unwrap();
+        let server = crate::ServerBuilder::new(WebSpec::new(Box::new(listener), docroot())).spawn();
+        for _ in 0..3 {
+            assert_eq!(get(&net, "/a.txt"), (200, b"alpha".to_vec()));
+        }
+        let counters = server.ctx.driver.counters();
+        assert_eq!(counters.writes_submitted.load(Ordering::Relaxed), 3);
+        assert_eq!(counters.writes_shared.load(Ordering::Relaxed), 3);
+        let file = server.ctx.docroot.get("/a.txt").unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+        while file.ref_count() > 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        assert_eq!(file.ref_count(), 1, "the last flow released the file");
         stop(server);
     }
 

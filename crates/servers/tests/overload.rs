@@ -38,12 +38,10 @@ fn healthy_request(addr: &str) {
 fn slow_loris_is_reaped_while_healthy_clients_are_served() {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr();
-    let server = flux_servers::ServerBuilder::new(
-        web::WebSpec::new(Box::new(acceptor), docroot()).write_mode(web::WriteMode::Reactor),
-    )
-    .runtime(RuntimeKind::event_driven_sharded(2, 2))
-    .idle_timeout(Some(Duration::from_millis(300)))
-    .spawn();
+    let server = flux_servers::ServerBuilder::new(web::WebSpec::new(Box::new(acceptor), docroot()))
+        .runtime(RuntimeKind::event_driven_sharded(2, 2))
+        .idle_timeout(Some(Duration::from_millis(300)))
+        .spawn();
 
     // The loris: one byte of a request head, then silence. This wakes a
     // `Readable`, dispatches `ReadRequest`, and parks an I/O worker in
@@ -103,13 +101,11 @@ fn slow_loris_is_reaped_while_healthy_clients_are_served() {
 fn max_conns_closes_excess_connections_immediately() {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr();
-    let server = flux_servers::ServerBuilder::new(
-        web::WebSpec::new(Box::new(acceptor), docroot()).write_mode(web::WriteMode::Reactor),
-    )
-    .runtime(RuntimeKind::event_driven_sharded(2, 1))
-    .max_conns(2)
-    .idle_timeout(Some(Duration::from_secs(30)))
-    .spawn();
+    let server = flux_servers::ServerBuilder::new(web::WebSpec::new(Box::new(acceptor), docroot()))
+        .runtime(RuntimeKind::event_driven_sharded(2, 1))
+        .max_conns(2)
+        .idle_timeout(Some(Duration::from_secs(30)))
+        .spawn();
 
     // Two keep-alive connections occupy the cap.
     let mut held = Vec::new();

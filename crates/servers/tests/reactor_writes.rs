@@ -49,12 +49,10 @@ fn write_node_is_not_blocking_in_the_graph() {
 fn slow_reader_never_occupies_the_io_pool() {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr();
-    let server = flux_servers::ServerBuilder::new(
-        web::WebSpec::new(Box::new(acceptor), docroot()).write_mode(web::WriteMode::Reactor),
-    )
-    // One I/O worker: a single blocking write would wedge the pool.
-    .runtime(RuntimeKind::event_driven_sharded(2, 1))
-    .spawn();
+    let server = flux_servers::ServerBuilder::new(web::WebSpec::new(Box::new(acceptor), docroot()))
+        // One I/O worker: a single blocking write would wedge the pool.
+        .runtime(RuntimeKind::event_driven_sharded(2, 1))
+        .spawn();
 
     // Slow reader: request the big file, read nothing yet. The response
     // overruns the socket buffers, so the reactor is left holding a
