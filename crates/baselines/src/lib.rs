@@ -6,7 +6,8 @@
 //! BitTorrent peer in C) and a traditional game server. This crate
 //! holds architectural equivalents built on the same substrates, so
 //! the Figure 3/4 comparisons measure coordination style rather than
-//! substrate differences (see DESIGN.md §4).
+//! substrate differences (the original C servers and their libraries
+//! are not available to link against).
 
 pub mod ctorrent;
 pub mod game;

@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the design choices where the paper, or this
+//! reproduction's runtime, picks one option among several:
 //!
 //! 1. **Constraint granularity** (§2.5.2's "granularity selection"):
 //!    the same pipeline with (a) fine per-node constraints, (b) one

@@ -7,8 +7,8 @@
 //! those observations into the generated discrete-event simulator and
 //! predict mean response time for k processors under each load; (3) run
 //! the real server with a k-worker thread pool (workers stand in for
-//! CPUs — `Compress` is a calibrated timed hold, see DESIGN.md §4) and
-//! compare.
+//! CPUs — `Compress` is a calibrated timed hold, so k workers behave like
+//! k processors even on a host with fewer cores) and compare.
 //!
 //! Knobs: `FLUX_BENCH_SECS` (seconds per observed point, default 2),
 //! `FLUX_BENCH_FULL=1` (adds 16 CPUs and more load points),

@@ -28,8 +28,9 @@ pub enum Item {
     ErrorHandler(HandlerDecl),
     /// `atomic CheckCache:{cache};`
     Atomic(AtomicDecl),
-    /// `blocking ReadInFromDisk;` — extension (see DESIGN.md §4): the node
-    /// performs blocking calls and must be off-loaded by the event runtime.
+    /// `blocking ReadInFromDisk;` — extension standing in for the paper's
+    /// LD_PRELOAD interception: the node performs blocking calls and must
+    /// be off-loaded by the event runtime.
     Blocking(BlockingDecl),
 }
 

@@ -63,7 +63,8 @@ pub enum TokenKind {
     KwSession,
     /// `blocking` — extension: marks a node as performing blocking calls so
     /// the event-driven runtime off-loads it (substitute for the paper's
-    /// LD_PRELOAD interception; see DESIGN.md §4).
+    /// LD_PRELOAD interception of blocking system calls, which a Rust
+    /// program cannot rely on).
     KwBlocking,
     /// End of input.
     Eof,

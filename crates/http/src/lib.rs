@@ -5,7 +5,8 @@
 //! sends five requests per connection), response serialization, MIME
 //! types, an in-memory document root, and **FluxScript** — a small
 //! PHP-flavoured template interpreter standing in for the PHP engine the
-//! paper plugs in behind its web server (see DESIGN.md §4).
+//! paper plugs in behind its web server (embedding PHP itself is out of
+//! reach of a self-contained Rust build).
 
 pub mod content;
 pub mod fluxscript;

@@ -8,6 +8,18 @@
 //! K.3 tables, and JFIF framing. A matching baseline decoder (4:4:4,
 //! as produced by the encoder) exists so tests can verify PSNR, not
 //! just marker structure.
+//!
+//! Both DCTs read their 64 cosines from one table filled once, instead
+//! of calling `cos()` per term, which made the transform ~90% of an
+//! encode. The output is byte-for-byte the output of the per-term
+//! version: the table holds the same f32 values, and every sum adds the
+//! same products in the same order from `0f32`. That is a contract, not
+//! a coincidence. The benchmark compares every JPEG the image server
+//! returns byte for byte, and which entries the server's LFU cache keeps
+//! depends on each JPEG's size. The root package's `image_golden` test
+//! pins the bytes; a faster transform that changes them (AAN, a
+//! reciprocal quantiser, FMA) is a different encoder, not an
+//! optimisation of this one.
 
 use crate::ppm::Image;
 
@@ -125,74 +137,92 @@ impl BitWriter {
 
 // ----------------------------------------------------------------- DCT --
 
-/// Forward 8x8 DCT (separable, straightforward f32).
-fn fdct(block: &mut [f32; 64]) {
-    let mut tmp = [0f32; 64];
-    // Rows.
-    for y in 0..8 {
-        for u in 0..8 {
-            let mut s = 0f32;
-            for x in 0..8 {
-                s += block[y * 8 + x]
-                    * ((2 * x + 1) as f32 * u as f32 * std::f32::consts::PI / 16.0).cos();
+/// `cos_table()[n][k]` is the DCT basis value for sample `n` at frequency
+/// `k`, cos((2n+1)·k·π/16), evaluated once with the f32 expression the
+/// per-term `cos()` encoder used, so every product below is bit-identical
+/// to it.
+fn cos_table() -> &'static [[f32; 8]; 8] {
+    static TABLE: std::sync::OnceLock<[[f32; 8]; 8]> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut t = [[0f32; 8]; 8];
+        for (n, row) in t.iter_mut().enumerate() {
+            for (k, c) in row.iter_mut().enumerate() {
+                *c = ((2 * n + 1) as f32 * k as f32 * std::f32::consts::PI / 16.0).cos();
             }
-            let cu = if u == 0 {
-                std::f32::consts::FRAC_1_SQRT_2
-            } else {
-                1.0
-            };
-            tmp[y * 8 + u] = 0.5 * cu * s;
+        }
+        t
+    })
+}
+
+/// The normalisation factor C(k): 1/√2 for the DC term, 1 otherwise.
+fn norm(k: usize) -> f32 {
+    if k == 0 {
+        std::f32::consts::FRAC_1_SQRT_2
+    } else {
+        1.0
+    }
+}
+
+/// Forward 8x8 DCT, separable, in f32 over [`cos_table`].
+///
+/// Each pass computes the eight outputs of a row as eight independent
+/// lanes, but every lane still starts from `0f32` and adds its eight
+/// products in sample order, the order of the textbook triple loop. Rust
+/// neither reassociates nor contracts to FMA, so the coefficients are
+/// bit-identical to that loop's and so are the encoded bytes.
+fn fdct(block: &mut [f32; 64]) {
+    let c = cos_table();
+    let mut tmp = [0f32; 64];
+    // Rows: tmp[y][u] = ½·C(u)·Σx block[y][x]·cos(x, u), lanes over u.
+    for (row, out) in block.chunks_exact(8).zip(tmp.chunks_exact_mut(8)) {
+        let mut s = [0f32; 8];
+        for (&v, cx) in row.iter().zip(c) {
+            mul_add_lanes(&mut s, v, cx);
+        }
+        for (u, (o, su)) in out.iter_mut().zip(s).enumerate() {
+            *o = 0.5 * norm(u) * su;
         }
     }
-    // Columns.
-    for u in 0..8 {
-        for v in 0..8 {
-            let mut s = 0f32;
-            for y in 0..8 {
-                s += tmp[y * 8 + u]
-                    * ((2 * y + 1) as f32 * v as f32 * std::f32::consts::PI / 16.0).cos();
-            }
-            let cv = if v == 0 {
-                std::f32::consts::FRAC_1_SQRT_2
-            } else {
-                1.0
-            };
-            block[v * 8 + u] = 0.5 * cv * s;
+    // Columns: block[v][u] = ½·C(v)·Σy tmp[y][u]·cos(y, v), lanes over u.
+    for (v, out) in block.chunks_exact_mut(8).enumerate() {
+        let mut s = [0f32; 8];
+        for (trow, cy) in tmp.chunks_exact(8).zip(c) {
+            mul_add_lanes(&mut s, cy[v], trow);
+        }
+        for (o, su) in out.iter_mut().zip(s) {
+            *o = 0.5 * norm(v) * su;
         }
     }
 }
 
-/// Inverse 8x8 DCT.
+/// `acc[i] += a * x[i]` on eight independent lanes (one rounding for the
+/// product, one for the sum: no FMA).
+fn mul_add_lanes(acc: &mut [f32; 8], a: f32, x: &[f32]) {
+    for (s, &xi) in acc.iter_mut().zip(x) {
+        *s += a * xi;
+    }
+}
+
+/// Inverse 8x8 DCT over the same table, each sum in frequency order.
 fn idct(block: &mut [f32; 64]) {
+    let c = cos_table();
     let mut tmp = [0f32; 64];
-    for v in 0..8 {
-        for x in 0..8 {
+    // Rows: tmp[v][x] = ½·Σu C(u)·block[v][u]·cos(x, u).
+    for (row, out) in block.chunks_exact(8).zip(tmp.chunks_exact_mut(8)) {
+        for (o, cx) in out.iter_mut().zip(c) {
             let mut s = 0f32;
-            for u in 0..8 {
-                let cu = if u == 0 {
-                    std::f32::consts::FRAC_1_SQRT_2
-                } else {
-                    1.0
-                };
-                s += cu
-                    * block[v * 8 + u]
-                    * ((2 * x + 1) as f32 * u as f32 * std::f32::consts::PI / 16.0).cos();
+            for (u, (&f, &cxu)) in row.iter().zip(cx).enumerate() {
+                s += norm(u) * f * cxu;
             }
-            tmp[v * 8 + x] = 0.5 * s;
+            *o = 0.5 * s;
         }
     }
+    // Columns: block[y][x] = ½·Σv C(v)·tmp[v][x]·cos(y, v).
     for x in 0..8 {
-        for y in 0..8 {
+        for (y, cy) in c.iter().enumerate() {
             let mut s = 0f32;
-            for v in 0..8 {
-                let cv = if v == 0 {
-                    std::f32::consts::FRAC_1_SQRT_2
-                } else {
-                    1.0
-                };
-                s += cv
-                    * tmp[v * 8 + x]
-                    * ((2 * y + 1) as f32 * v as f32 * std::f32::consts::PI / 16.0).cos();
+            for (v, &cyv) in cy.iter().enumerate() {
+                s += norm(v) * tmp[v * 8 + x] * cyv;
             }
             block[y * 8 + x] = 0.5 * s;
         }
@@ -307,17 +337,19 @@ pub fn encode(img: &Image, quality: u8) -> Vec<u8> {
         vec![0f32; img.width.max(1) * img.height.max(1)].into_boxed_slice(),
         vec![0f32; img.width.max(1) * img.height.max(1)].into_boxed_slice(),
     ];
-    for y in 0..img.height {
-        for x in 0..img.width {
-            let (r, g, b) = img.pixel(x, y);
-            let (yy, cb, cr) = rgb_to_ycbcr(r, g, b);
-            ycc[0][y * img.width + x] = yy;
-            ycc[1][y * img.width + x] = cb;
-            ycc[2][y * img.width + x] = cr;
-        }
+    for (i, px) in img.rgb.chunks_exact(3).enumerate() {
+        let (yy, cb, cr) = rgb_to_ycbcr(px[0], px[1], px[2]);
+        ycc[0][i] = yy;
+        ycc[1][i] = cb;
+        ycc[2][i] = cr;
     }
     for by in 0..bh {
+        // Edge replication for partial blocks: clamp rows and columns.
+        let rows: [usize; 8] =
+            std::array::from_fn(|dy| (by * 8 + dy).min(img.height.saturating_sub(1)) * img.width);
         for bx in 0..bwid {
+            let cols: [usize; 8] =
+                std::array::from_fn(|dx| (bx * 8 + dx).min(img.width.saturating_sub(1)));
             for comp in 0..3 {
                 let q = if comp == 0 { &qy } else { &qc };
                 let (dct_table, act) = if comp == 0 {
@@ -326,12 +358,9 @@ pub fn encode(img: &Image, quality: u8) -> Vec<u8> {
                     (&dc_c, &ac_c)
                 };
                 let mut block = [0f32; 64];
-                for dy in 0..8 {
-                    for dx in 0..8 {
-                        // Edge replication for partial blocks.
-                        let sy = (by * 8 + dy).min(img.height.saturating_sub(1));
-                        let sx = (bx * 8 + dx).min(img.width.saturating_sub(1));
-                        block[dy * 8 + dx] = ycc[comp][sy * img.width + sx] - 128.0;
+                for (dst, &row) in block.chunks_exact_mut(8).zip(&rows) {
+                    for (d, &col) in dst.iter_mut().zip(&cols) {
+                        *d = ycc[comp][row + col] - 128.0;
                     }
                 }
                 fdct(&mut block);
@@ -723,6 +752,128 @@ pub fn psnr(a: &Image, b: &Image) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-term `cos()` forward DCT the table version must match bit
+    /// for bit.
+    fn fdct_reference(block: &mut [f32; 64]) {
+        let mut tmp = [0f32; 64];
+        // Rows.
+        for y in 0..8 {
+            for u in 0..8 {
+                let mut s = 0f32;
+                for x in 0..8 {
+                    s += block[y * 8 + x]
+                        * ((2 * x + 1) as f32 * u as f32 * std::f32::consts::PI / 16.0).cos();
+                }
+                let cu = if u == 0 {
+                    std::f32::consts::FRAC_1_SQRT_2
+                } else {
+                    1.0
+                };
+                tmp[y * 8 + u] = 0.5 * cu * s;
+            }
+        }
+        // Columns.
+        for u in 0..8 {
+            for v in 0..8 {
+                let mut s = 0f32;
+                for y in 0..8 {
+                    s += tmp[y * 8 + u]
+                        * ((2 * y + 1) as f32 * v as f32 * std::f32::consts::PI / 16.0).cos();
+                }
+                let cv = if v == 0 {
+                    std::f32::consts::FRAC_1_SQRT_2
+                } else {
+                    1.0
+                };
+                block[v * 8 + u] = 0.5 * cv * s;
+            }
+        }
+    }
+
+    /// The per-term `cos()` inverse DCT the table version must match bit
+    /// for bit.
+    fn idct_reference(block: &mut [f32; 64]) {
+        let mut tmp = [0f32; 64];
+        for v in 0..8 {
+            for x in 0..8 {
+                let mut s = 0f32;
+                for u in 0..8 {
+                    let cu = if u == 0 {
+                        std::f32::consts::FRAC_1_SQRT_2
+                    } else {
+                        1.0
+                    };
+                    s += cu
+                        * block[v * 8 + u]
+                        * ((2 * x + 1) as f32 * u as f32 * std::f32::consts::PI / 16.0).cos();
+                }
+                tmp[v * 8 + x] = 0.5 * s;
+            }
+        }
+        for x in 0..8 {
+            for y in 0..8 {
+                let mut s = 0f32;
+                for v in 0..8 {
+                    let cv = if v == 0 {
+                        std::f32::consts::FRAC_1_SQRT_2
+                    } else {
+                        1.0
+                    };
+                    s += cv
+                        * tmp[v * 8 + x]
+                        * ((2 * y + 1) as f32 * v as f32 * std::f32::consts::PI / 16.0).cos();
+                }
+                block[y * 8 + x] = 0.5 * s;
+            }
+        }
+    }
+
+    fn to_block(v: Vec<f32>) -> [f32; 64] {
+        v.try_into().expect("64 samples")
+    }
+
+    fn bits(block: &[f32; 64]) -> Vec<u32> {
+        block.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fdct_is_bit_identical_to_reference(
+            samples in prop::collection::vec(-128f32..127f32, 64..65),
+        ) {
+            let mut fast = to_block(samples);
+            let mut slow = fast;
+            fdct(&mut fast);
+            fdct_reference(&mut slow);
+            prop_assert_eq!(bits(&fast), bits(&slow));
+        }
+
+        #[test]
+        fn fdct_is_bit_identical_on_integer_samples(
+            samples in prop::collection::vec(-128i32..128, 64..65),
+        ) {
+            let mut fast = to_block(samples.into_iter().map(|v| v as f32).collect());
+            let mut slow = fast;
+            fdct(&mut fast);
+            fdct_reference(&mut slow);
+            prop_assert_eq!(bits(&fast), bits(&slow));
+        }
+
+        #[test]
+        fn idct_is_bit_identical_to_reference(
+            coeffs in prop::collection::vec(-1024i32..1024, 64..65),
+        ) {
+            let mut fast = to_block(coeffs.into_iter().map(|v| v as f32).collect());
+            let mut slow = fast;
+            idct(&mut fast);
+            idct_reference(&mut slow);
+            prop_assert_eq!(bits(&fast), bits(&slow));
+        }
+    }
 
     #[test]
     fn encodes_valid_structure() {

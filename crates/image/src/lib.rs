@@ -7,6 +7,14 @@
 //! the Figure 6 experiment), and the LFU cache with reference counts
 //! whose `CheckCache`/`StoreInCache`/`Complete` protocol the paper's
 //! atomicity constraints protect.
+//!
+//! The hot paths are table-driven, as libjpeg's are: the DCT reads a
+//! cosine table, the synthetic images evaluate their trigonometric terms
+//! once per row or column, and the box scaler sums each output row's
+//! source rows once per column. Each is held byte-identical to its
+//! straightforward per-pixel form (kept as a test oracle), because the
+//! benchmark checks JPEG bytes and the cache's contents depend on JPEG
+//! sizes.
 
 pub mod cache;
 pub mod jpeg;

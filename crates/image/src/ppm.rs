@@ -60,25 +60,39 @@ impl Image {
     /// Deterministic synthetic photo-like test image: smooth gradients
     /// with superimposed shapes, so JPEG compression has realistic
     /// frequency content.
+    ///
+    /// The pattern is separable: each trigonometric term depends on x or
+    /// on y alone, so it is evaluated once per column or once per row,
+    /// with the same f32 expressions as a per-pixel evaluation and hence
+    /// the same bytes.
     pub fn synthetic(width: usize, height: usize, seed: u64) -> Image {
         let mut img = Image::new(width, height);
         let s1 = (seed & 0xff) as f32 / 255.0;
         let s2 = ((seed >> 8) & 0xff) as f32 / 255.0;
-        for y in 0..height {
-            for x in 0..width {
+        // Per column: fx, the red channel's x term, and whether the
+        // column crosses one of the hard-edged rectangles.
+        let columns: Vec<(f32, f32, bool)> = (0..width)
+            .map(|x| {
                 let fx = x as f32 / width.max(1) as f32;
-                let fy = y as f32 / height.max(1) as f32;
-                let r = 255.0 * (0.5 + 0.5 * ((fx * 7.0 + s1 * 6.0).sin() * (fy * 3.0).cos()));
-                let g = 255.0 * (0.5 + 0.5 * ((fy * 9.0 + s2 * 4.0).sin()));
+                let in_box = (x / 37) % 5 == (seed as usize) % 5;
+                (fx, (fx * 7.0 + s1 * 6.0).sin(), in_box)
+            })
+            .collect();
+        for (y, row) in img.rgb.chunks_exact_mut(3 * width.max(1)).enumerate() {
+            let fy = y as f32 / height.max(1) as f32;
+            let red_y = (fy * 3.0).cos();
+            let g = 255.0 * (0.5 + 0.5 * ((fy * 9.0 + s2 * 4.0).sin()));
+            // A few hard-edged rectangles for high-frequency content.
+            let box_row = (y / 23) % 3 == 0;
+            for (px, &(fx, red_x, box_col)) in row.chunks_exact_mut(3).zip(&columns) {
+                let r = 255.0 * (0.5 + 0.5 * (red_x * red_y));
                 let b = 255.0 * (fx * (1.0 - fy));
-                // A few hard-edged rectangles for high-frequency content.
-                let in_box = ((x / 37) % 5 == (seed as usize) % 5) && ((y / 23) % 3 == 0);
-                let (r, g, b) = if in_box {
+                let (r, g, b) = if box_row && box_col {
                     (255.0 - r, 255.0 - g, 255.0 - b)
                 } else {
                     (r, g, b)
                 };
-                img.set_pixel(x, y, (r as u8, g as u8, b as u8));
+                px.copy_from_slice(&[r as u8, g as u8, b as u8]);
             }
         }
         img
@@ -149,31 +163,46 @@ impl Image {
         self.resize_box(nw, nh)
     }
 
-    /// Box-filter resize to exactly `nw` x `nh`.
+    /// Box-filter resize to exactly `nw` x `nh`: each output pixel is the
+    /// integer mean of the source pixels its box covers.
     pub fn resize_box(&self, nw: usize, nh: usize) -> Image {
         let mut out = Image::new(nw, nh);
-        for oy in 0..nh {
-            let y0 = oy * self.height / nh;
-            let y1 = (((oy + 1) * self.height).div_ceil(nh)).max(y0 + 1);
-            for ox in 0..nw {
-                let x0 = ox * self.width / nw;
-                let x1 = (((ox + 1) * self.width).div_ceil(nw)).max(x0 + 1);
-                let (mut r, mut g, mut b, mut n) = (0u32, 0u32, 0u32, 0u32);
-                for y in y0..y1.min(self.height) {
-                    for x in x0..x1.min(self.width) {
-                        let (pr, pg, pb) = self.pixel(x, y);
-                        r += pr as u32;
-                        g += pg as u32;
-                        b += pb as u32;
-                        n += 1;
-                    }
+        let stride = 3 * self.width;
+        // Output columns share their source spans across rows.
+        let columns: Vec<(usize, usize)> = (0..nw).map(|ox| box_span(ox, nw, self.width)).collect();
+        // Per source column, the sum of the current output row's source
+        // rows: the box sums are then sums of `column_sums` over spans.
+        let mut column_sums = vec![0u32; stride];
+        for (oy, out_row) in out.rgb.chunks_exact_mut(3 * nw.max(1)).enumerate() {
+            let (y0, y1) = box_span(oy, nh, self.height);
+            column_sums.fill(0);
+            for row in self.rgb[y0 * stride..y1 * stride].chunks_exact(stride.max(1)) {
+                for (sum, &v) in column_sums.iter_mut().zip(row) {
+                    *sum += v as u32;
                 }
-                let n = n.max(1);
-                out.set_pixel(ox, oy, ((r / n) as u8, (g / n) as u8, (b / n) as u8));
+            }
+            for (px, &(x0, x1)) in out_row.chunks_exact_mut(3).zip(&columns) {
+                let mut sum = [0u32; 3];
+                for src in column_sums[3 * x0..3 * x1].chunks_exact(3) {
+                    sum[0] += src[0];
+                    sum[1] += src[1];
+                    sum[2] += src[2];
+                }
+                let n = ((y1 - y0) * (x1 - x0)).max(1) as u32;
+                px.copy_from_slice(&sum.map(|s| (s / n) as u8));
             }
         }
         out
     }
+}
+
+/// Source span `[lo, hi)` of output index `o` when `len` source samples
+/// are boxed into `n` outputs: at least one sample wide, clipped to the
+/// source.
+fn box_span(o: usize, n: usize, len: usize) -> (usize, usize) {
+    let lo = o * len / n;
+    let hi = ((o + 1) * len).div_ceil(n).max(lo + 1).min(len);
+    (lo, hi)
 }
 
 struct Tokens<'a> {
@@ -218,6 +247,109 @@ impl<'a> Tokens<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-pixel synthesiser the separable one must match byte for
+    /// byte.
+    fn synthetic_reference(width: usize, height: usize, seed: u64) -> Image {
+        let mut img = Image::new(width, height);
+        let s1 = (seed & 0xff) as f32 / 255.0;
+        let s2 = ((seed >> 8) & 0xff) as f32 / 255.0;
+        for y in 0..height {
+            for x in 0..width {
+                let fx = x as f32 / width.max(1) as f32;
+                let fy = y as f32 / height.max(1) as f32;
+                let r = 255.0 * (0.5 + 0.5 * ((fx * 7.0 + s1 * 6.0).sin() * (fy * 3.0).cos()));
+                let g = 255.0 * (0.5 + 0.5 * ((fy * 9.0 + s2 * 4.0).sin()));
+                let b = 255.0 * (fx * (1.0 - fy));
+                let in_box = ((x / 37) % 5 == (seed as usize) % 5) && ((y / 23) % 3 == 0);
+                let (r, g, b) = if in_box {
+                    (255.0 - r, 255.0 - g, 255.0 - b)
+                } else {
+                    (r, g, b)
+                };
+                img.set_pixel(x, y, (r as u8, g as u8, b as u8));
+            }
+        }
+        img
+    }
+
+    /// The per-pixel box filter the span-cached one must match byte for
+    /// byte.
+    fn resize_box_reference(src: &Image, nw: usize, nh: usize) -> Image {
+        let mut out = Image::new(nw, nh);
+        for oy in 0..nh {
+            let y0 = oy * src.height / nh;
+            let y1 = (((oy + 1) * src.height).div_ceil(nh)).max(y0 + 1);
+            for ox in 0..nw {
+                let x0 = ox * src.width / nw;
+                let x1 = (((ox + 1) * src.width).div_ceil(nw)).max(x0 + 1);
+                let (mut r, mut g, mut b, mut n) = (0u32, 0u32, 0u32, 0u32);
+                for y in y0..y1.min(src.height) {
+                    for x in x0..x1.min(src.width) {
+                        let (pr, pg, pb) = src.pixel(x, y);
+                        r += pr as u32;
+                        g += pg as u32;
+                        b += pb as u32;
+                        n += 1;
+                    }
+                }
+                let n = n.max(1);
+                out.set_pixel(ox, oy, ((r / n) as u8, (g / n) as u8, (b / n) as u8));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn synthetic_matches_reference(w in 1usize..97, h in 1usize..97, seed in any::<u64>()) {
+            prop_assert_eq!(Image::synthetic(w, h, seed), synthetic_reference(w, h, seed));
+        }
+
+        #[test]
+        fn scale_eighths_matches_reference(
+            w in 1usize..97,
+            h in 1usize..97,
+            seed in any::<u64>(),
+        ) {
+            let img = Image::synthetic(w, h, seed);
+            for numer in 1..=8u32 {
+                let nw = (w * numer as usize / 8).max(1);
+                let nh = (h * numer as usize / 8).max(1);
+                prop_assert_eq!(img.scale_eighths(numer), resize_box_reference(&img, nw, nh));
+            }
+        }
+
+        #[test]
+        fn resize_box_matches_reference_up_and_down(
+            w in 1usize..40,
+            h in 1usize..40,
+            nw in 1usize..60,
+            nh in 1usize..60,
+            seed in any::<u64>(),
+        ) {
+            let img = Image::synthetic(w, h, seed);
+            prop_assert_eq!(img.resize_box(nw, nh), resize_box_reference(&img, nw, nh));
+        }
+    }
+
+    #[test]
+    fn degenerate_sizes_match_reference() {
+        for (w, h) in [(1, 1), (1, 9), (9, 1), (0, 3), (3, 0), (0, 0)] {
+            let img = Image::synthetic(w, h, 7);
+            assert_eq!(img, synthetic_reference(w, h, 7), "{w}x{h}");
+            for (nw, nh) in [(1, 1), (2, 3), (0, 2), (2, 0)] {
+                assert_eq!(
+                    img.resize_box(nw, nh),
+                    resize_box_reference(&img, nw, nh),
+                    "{w}x{h} -> {nw}x{nh}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn p6_round_trip() {

@@ -14,7 +14,8 @@
 //! * **Synthetic**: the Figure 6 load pattern — open-loop arrivals at a
 //!   fixed rate, no network, with either the real JPEG encoder or a
 //!   calibrated timed `Compress` (which lets a small host emulate the
-//!   paper's 16-processor SunFire; see DESIGN.md §4).
+//!   paper's 16-processor SunFire: a sleeping worker occupies a thread
+//!   the way a busy CPU would, without needing the CPU).
 
 use crate::builder::{RunningServer, ServerSpec};
 use flux_core::CompiledProgram;
@@ -193,10 +194,6 @@ pub fn build_with(
         ImageSource::Net(_) => Some(Arc::new(ConnDriver::with_config(net))),
         ImageSource::Synthetic { .. } => None,
     };
-    if let (ImageSource::Net(_), Some(d)) = (&config.source, &driver) {
-        // Acceptor started below once we own the listener.
-        let _ = d;
-    }
     let ctx = Arc::new(ImageCtx {
         driver: driver.clone(),
         disk: synth_disk(config.images, config.image_size),
