@@ -43,6 +43,11 @@ pub struct LfuCache<K: std::hash::Hash + Eq + Clone, V> {
 impl<K: std::hash::Hash + Eq + Clone, V> LfuCache<K, V> {
     /// Creates a cache bounded by `capacity_bytes`, measuring entries
     /// with `size_of`.
+    ///
+    /// `size_of` must measure what a value actually holds, or the bound
+    /// bounds nothing: a `Vec` counted by `len()` must not carry spare
+    /// capacity (the JPEG encoder returns its output at exactly its
+    /// length for this reason).
     pub fn new(capacity_bytes: usize, size_of: fn(&V) -> usize) -> Self {
         LfuCache {
             map: HashMap::new(),

@@ -20,6 +20,16 @@
 //! pins the bytes; a faster transform that changes them (AAN, a
 //! reciprocal quantiser, FMA) is a different encoder, not an
 //! optimisation of this one.
+//!
+//! The encoder reads the raster where it lies. Each 8×8 block is
+//! converted from RGB as it is coded, into three blocks on the stack,
+//! instead of from three whole-image YCbCr planes (three `f32`s per
+//! pixel, four times the raster); the entropy-coded scan is appended to
+//! the header's buffer; and the JPEG comes back at exactly its length.
+//! An encode therefore allocates the JPEG and nothing else the size of
+//! the image, and the bytes are unchanged: each sample is the same f32
+//! expression of the same pixel, and the plane-based encoder survives as
+//! a test oracle that the proptests hold this one to.
 
 use crate::ppm::Image;
 
@@ -98,6 +108,8 @@ fn build_encode_table(bits: &[u8; 16], vals: &[u8]) -> Vec<(u16, u8)> {
 
 // ---------------------------------------------------------- bit writer --
 
+/// Appends byte-stuffed entropy-coded bits to the end of `out`, the JPEG
+/// written so far, so the scan follows the headers without a copy.
 struct BitWriter {
     out: Vec<u8>,
     acc: u32,
@@ -105,9 +117,9 @@ struct BitWriter {
 }
 
 impl BitWriter {
-    fn new() -> Self {
+    fn new(out: Vec<u8>) -> Self {
         BitWriter {
-            out: Vec::new(),
+            out,
             acc: 0,
             nbits: 0,
         }
@@ -127,11 +139,13 @@ impl BitWriter {
         }
     }
 
-    fn flush(&mut self) {
+    /// Pads the last byte with 1-bits and returns the buffer.
+    fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
             let pad = 8 - self.nbits;
             self.put((1u16 << pad) - 1, pad as u8);
         }
+        self.out
     }
 }
 
@@ -280,136 +294,178 @@ fn magnitude_bits(v: i32) -> u16 {
 }
 
 /// Encodes `img` as a baseline JFIF JPEG (4:4:4, quality 1..=100).
+///
+/// Each 8×8 block is converted from `img.rgb` where it lies: its 64
+/// pixels, at the clamped rows and columns that replicate the edge of a
+/// partial block, go through `rgb_to_ycbcr` and the `- 128.0` level
+/// shift straight into three blocks on the stack. No whole-image YCbCr
+/// planes are made, yet the bytes are those of the encoder that made
+/// them: each sample is the same f32 expression of the same pixel. The
+/// scan is appended to the header's buffer, and the JPEG is returned at
+/// exactly its length, so a cache that counts `len()` counts what it
+/// holds.
 pub fn encode(img: &Image, quality: u8) -> Vec<u8> {
-    let qy = scaled_table(&Q_LUMA, quality);
-    let qc = scaled_table(&Q_CHROMA, quality);
-    let dc_y = build_encode_table(&DC_LUMA_BITS, &DC_LUMA_VALS);
-    let ac_y = build_encode_table(&AC_LUMA_BITS, &AC_LUMA_VALS);
-    let dc_c = build_encode_table(&DC_CHROMA_BITS, &DC_CHROMA_VALS);
-    let ac_c = build_encode_table(&AC_CHROMA_BITS, &AC_CHROMA_VALS);
-
-    let mut out = Vec::with_capacity(img.rgb.len() / 4 + 1024);
-    // SOI + APP0 (JFIF).
-    out.extend_from_slice(&[0xff, 0xd8]);
-    out.extend_from_slice(&[0xff, 0xe0, 0x00, 0x10]);
-    out.extend_from_slice(b"JFIF\0");
-    out.extend_from_slice(&[0x01, 0x01, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00]);
-    // DQT x2.
-    for (id, table) in [(0u8, &qy), (1u8, &qc)] {
-        out.extend_from_slice(&[0xff, 0xdb, 0x00, 0x43, id]);
-        for i in 0..64 {
-            out.push(table[ZIGZAG[i]] as u8);
-        }
-    }
-    // SOF0: 8-bit, 3 components, 1x1 sampling (4:4:4).
-    let (w, h) = (img.width as u16, img.height as u16);
-    out.extend_from_slice(&[0xff, 0xc0, 0x00, 0x11, 0x08]);
-    out.extend_from_slice(&h.to_be_bytes());
-    out.extend_from_slice(&w.to_be_bytes());
-    out.extend_from_slice(&[0x03, 1, 0x11, 0, 2, 0x11, 1, 3, 0x11, 1]);
-    // DHT x4.
-    for (class_id, bits, vals) in [
-        (0x00u8, &DC_LUMA_BITS, &DC_LUMA_VALS[..]),
-        (0x10, &AC_LUMA_BITS, &AC_LUMA_VALS[..]),
-        (0x01, &DC_CHROMA_BITS, &DC_CHROMA_VALS[..]),
-        (0x11, &AC_CHROMA_BITS, &AC_CHROMA_VALS[..]),
-    ] {
-        let len = 2 + 1 + 16 + vals.len();
-        out.extend_from_slice(&[0xff, 0xc4]);
-        out.extend_from_slice(&(len as u16).to_be_bytes());
-        out.push(class_id);
-        out.extend_from_slice(bits);
-        out.extend_from_slice(vals);
-    }
-    // SOS.
-    out.extend_from_slice(&[
-        0xff, 0xda, 0x00, 0x0c, 0x03, 1, 0x00, 2, 0x11, 3, 0x11, 0x00, 0x3f, 0x00,
-    ]);
-
-    // Entropy-coded data.
-    let mut bw = BitWriter::new();
-    let bw_ref = &mut bw;
-    let mut prev_dc = [0i32; 3];
-    let bh = img.height.div_ceil(8);
-    let bwid = img.width.div_ceil(8);
-    let mut ycc: [Box<[f32]>; 3] = [
-        vec![0f32; img.width.max(1) * img.height.max(1)].into_boxed_slice(),
-        vec![0f32; img.width.max(1) * img.height.max(1)].into_boxed_slice(),
-        vec![0f32; img.width.max(1) * img.height.max(1)].into_boxed_slice(),
-    ];
-    for (i, px) in img.rgb.chunks_exact(3).enumerate() {
-        let (yy, cb, cr) = rgb_to_ycbcr(px[0], px[1], px[2]);
-        ycc[0][i] = yy;
-        ycc[1][i] = cb;
-        ycc[2][i] = cr;
-    }
-    for by in 0..bh {
-        // Edge replication for partial blocks: clamp rows and columns.
-        let rows: [usize; 8] =
-            std::array::from_fn(|dy| (by * 8 + dy).min(img.height.saturating_sub(1)) * img.width);
-        for bx in 0..bwid {
-            let cols: [usize; 8] =
-                std::array::from_fn(|dx| (bx * 8 + dx).min(img.width.saturating_sub(1)));
-            for comp in 0..3 {
-                let q = if comp == 0 { &qy } else { &qc };
-                let (dct_table, act) = if comp == 0 {
-                    (&dc_y, &ac_y)
-                } else {
-                    (&dc_c, &ac_c)
-                };
-                let mut block = [0f32; 64];
-                for (dst, &row) in block.chunks_exact_mut(8).zip(&rows) {
-                    for (d, &col) in dst.iter_mut().zip(&cols) {
-                        *d = ycc[comp][row + col] - 128.0;
-                    }
+    let mut scan = Scan::start(img, quality);
+    for by in 0..img.height.div_ceil(8) {
+        let rows = block_rows(img, by);
+        for bx in 0..img.width.div_ceil(8) {
+            let cols = block_cols(img, bx);
+            let mut ycc = [[0f32; 64]; 3];
+            for (dy, &row) in rows.iter().enumerate() {
+                for (dx, &col) in cols.iter().enumerate() {
+                    let p = 3 * (row + col);
+                    let (y, cb, cr) = rgb_to_ycbcr(img.rgb[p], img.rgb[p + 1], img.rgb[p + 2]);
+                    let i = 8 * dy + dx;
+                    ycc[0][i] = y - 128.0;
+                    ycc[1][i] = cb - 128.0;
+                    ycc[2][i] = cr - 128.0;
                 }
-                fdct(&mut block);
-                // Quantize into zig-zag order.
-                let mut coeffs = [0i32; 64];
-                for i in 0..64 {
-                    let nat = ZIGZAG[i];
-                    coeffs[i] = (block[nat] / q[nat] as f32).round() as i32;
-                }
-                // DC.
-                let diff = coeffs[0] - prev_dc[comp];
-                prev_dc[comp] = coeffs[0];
-                let cat = category(diff);
-                let (code, len) = dct_table[cat as usize];
-                bw_ref.put(code, len);
-                if cat > 0 {
-                    bw_ref.put(magnitude_bits(diff), cat);
-                }
-                // AC with run-length coding.
-                let mut run = 0u8;
-                for &cf in &coeffs[1..] {
-                    if cf == 0 {
-                        run += 1;
-                        continue;
-                    }
-                    while run >= 16 {
-                        let (zc, zl) = act[0xf0]; // ZRL
-                        bw_ref.put(zc, zl);
-                        run -= 16;
-                    }
-                    let cat = category(cf);
-                    let sym = (run << 4) | cat;
-                    let (code, len) = act[sym as usize];
-                    debug_assert!(len > 0, "missing AC code for symbol {sym:#x}");
-                    bw_ref.put(code, len);
-                    bw_ref.put(magnitude_bits(cf), cat);
-                    run = 0;
-                }
-                if run > 0 {
-                    let (ec, el) = act[0x00]; // EOB
-                    bw_ref.put(ec, el);
-                }
+            }
+            for (comp, block) in ycc.iter_mut().enumerate() {
+                scan.block(comp, block);
             }
         }
     }
-    bw.flush();
-    out.extend_from_slice(&bw.out);
-    out.extend_from_slice(&[0xff, 0xd9]); // EOI
-    out
+    scan.finish()
+}
+
+/// Pixel index of the first sample of each of block row `by`'s eight
+/// rows; rows past the bottom edge repeat the last one.
+fn block_rows(img: &Image, by: usize) -> [usize; 8] {
+    std::array::from_fn(|dy| (by * 8 + dy).min(img.height.saturating_sub(1)) * img.width)
+}
+
+/// Column of each of block column `bx`'s eight samples; columns past the
+/// right edge repeat the last one.
+fn block_cols(img: &Image, bx: usize) -> [usize; 8] {
+    std::array::from_fn(|dx| (bx * 8 + dx).min(img.width.saturating_sub(1)))
+}
+
+/// One baseline scan being written: the headers first, then each block's
+/// entropy-coded coefficients appended to the same buffer.
+struct Scan {
+    /// Quantisers in natural order, luma then chroma.
+    quant: [[u16; 64]; 2],
+    /// DC and AC Huffman codes, luma then chroma.
+    dc: [Vec<(u16, u8)>; 2],
+    ac: [Vec<(u16, u8)>; 2],
+    /// Last DC coefficient of each component.
+    prev_dc: [i32; 3],
+    bits: BitWriter,
+}
+
+impl Scan {
+    /// Writes SOI through SOS for `img` at `quality`.
+    fn start(img: &Image, quality: u8) -> Scan {
+        let qy = scaled_table(&Q_LUMA, quality);
+        let qc = scaled_table(&Q_CHROMA, quality);
+        // The headers take 623 bytes; the scan grows the buffer from there.
+        let mut out = Vec::with_capacity(1024);
+        // SOI + APP0 (JFIF).
+        out.extend_from_slice(&[0xff, 0xd8]);
+        out.extend_from_slice(&[0xff, 0xe0, 0x00, 0x10]);
+        out.extend_from_slice(b"JFIF\0");
+        out.extend_from_slice(&[0x01, 0x01, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00]);
+        // DQT x2.
+        for (id, table) in [(0u8, &qy), (1u8, &qc)] {
+            out.extend_from_slice(&[0xff, 0xdb, 0x00, 0x43, id]);
+            for i in 0..64 {
+                out.push(table[ZIGZAG[i]] as u8);
+            }
+        }
+        // SOF0: 8-bit, 3 components, 1x1 sampling (4:4:4).
+        let (w, h) = (img.width as u16, img.height as u16);
+        out.extend_from_slice(&[0xff, 0xc0, 0x00, 0x11, 0x08]);
+        out.extend_from_slice(&h.to_be_bytes());
+        out.extend_from_slice(&w.to_be_bytes());
+        out.extend_from_slice(&[0x03, 1, 0x11, 0, 2, 0x11, 1, 3, 0x11, 1]);
+        // DHT x4.
+        for (class_id, bits, vals) in [
+            (0x00u8, &DC_LUMA_BITS, &DC_LUMA_VALS[..]),
+            (0x10, &AC_LUMA_BITS, &AC_LUMA_VALS[..]),
+            (0x01, &DC_CHROMA_BITS, &DC_CHROMA_VALS[..]),
+            (0x11, &AC_CHROMA_BITS, &AC_CHROMA_VALS[..]),
+        ] {
+            let len = 2 + 1 + 16 + vals.len();
+            out.extend_from_slice(&[0xff, 0xc4]);
+            out.extend_from_slice(&(len as u16).to_be_bytes());
+            out.push(class_id);
+            out.extend_from_slice(bits);
+            out.extend_from_slice(vals);
+        }
+        // SOS.
+        out.extend_from_slice(&[
+            0xff, 0xda, 0x00, 0x0c, 0x03, 1, 0x00, 2, 0x11, 3, 0x11, 0x00, 0x3f, 0x00,
+        ]);
+        Scan {
+            quant: [qy, qc],
+            dc: [
+                build_encode_table(&DC_LUMA_BITS, &DC_LUMA_VALS),
+                build_encode_table(&DC_CHROMA_BITS, &DC_CHROMA_VALS),
+            ],
+            ac: [
+                build_encode_table(&AC_LUMA_BITS, &AC_LUMA_VALS),
+                build_encode_table(&AC_CHROMA_BITS, &AC_CHROMA_VALS),
+            ],
+            prev_dc: [0; 3],
+            bits: BitWriter::new(out),
+        }
+    }
+
+    /// Transforms, quantises and codes one level-shifted 8×8 block of
+    /// component `comp` (0 is luma).
+    fn block(&mut self, comp: usize, block: &mut [f32; 64]) {
+        let table = comp.min(1);
+        let (q, dc, ac) = (&self.quant[table], &self.dc[table], &self.ac[table]);
+        fdct(block);
+        // Quantize into zig-zag order.
+        let mut coeffs = [0i32; 64];
+        for i in 0..64 {
+            let nat = ZIGZAG[i];
+            coeffs[i] = (block[nat] / q[nat] as f32).round() as i32;
+        }
+        // DC.
+        let diff = coeffs[0] - self.prev_dc[comp];
+        self.prev_dc[comp] = coeffs[0];
+        let cat = category(diff);
+        let (code, len) = dc[cat as usize];
+        self.bits.put(code, len);
+        if cat > 0 {
+            self.bits.put(magnitude_bits(diff), cat);
+        }
+        // AC with run-length coding.
+        let mut run = 0u8;
+        for &cf in &coeffs[1..] {
+            if cf == 0 {
+                run += 1;
+                continue;
+            }
+            while run >= 16 {
+                let (zc, zl) = ac[0xf0]; // ZRL
+                self.bits.put(zc, zl);
+                run -= 16;
+            }
+            let cat = category(cf);
+            let sym = (run << 4) | cat;
+            let (code, len) = ac[sym as usize];
+            debug_assert!(len > 0, "missing AC code for symbol {sym:#x}");
+            self.bits.put(code, len);
+            self.bits.put(magnitude_bits(cf), cat);
+            run = 0;
+        }
+        if run > 0 {
+            let (ec, el) = ac[0x00]; // EOB
+            self.bits.put(ec, el);
+        }
+    }
+
+    /// Ends the scan with EOI and returns the JPEG at exactly its length.
+    fn finish(self) -> Vec<u8> {
+        let mut out = self.bits.finish();
+        out.extend_from_slice(&[0xff, 0xd9]);
+        out.shrink_to_fit();
+        out
+    }
 }
 
 // -------------------------------------------------------------- decode --
@@ -830,6 +886,36 @@ mod tests {
         }
     }
 
+    /// The plane-based encoder the in-place one must match byte for byte:
+    /// the whole image is converted to YCbCr planes first, and each block
+    /// is then read from the planes.
+    fn encode_planes(img: &Image, quality: u8) -> Vec<u8> {
+        let mut planes = [(); 3].map(|_| vec![0f32; img.width * img.height]);
+        for (i, px) in img.rgb.chunks_exact(3).enumerate() {
+            let (y, cb, cr) = rgb_to_ycbcr(px[0], px[1], px[2]);
+            planes[0][i] = y;
+            planes[1][i] = cb;
+            planes[2][i] = cr;
+        }
+        let mut scan = Scan::start(img, quality);
+        for by in 0..img.height.div_ceil(8) {
+            let rows = block_rows(img, by);
+            for bx in 0..img.width.div_ceil(8) {
+                let cols = block_cols(img, bx);
+                for (comp, plane) in planes.iter().enumerate() {
+                    let mut block = [0f32; 64];
+                    for (dst, &row) in block.chunks_exact_mut(8).zip(&rows) {
+                        for (d, &col) in dst.iter_mut().zip(&cols) {
+                            *d = plane[row + col] - 128.0;
+                        }
+                    }
+                    scan.block(comp, &mut block);
+                }
+            }
+        }
+        scan.finish()
+    }
+
     fn to_block(v: Vec<f32>) -> [f32; 64] {
         v.try_into().expect("64 samples")
     }
@@ -872,6 +958,26 @@ mod tests {
             idct(&mut fast);
             idct_reference(&mut slow);
             prop_assert_eq!(bits(&fast), bits(&slow));
+        }
+
+        #[test]
+        fn encode_is_byte_identical_to_planes(
+            w in 1usize..=97,
+            h in 1usize..=97,
+            seed in any::<u64>(),
+            quality in 1u8..=100,
+        ) {
+            let img = Image::synthetic(w, h, seed);
+            prop_assert_eq!(encode(&img, quality), encode_planes(&img, quality));
+        }
+    }
+
+    #[test]
+    fn encode_returns_exact_size() {
+        let img = Image::synthetic(256, 192, 1);
+        for scale in 1..=8 {
+            let jpg = encode(&img.scale_eighths(scale), 75);
+            assert_eq!(jpg.len(), jpg.capacity(), "scale {scale}");
         }
     }
 

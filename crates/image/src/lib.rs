@@ -15,6 +15,12 @@
 //! straightforward per-pixel form (kept as a test oracle), because the
 //! benchmark checks JPEG bytes and the cache's contents depend on JPEG
 //! sizes.
+//!
+//! The encoder reads the raster where it lies: blocks are converted from
+//! RGB as they are coded, with no whole-image colour planes, and the JPEG
+//! is returned at exactly its length. An encode allocates its output and
+//! nothing else the size of the image, and the bytes are those of the
+//! plane-based encoder it replaced (kept as a test oracle too).
 
 pub mod cache;
 pub mod jpeg;

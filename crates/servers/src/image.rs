@@ -112,7 +112,11 @@ pub struct ImageFlow {
     pub socket: Token,
     pub close: bool,
     pub tag: Option<ImageTag>,
-    pub rgb: Option<Image>,
+    /// The source image `Compress` encodes, as its index into
+    /// [`ImageCtx::disk`]: our form of Figure 2's `__u8 *rgb_data`, a
+    /// reference to the raster rather than a copy of it. `ReadInFromDisk`
+    /// sets it once the index is known to be on the disk.
+    pub rgb: Option<usize>,
     pub jpeg: Option<Arc<Vec<u8>>>,
     conn: Option<SharedConn>,
 }
@@ -120,7 +124,9 @@ pub struct ImageFlow {
 /// Shared context.
 pub struct ImageCtx {
     pub driver: Option<Arc<ConnDriver>>,
-    /// "Disk": the PPM originals, by image id.
+    /// "Disk": the PPM originals, by image id. A flow names its source by
+    /// index ([`ImageFlow::rgb`]) and `Compress` encodes the entry where it
+    /// lies, as the paper's `rgb_data` points at the raster.
     pub disk: Vec<Image>,
     /// The JPEG cache. The Flux `cache` constraint provides atomicity;
     /// the mutex only satisfies Rust's aliasing rules per access.
@@ -372,27 +378,35 @@ pub fn build_with(
     let c = ctx.clone();
     reg.node("ReadInFromDisk", move |f: &mut ImageFlow| {
         let tag = f.tag.expect("tag set");
-        match c.disk.get(tag.image as usize) {
-            Some(img) => {
-                f.rgb = Some(img.clone());
-                NodeOutcome::Ok
-            }
-            None => NodeOutcome::Err(404),
+        let image = tag.image as usize;
+        if image < c.disk.len() {
+            f.rgb = Some(image);
+            NodeOutcome::Ok
+        } else {
+            NodeOutcome::Err(404)
         }
     });
 
     let c = ctx.clone();
+    // What the timed modes "compress" to: one payload per server, shared.
+    let placeholder = Arc::new(vec![0xAB; 1024]);
     reg.node("Compress", move |f: &mut ImageFlow| {
         let tag = f.tag.expect("tag set");
         match c.compress_mode {
             CompressMode::Real { quality } => {
-                let rgb = f.rgb.take().expect("ReadInFromDisk ran");
-                let scaled = rgb.scale_eighths(tag.scale);
-                f.jpeg = Some(Arc::new(jpeg_encode(&scaled, quality)));
+                let rgb = &c.disk[f.rgb.take().expect("ReadInFromDisk ran")];
+                // Full scale is the source itself, which `scale_eighths`
+                // would copy: encode it where it lies.
+                let jpeg = if tag.scale == 8 {
+                    jpeg_encode(rgb, quality)
+                } else {
+                    jpeg_encode(&rgb.scale_eighths(tag.scale), quality)
+                };
+                f.jpeg = Some(Arc::new(jpeg));
             }
             CompressMode::TimedHold(d) => {
                 std::thread::sleep(d);
-                f.jpeg = Some(Arc::new(vec![0xAB; 1024]));
+                f.jpeg = Some(placeholder.clone());
             }
             CompressMode::Spin(d) => {
                 let t0 = std::time::Instant::now();
@@ -401,7 +415,7 @@ pub fn build_with(
                     x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                     std::hint::black_box(x);
                 }
-                f.jpeg = Some(Arc::new(vec![0xAB; 1024]));
+                f.jpeg = Some(placeholder.clone());
             }
         }
         NodeOutcome::Ok
