@@ -20,13 +20,6 @@
 //!    constraint-guided partitioner versus a constraint-blind
 //!    round-robin baseline, on the paper's image server and BitTorrent
 //!    programs.
-//! 7. **Poller backends**: the slow-reader web workload over real TCP,
-//!    poll(2) versus epoll(7) versus io_uring (readiness mode, when the
-//!    host kernel allows it) behind the same `Reactor`, swept over
-//!    connection counts — the regime where poll's O(watched fds) per
-//!    wakeup starts to tell, and where uring's batched one-syscall
-//!    rounds cut epoll's per-re-arm `epoll_ctl`s. Writes
-//!    `BENCH_poller_backends.json`.
 //! 11. **Stage fusion**: fused straight-line segments (one queue turn
 //!     per chain) versus the per-vertex oracle on the MemNet web
 //!     workload at {1, 4} shards. Writes `BENCH_fused_stages.json`.
@@ -50,8 +43,8 @@
 //!     (`offered == finished + shed`) and the memory envelope.
 //!
 //! Knobs: `FLUX_BENCH_SECS` (default 1.5 per point); `FLUX_BENCH_ONLY`
-//! (comma-separated ablation numbers, e.g. `FLUX_BENCH_ONLY=7`, default
-//! all); `FLUX_BENCH_QUICK=1` shrinks ablations 7/11/12/13 to one
+//! (comma-separated ablation numbers, e.g. `FLUX_BENCH_ONLY=11`, default
+//! all); `FLUX_BENCH_QUICK=1` shrinks ablations 11/12/13 to one
 //! small point per mode (seconds, not minutes — the CI smoke legs that
 //! catch compile or panic regressions without a full sweep; quick JSON
 //! artifacts carry `"quick": true`).
@@ -236,86 +229,6 @@ fn shards_json(rows: &[(usize, flux_bench::LoadReport, u64)]) -> String {
             r.mean_latency.as_secs_f64() * 1e3,
             r.p95_latency.as_secs_f64() * 1e3,
             steals,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Ablation 7 (poller backends): the slow-reader web workload over real
-/// TCP with `clients` concurrent throttled readers, on one readiness
-/// backend. Every connection keeps a watch registered in the reactor
-/// for most of its life (its response drains at the client's throttled
-/// rate), so the watched-fd count tracks the client count — the regime
-/// where poll(2)'s O(watched) wakeups diverge from epoll's O(ready).
-/// Returns the load report and the backend actually used.
-fn run_poller_backend(
-    backend: flux_net::PollerBackend,
-    clients: usize,
-    secs: f64,
-) -> (flux_bench::LoadReport, &'static str) {
-    use flux_net::{Listener as _, TcpAcceptor};
-
-    let mut docroot = flux_http::DocRoot::new();
-    // 256 KiB responses: big enough to overrun socket buffers and park
-    // a POLLOUT drain per connection, small enough that 1024 concurrent
-    // drains stay within container memory.
-    let body: Vec<u8> = (0..256 * 1024).map(|i| (i % 253) as u8).collect();
-    docroot.insert("/chunk.bin", body);
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = acceptor.local_addr();
-    let server = flux_servers::ServerBuilder::new(flux_servers::web::WebSpec::new(
-        Box::new(acceptor),
-        docroot,
-    ))
-    .runtime(RuntimeKind::event_driven_sharded(2, 4))
-    .backend(backend)
-    .spawn();
-    let name = server.ctx.driver.poller_backend();
-    let report = flux_bench::run_slow_reader_tcp_load(
-        &addr,
-        "/chunk.bin",
-        clients,
-        Duration::from_secs_f64(secs),
-        16 * 1024,
-        Duration::from_millis(1),
-    );
-    flux_servers::web::stop(server);
-    (report, name)
-}
-
-/// Minimal JSON encoder for the poller-backend record. The
-/// 1024-connection points saturate the load generator itself on small
-/// hosts (1024 client threads against a 1–2 core container), so they
-/// are annotated as bounds on the *harness*, not the server.
-fn poller_backends_json(
-    rows: &[(&'static str, usize, flux_bench::LoadReport)],
-    quick: bool,
-) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = format!(
-        "{{\n  \"bench\": \"poller_backends_web_slow_readers\",\n  \"host_cores\": {cores},\n  \"quick\": {quick},\n  \"points\": [\n"
-    );
-    for (i, (backend, clients, r)) in rows.iter().enumerate() {
-        let note = if *clients >= 1024 {
-            ", \"note\": \"load-generator-bound: 1024 client threads saturate the bench host \
-             before the server; compare backends at 64-256 connections\""
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"clients\": {}, \"rps\": {:.1}, \"mbps\": {:.2}, \
-             \"mean_ms\": {:.3}, \"p95_ms\": {:.3}{}}}{}\n",
-            backend,
-            clients,
-            r.rps(),
-            r.mbps(),
-            r.mean_latency.as_secs_f64() * 1e3,
-            r.p95_latency.as_secs_f64() * 1e3,
-            note,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -785,82 +698,6 @@ fn main() {
     }
 
     let quick = std::env::var("FLUX_BENCH_QUICK").as_deref() == Ok("1");
-
-    if should(7) {
-        let (client_points7, secs7): (&[usize], f64) = if quick {
-            (&[16], secs.min(0.3))
-        } else {
-            (&[64, 256, 1024], secs)
-        };
-        let mut t7 = Table::new(
-            "Ablation 7: poller backends — slow-reader web workload (TCP, 256 KiB file)",
-            &["backend", "clients", "req_s", "mbps", "mean_ms", "p95_ms"],
-        );
-        let mut backends7 = vec![
-            flux_net::PollerBackend::Poll,
-            flux_net::PollerBackend::Epoll,
-        ];
-        if flux_net::uring_available() {
-            backends7.push(flux_net::PollerBackend::Uring);
-        } else {
-            eprintln!(
-                "# notice: io_uring unavailable on this host — ablation 7 sweeps poll/epoll only"
-            );
-        }
-        let mut pb_rows: Vec<(&'static str, usize, flux_bench::LoadReport)> = Vec::new();
-        for &clients in client_points7 {
-            for &backend in &backends7 {
-                let (report, name) = run_poller_backend(backend, clients, secs7);
-                eprintln!(
-                    "# backend={name:<6} clients={clients:<5} {} req/s {} Mb/s mean {:.3} ms",
-                    f(report.rps()),
-                    f(report.mbps()),
-                    report.mean_latency.as_secs_f64() * 1e3,
-                );
-                t7.row(&[
-                    name.into(),
-                    clients.to_string(),
-                    f(report.rps()),
-                    f(report.mbps()),
-                    format!("{:.3}", report.mean_latency.as_secs_f64() * 1e3),
-                    format!("{:.3}", report.p95_latency.as_secs_f64() * 1e3),
-                ]);
-                pb_rows.push((name, clients, report));
-            }
-        }
-        print!("{}", t7.render());
-        println!();
-        println!(
-            "# every connection holds a reactor watch while its throttled response drains, so"
-        );
-        println!(
-            "# the watched-fd count tracks the client count: poll pays O(watched) per wakeup,"
-        );
-        println!("# epoll pays O(ready) — the gap opens as connections grow. uring batches every");
-        println!("# arm/disarm of a round with the wait into one io_uring_enter, cutting the");
-        println!("# K epoll_ctl re-arms a K-ready round costs epoll.");
-        println!(
-            "# NOTE: the 1024-connection points are load-generator-bound on small hosts (1024"
-        );
-        println!(
-            "# client threads saturate the bench host before the server); compare backends at"
-        );
-        println!("# 64-256 connections. The JSON carries the same annotation per point.");
-        println!();
-        let json = poller_backends_json(&pb_rows, quick);
-        // Quick smoke artifacts go to a separate (gitignored) name so a
-        // local smoke run never dirties the checked-in full-sweep
-        // record; the CI multicore job reads/uploads both shapes.
-        let json_path = if quick {
-            "BENCH_poller_backends.quick.json"
-        } else {
-            "BENCH_poller_backends.json"
-        };
-        match std::fs::write(json_path, &json) {
-            Ok(()) => eprintln!("# wrote {json_path}"),
-            Err(e) => eprintln!("# could not write {json_path}: {e}"),
-        }
-    }
 
     if should(11) {
         // The env knobs would pin one interpreter (or distort the

@@ -31,6 +31,6 @@ pub use gameload::{run_game_load, GameLoadReport};
 pub use openloop::{fd_limit, rss_mb, run_open_loop, OpenLoopConfig, OpenLoopReport};
 pub use pubsubload::{run_pubsub_load, PubSubLoadReport};
 pub use report::{env_or, f, ms, Table};
-pub use webload::{percentile_ns, run_slow_reader_tcp_load, run_web_load, LoadReport};
+pub use webload::{percentile_ns, run_web_load, LoadReport};
 pub use webset::WebSet;
 pub use zipf::Zipf;

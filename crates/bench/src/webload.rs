@@ -161,121 +161,6 @@ pub fn run_web_load(
     }
 }
 
-/// Runs `clients` slow-reader clients against a **TCP** web server at
-/// `addr` for `duration`: each client requests `path` on a fresh
-/// connection, then reads the response in `chunk`-byte slices with
-/// `read_delay` between slices. A response larger than the kernel's
-/// socket buffers therefore keeps the server's write path busy for the
-/// whole drain — the workload that distinguishes reactor writes
-/// (`POLLOUT` drains, I/O pool untouched) from blocking writes (one
-/// parked I/O worker per draining response).
-pub fn run_slow_reader_tcp_load(
-    addr: &str,
-    path: &str,
-    clients: usize,
-    duration: Duration,
-    chunk: usize,
-    read_delay: Duration,
-) -> LoadReport {
-    let stop = Arc::new(AtomicBool::new(false));
-    let requests = Arc::new(AtomicU64::new(0));
-    let errors = Arc::new(AtomicU64::new(0));
-    let bytes_in = Arc::new(AtomicU64::new(0));
-    let latency_ns = Arc::new(AtomicU64::new(0));
-    let latencies: Arc<parking_lot::Mutex<Vec<u64>>> =
-        Arc::new(parking_lot::Mutex::new(Vec::new()));
-
-    let mut joins = Vec::with_capacity(clients);
-    for cid in 0..clients {
-        let addr = addr.to_string();
-        let path = path.to_string();
-        let stop = stop.clone();
-        let requests = requests.clone();
-        let errors = errors.clone();
-        let bytes_in = bytes_in.clone();
-        let latency_ns = latency_ns.clone();
-        let latencies = latencies.clone();
-        joins.push(
-            std::thread::Builder::new()
-                .name(format!("slowload-{cid}"))
-                .spawn(move || {
-                    use std::io::Read as _;
-                    while !stop.load(Ordering::Relaxed) {
-                        let Ok(mut conn) = flux_net::TcpConn::connect(&addr) else {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(Duration::from_millis(5));
-                            continue;
-                        };
-                        let t0 = Instant::now();
-                        if write!(
-                            conn,
-                            "GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n"
-                        )
-                        .is_err()
-                        {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        // Slow drain: bounded reads with think time. The
-                        // connection closes after one response, so read
-                        // to EOF.
-                        let mut buf = vec![0u8; chunk];
-                        let mut got = 0u64;
-                        let ok = loop {
-                            match conn.read(&mut buf) {
-                                Ok(0) => break true,
-                                Ok(n) => {
-                                    got += n as u64;
-                                    std::thread::sleep(read_delay);
-                                }
-                                Err(_) => break false,
-                            }
-                        };
-                        if !ok {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        let dt = t0.elapsed().as_nanos() as u64;
-                        requests.fetch_add(1, Ordering::Relaxed);
-                        bytes_in.fetch_add(got, Ordering::Relaxed);
-                        latency_ns.fetch_add(dt, Ordering::Relaxed);
-                        let mut l = latencies.lock();
-                        if l.len() < 100_000 {
-                            l.push(dt);
-                        }
-                    }
-                })
-                .expect("spawn slow-reader client"),
-        );
-    }
-
-    let t0 = Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::SeqCst);
-    for j in joins {
-        let _ = j.join();
-    }
-    let measured = t0.elapsed();
-
-    let reqs = requests.load(Ordering::Relaxed);
-    let mut lat = latencies.lock().clone();
-    let p95 = percentile_ns(&mut lat, 0.95);
-    LoadReport {
-        clients,
-        duration: measured,
-        requests: reqs,
-        errors: errors.load(Ordering::Relaxed),
-        bytes_in: bytes_in.load(Ordering::Relaxed),
-        mean_latency: Duration::from_nanos(
-            latency_ns
-                .load(Ordering::Relaxed)
-                .checked_div(reqs)
-                .unwrap_or(0),
-        ),
-        p95_latency: p95,
-    }
-}
-
 /// Sorts `lat_ns` and returns the `q`-quantile (`0..=1`) as a
 /// `Duration`, using the floor of `(len - 1) * q` — the one percentile
 /// definition every bench report shares, so p95 columns computed by

@@ -119,12 +119,11 @@ fn make_token(slot: u32, gen: u32) -> Token {
 /// example, bench harness and test constructs its driver the same way.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Which readiness backend multiplexes fd-backed transports.
-    /// Defaults to epoll on Linux (io_uring is opt-in until it has
-    /// broader soak time); `FLUX_POLLER=poll|epoll|uring` overrides at
-    /// runtime. A backend that fails its capability probe falls back
-    /// down the chain (uring → epoll → poll) and the substitution is
-    /// counted in [`DriverCounters::poller_fallbacks`].
+    /// Which readiness backend multiplexes fd-backed transports:
+    /// epoll on Linux, poll elsewhere. Tests set `Poll` here to run
+    /// the poll backend on Linux. The only substitution is an epoll
+    /// that fails to initialise coming up as poll, counted in
+    /// [`DriverCounters::poller_fallbacks`].
     #[cfg(unix)]
     pub backend: crate::poller::PollerBackend,
     /// Per-connection output-buffer bound for the non-blocking write
@@ -248,11 +247,11 @@ pub struct DriverCounters {
     /// eviction cap) — the backpressure signal operators see *before*
     /// the `slow_consumer_evicted` cliff.
     pub writes_deferred: AtomicU64,
-    /// 1 when the requested poller backend failed its capability probe
-    /// at construction and a fallback was substituted (e.g. `uring`
-    /// requested on a kernel without io_uring → epoll). Paired with
-    /// [`ConnDriver::poller_backend`] so harnesses can refuse to
-    /// attribute numbers to a backend that never actually ran.
+    /// 1 when the requested epoll backend could not be constructed
+    /// (`epoll_create1` failed, or the host is not Linux) and poll ran
+    /// instead. Paired with [`ConnDriver::poller_backend`] so
+    /// harnesses can refuse to attribute numbers to a backend that
+    /// never actually ran.
     pub poller_fallbacks: AtomicU64,
 }
 
@@ -365,8 +364,8 @@ impl Default for ConnDriver {
 }
 
 impl ConnDriver {
-    /// A driver with the default [`NetConfig`] (epoll on Linux with
-    /// poll fallback, honouring `FLUX_POLLER`).
+    /// A driver with the default [`NetConfig`] (epoll on Linux, poll
+    /// elsewhere or when `epoll_create1` fails).
     pub fn new() -> Self {
         Self::with_config(&NetConfig::default())
     }
@@ -411,8 +410,8 @@ impl ConnDriver {
         }
     }
 
-    /// The readiness backend actually in use (`"poll"`, `"epoll"`, or
-    /// `"uring"`, after any fallback — see
+    /// The readiness backend actually in use (`"poll"` or `"epoll"`,
+    /// after the epoll → poll fallback — see
     /// [`DriverCounters::poller_fallbacks`]); `"none"` on non-unix
     /// hosts.
     pub fn poller_backend(&self) -> &'static str {

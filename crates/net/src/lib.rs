@@ -33,49 +33,11 @@
 //!   a wait costs O(changes) in bookkeeping, O(watched) only in the
 //!   kernel scan poll(2) inherently pays), a raw-FFI `epoll(7)`
 //!   backend (O(ready) per wakeup, one-shot re-arm), the Linux
-//!   default, and a raw-FFI `io_uring` backend in readiness mode (see
-//!   below). `FLUX_POLLER=poll|epoll|uring` selects at runtime; all
-//!   three pass the same conformance suite in `tests/`. A kqueue
-//!   backend would slot in behind the same four methods.
-//!
-//! ## io_uring: readiness vs completion mode
-//!
-//! io_uring supports two ways of doing network I/O, and the
-//! [`poller::UringPoller`] backend deliberately implements only the
-//! first:
-//!
-//! * **Readiness mode** (this backend): each interest arm is an
-//!   `IORING_OP_POLL_ADD` submission — oneshot by default, which *is*
-//!   the [`Poller`] trait's one-shot contract — and the actual
-//!   `read(2)`/`write(2)` calls stay where they are, in the reactor
-//!   and driver. The win is pure syscall-count: `add`/`modify`/
-//!   `delete` build SQEs locally and [`Poller::wait`] flushes the
-//!   whole batch *and* collects completions in **one**
-//!   `io_uring_enter`. That is the batching invariant: a round that
-//!   (re-)arms K connections costs 1 syscall where epoll pays K
-//!   `epoll_ctl`s plus an `epoll_wait` — and one-shot re-arm makes K
-//!   proportional to the ready set every round, so the saving scales
-//!   with load. Because the trait contract is unchanged, the reactor's
-//!   generation/liveness invariants and the whole conformance suite
-//!   apply verbatim.
-//! * **Completion mode** (the recorded follow-on): submit
-//!   `IORING_OP_RECV`/`IORING_OP_SEND` and let the kernel move the
-//!   bytes, eliminating the read/write syscalls too. That changes
-//!   buffer ownership (the kernel holds them while ops are in flight)
-//!   and so cannot hide behind the readiness-shaped `Poller` trait —
-//!   it needs a driver-level seam. The SQ batching machinery this
-//!   backend introduces (`wait` flushing a pending submission batch)
-//!   is the foundation it will reuse.
-//!
-//! io_uring availability varies (pre-5.1 kernels lack it; seccomp
-//!  policies in container runtimes commonly deny it), so `uring` is
-//! opt-in (`FLUX_POLLER=uring` or `NetConfig.backend`) behind a
-//! construction-time capability probe: if real ring setup fails the
-//! driver comes up on epoll, and the substitution is *reported* —
-//! [`ConnDriver::poller_backend`] names the resolved backend and
-//! [`DriverCounters::poller_fallbacks`] counts the fallback — so a
-//! bench or CI leg can refuse to attribute uring numbers to an epoll
-//! run. [`poller::uring_available`] packages the probe for harnesses.
+//!   default. One backend per platform: epoll on Linux, poll
+//!   elsewhere (and on Linux when `epoll_create1` fails);
+//!   [`NetConfig::backend`] names poll on Linux for the conformance
+//!   suite in `tests/`, which both pass. A kqueue backend would slot
+//!   in behind the same four methods.
 //!
 //! ## The allocation-free hot path (slabs, batches, pools)
 //!
@@ -177,12 +139,10 @@ pub use driver::{
     token_gen, token_slot, ConnDriver, DriverCounters, DriverEvent, NetConfig, SharedConn, Token,
 };
 pub use mem::{MemConn, MemDatagram, MemListener, MemNet};
-#[cfg(unix)]
-pub use poller::{
-    create_poller, uring_available, Interest, PollPoller, Poller, PollerBackend, PollerEvent,
-};
 #[cfg(target_os = "linux")]
-pub use poller::{EpollPoller, UringPoller};
+pub use poller::EpollPoller;
+#[cfg(unix)]
+pub use poller::{create_poller, Interest, PollPoller, Poller, PollerBackend, PollerEvent};
 pub use pool::{BytePool, OutBuf, SharedPayload};
 #[cfg(unix)]
 pub use reactor::Reactor;

@@ -17,24 +17,6 @@
 //!   the kernel (`EPOLL_CTL_ADD`/`MOD`/`DEL`) and every registration
 //!   carries `EPOLLONESHOT`, so a wait costs O(ready fds) and a fired
 //!   watch stays quiet until it is re-armed. This is the Linux default.
-//! * [`UringPoller`] — raw-FFI `io_uring` (Linux, readiness mode). Each
-//!   arm is an `IORING_OP_POLL_ADD` submission queue entry in oneshot
-//!   mode — which matches the trait's one-shot contract *exactly*, so
-//!   the backend inherits the conformance suite unchanged — and each
-//!   disarm an `IORING_OP_POLL_REMOVE`. The syscall-count win over
-//!   epoll: `add`/`modify`/`delete` only append SQEs to a local batch,
-//!   and [`Poller::wait`] flushes the whole batch *and* collects
-//!   completions in a single `io_uring_enter`, so a round with K
-//!   arm/disarm changes costs **one syscall** instead of K `epoll_ctl`s
-//!   plus an `epoll_wait`. Opt in with `FLUX_POLLER=uring`; a runtime
-//!   capability probe (`io_uring_setup` returning `ENOSYS`/`EPERM` in
-//!   seccomp'd containers or on old kernels) falls back to epoll, and
-//!   the resolved backend is reported by `ConnDriver::poller_backend()`
-//!   so tests and benches never lie about what ran. See the module-level
-//!   "io_uring: readiness vs completion mode" section in the crate docs
-//!   for where this backend stops and what the recorded follow-on
-//!   (completion-mode reads/writes riding the same SQ batching seam)
-//!   adds.
 //!
 //! **The one-shot contract.** Both backends deliver *one-shot* events:
 //! after [`Poller::wait`] reports an fd, that fd is disarmed until the
@@ -50,14 +32,14 @@
 //! identical, which is what the conformance suite in
 //! `crates/net/tests/` checks.
 //!
-//! Backend selection: [`PollerBackend::default()`] picks epoll on
-//! Linux and poll elsewhere; the `FLUX_POLLER` environment variable
-//! (`poll` / `epoll` / `uring`) overrides at runtime. Fallback is a
-//! chain — a uring that fails its capability probe falls back to
-//! epoll, an epoll that fails to initialize falls back to poll — and
-//! always resolved at construction, so `Poller::name` (and everything
-//! reporting it) reflects what actually runs. A kqueue backend
-//! (macOS/BSD) would slot in behind the same four methods.
+//! Backend selection: there is one backend per platform.
+//! [`PollerBackend::default()`] is epoll on Linux and poll elsewhere;
+//! `NetConfig::backend` can name poll on Linux, which is how the
+//! conformance suite runs both. The one fallback — an `epoll_create1`
+//! that fails comes up as poll — is resolved at construction, so
+//! `Poller::name` (and everything reporting it) reflects what actually
+//! runs. A kqueue backend (macOS/BSD) would slot in behind the same
+//! four methods.
 
 #![cfg(unix)]
 
@@ -144,11 +126,6 @@ pub enum PollerBackend {
     Poll,
     /// Linux `epoll(7)`: O(ready fds) per wakeup, kernel-held interest.
     Epoll,
-    /// Linux `io_uring` in readiness (poll) mode: one batched
-    /// `io_uring_enter` per wait round covers every arm/disarm change
-    /// *and* the wait itself. Falls back to epoll when the kernel or
-    /// container refuses `io_uring_setup`.
-    Uring,
 }
 
 impl PollerBackend {
@@ -158,81 +135,35 @@ impl PollerBackend {
         match self {
             PollerBackend::Poll => "poll",
             PollerBackend::Epoll => "epoll",
-            PollerBackend::Uring => "uring",
         }
     }
 }
 
 impl Default for PollerBackend {
-    /// Epoll on Linux, poll elsewhere — unless `FLUX_POLLER` overrides
-    /// (`FLUX_POLLER=poll|epoll|uring` selects at runtime, the knob the
-    /// CI matrix legs exercise). io_uring stays opt-in until the
-    /// completion-mode work lands: in pure readiness mode its win over
-    /// epoll is the batched control plane, which only pays off once
-    /// arm/disarm traffic dominates.
+    /// The platform's backend: epoll on Linux, poll elsewhere.
     fn default() -> Self {
-        match std::env::var("FLUX_POLLER").as_deref() {
-            Ok("poll") => PollerBackend::Poll,
-            Ok("epoll") => PollerBackend::Epoll,
-            Ok("uring") => PollerBackend::Uring,
-            _ => {
-                if cfg!(target_os = "linux") {
-                    PollerBackend::Epoll
-                } else {
-                    PollerBackend::Poll
-                }
-            }
+        if cfg!(target_os = "linux") {
+            PollerBackend::Epoll
+        } else {
+            PollerBackend::Poll
         }
     }
 }
 
-/// True when this host can actually set up an io_uring (kernel support
-/// present, not refused by seccomp/rlimits, not disabled via
-/// `FLUX_URING_DISABLE=1`). The probe performs a real
-/// `io_uring_setup` and tears it down again — the same call
-/// [`create_poller`] makes, so a `true` here means `Uring` will be
-/// honoured, not guessed at.
-pub fn uring_available() -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        UringPoller::new().is_ok()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        false
-    }
-}
-
-/// Instantiates the chosen backend, resolving the fallback chain at
-/// construction: `Uring` falls back to [`EpollPoller`] when the
-/// capability probe fails (old kernel, seccomp'd container,
-/// `FLUX_URING_DISABLE=1`), and `Epoll` falls back to [`PollPoller`]
-/// (non-Linux hosts, or a failed `epoll_create1`). The returned
-/// poller's [`Poller::name`] is therefore always the backend that
-/// actually runs.
+/// Instantiates the chosen backend. The only substitution is epoll's:
+/// `Epoll` comes up as [`PollPoller`] on non-Linux hosts or when
+/// `epoll_create1` fails. The returned poller's [`Poller::name`] is
+/// therefore always the backend that actually runs.
 pub fn create_poller(backend: PollerBackend) -> Box<dyn Poller> {
     match backend {
         PollerBackend::Poll => Box::new(PollPoller::new()),
-        PollerBackend::Epoll => {
-            #[cfg(target_os = "linux")]
-            let poller: Box<dyn Poller> = match EpollPoller::new() {
-                Ok(p) => Box::new(p),
-                Err(_) => Box::new(PollPoller::new()),
-            };
-            #[cfg(not(target_os = "linux"))]
-            let poller: Box<dyn Poller> = Box::new(PollPoller::new());
-            poller
-        }
-        PollerBackend::Uring => {
-            #[cfg(target_os = "linux")]
-            let poller: Box<dyn Poller> = match UringPoller::new() {
-                Ok(p) => Box::new(p),
-                Err(_) => create_poller(PollerBackend::Epoll),
-            };
-            #[cfg(not(target_os = "linux"))]
-            let poller: Box<dyn Poller> = Box::new(PollPoller::new());
-            poller
-        }
+        #[cfg(target_os = "linux")]
+        PollerBackend::Epoll => match EpollPoller::new() {
+            Ok(p) => Box::new(p),
+            Err(_) => Box::new(PollPoller::new()),
+        },
+        #[cfg(not(target_os = "linux"))]
+        PollerBackend::Epoll => Box::new(PollPoller::new()),
     }
 }
 
@@ -300,150 +231,6 @@ mod sys {
                 timeout: super::c_int,
             ) -> super::c_int;
             pub fn close(fd: super::c_int) -> super::c_int;
-        }
-    }
-
-    /// io_uring ABI subset for the readiness-mode backend: setup/enter
-    /// syscall numbers (asm-generic, shared by x86-64 and aarch64), the
-    /// ring mmap offsets, and the three ops the backend submits
-    /// (`POLL_ADD`, `POLL_REMOVE`, `TIMEOUT`). Field layouts mirror
-    /// `<linux/io_uring.h>`.
-    #[cfg(target_os = "linux")]
-    pub mod uring {
-        use super::c_int;
-        use std::ffi::{c_long, c_void};
-
-        pub const SYS_IO_URING_SETUP: c_long = 425;
-        pub const SYS_IO_URING_ENTER: c_long = 426;
-
-        pub const IORING_OFF_SQ_RING: i64 = 0;
-        pub const IORING_OFF_CQ_RING: i64 = 0x800_0000;
-        pub const IORING_OFF_SQES: i64 = 0x1000_0000;
-
-        /// `io_uring_setup` flag: honour `params.cq_entries` instead of
-        /// defaulting the CQ to 2x the SQ (kernel 5.5+).
-        pub const IORING_SETUP_CQSIZE: u32 = 1 << 3;
-        pub const IORING_ENTER_GETEVENTS: u32 = 1;
-        /// `io_uring_enter` flag: the `sig` argument points at an
-        /// [`getevents_arg`] carrying a wait timeout (kernel 5.11+).
-        pub const IORING_ENTER_EXT_ARG: u32 = 1 << 3;
-        /// Feature bit advertising [`IORING_ENTER_EXT_ARG`] support.
-        pub const IORING_FEAT_EXT_ARG: u32 = 1 << 8;
-
-        pub const IORING_OP_POLL_ADD: u8 = 6;
-        pub const IORING_OP_POLL_REMOVE: u8 = 7;
-        pub const IORING_OP_TIMEOUT: u8 = 11;
-
-        #[repr(C)]
-        #[derive(Clone, Copy, Default)]
-        pub struct io_sqring_offsets {
-            pub head: u32,
-            pub tail: u32,
-            pub ring_mask: u32,
-            pub ring_entries: u32,
-            pub flags: u32,
-            pub dropped: u32,
-            pub array: u32,
-            pub resv1: u32,
-            pub user_addr: u64,
-        }
-
-        #[repr(C)]
-        #[derive(Clone, Copy, Default)]
-        pub struct io_cqring_offsets {
-            pub head: u32,
-            pub tail: u32,
-            pub ring_mask: u32,
-            pub ring_entries: u32,
-            pub overflow: u32,
-            pub cqes: u32,
-            pub flags: u32,
-            pub resv1: u32,
-            pub user_addr: u64,
-        }
-
-        #[repr(C)]
-        #[derive(Clone, Copy, Default)]
-        pub struct io_uring_params {
-            pub sq_entries: u32,
-            pub cq_entries: u32,
-            pub flags: u32,
-            pub sq_thread_cpu: u32,
-            pub sq_thread_idle: u32,
-            pub features: u32,
-            pub wq_fd: u32,
-            pub resv: [u32; 3],
-            pub sq_off: io_sqring_offsets,
-            pub cq_off: io_cqring_offsets,
-        }
-
-        /// One submission-queue entry (64 bytes). The unions of the
-        /// kernel struct are flattened to the fields the three ops use:
-        /// `off` doubles as the TIMEOUT completion count, `addr` as the
-        /// TIMEOUT timespec pointer / POLL_REMOVE target `user_data`,
-        /// and `op_flags` as `poll32_events` (little-endian layout, the
-        /// only byte order this backend is compiled for via the
-        /// x86-64/aarch64 syscall numbers above).
-        #[repr(C)]
-        #[derive(Clone, Copy, Default)]
-        pub struct io_uring_sqe {
-            pub opcode: u8,
-            pub flags: u8,
-            pub ioprio: u16,
-            pub fd: c_int,
-            pub off: u64,
-            pub addr: u64,
-            pub len: u32,
-            pub op_flags: u32,
-            pub user_data: u64,
-            pub pad: [u64; 3],
-        }
-
-        /// One completion-queue entry (16 bytes; `IORING_SETUP_CQE32`
-        /// is never requested).
-        #[repr(C)]
-        #[derive(Clone, Copy, Default)]
-        pub struct io_uring_cqe {
-            pub user_data: u64,
-            pub res: i32,
-            pub flags: u32,
-        }
-
-        #[repr(C)]
-        #[derive(Clone, Copy, Default)]
-        pub struct kernel_timespec {
-            pub tv_sec: i64,
-            pub tv_nsec: i64,
-        }
-
-        /// `IORING_ENTER_EXT_ARG` payload: a wait timeout without a
-        /// sigmask (and without burning an SQE on `IORING_OP_TIMEOUT`).
-        #[repr(C)]
-        #[derive(Clone, Copy, Default)]
-        pub struct getevents_arg {
-            pub sigmask: u64,
-            pub sigmask_sz: u32,
-            pub pad: u32,
-            pub ts: u64,
-        }
-
-        pub const PROT_READ: c_int = 0x1;
-        pub const PROT_WRITE: c_int = 0x2;
-        pub const MAP_SHARED: c_int = 0x01;
-        pub const MAP_POPULATE: c_int = 0x8000;
-
-        extern "C" {
-            pub fn syscall(num: c_long, ...) -> c_long;
-            pub fn mmap(
-                addr: *mut c_void,
-                len: usize,
-                prot: c_int,
-                flags: c_int,
-                fd: c_int,
-                offset: i64,
-            ) -> *mut c_void;
-            pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-            pub fn close(fd: c_int) -> c_int;
         }
     }
 }
@@ -831,531 +618,6 @@ impl Poller for EpollPoller {
     }
 }
 
-/// One mmap'd ring region, unmapped on drop.
-#[cfg(target_os = "linux")]
-struct RingMmap {
-    ptr: *mut std::ffi::c_void,
-    len: usize,
-}
-
-#[cfg(target_os = "linux")]
-impl RingMmap {
-    fn map(ring_fd: RawFd, len: usize, offset: i64) -> io::Result<RingMmap> {
-        let ptr = unsafe {
-            sys::uring::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::uring::PROT_READ | sys::uring::PROT_WRITE,
-                sys::uring::MAP_SHARED | sys::uring::MAP_POPULATE,
-                ring_fd,
-                offset,
-            )
-        };
-        if ptr as isize == -1 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(RingMmap { ptr, len })
-    }
-
-    /// A typed pointer `off` bytes into the mapping.
-    fn at<T>(&self, off: u32) -> *mut T {
-        unsafe { (self.ptr as *mut u8).add(off as usize) as *mut T }
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for RingMmap {
-    fn drop(&mut self) {
-        unsafe {
-            sys::uring::munmap(self.ptr, self.len);
-        }
-    }
-}
-
-/// Per-fd backend state for [`UringPoller`]: whether the fd is
-/// registered at all, which poll op (if any) is armed in the kernel,
-/// and the interest it was armed with (kept for the defensive re-arm on
-/// a spurious zero-mask completion).
-#[cfg(target_os = "linux")]
-#[derive(Clone, Copy, Default)]
-struct UringFdState {
-    registered: bool,
-    /// Non-zero while an `IORING_OP_POLL_ADD` is in flight for this fd:
-    /// the op id baked into its `user_data`. A completion whose id does
-    /// not match is stale (superseded or cancelled) and is discarded —
-    /// the same role the reactor's generation cells play one layer up.
-    armed_id: u32,
-    interest: Interest,
-}
-
-/// `user_data` tag for the per-wait `IORING_OP_TIMEOUT` entry (the
-/// pre-`EXT_ARG` kernel path); its completions carry no readiness.
-#[cfg(target_os = "linux")]
-const URING_TIMEOUT_KEY: u64 = u64::MAX;
-/// `user_data` tag for `IORING_OP_POLL_REMOVE` entries: cancellation
-/// results (`0` / `-ENOENT` / `-EALREADY`) are uninteresting — the
-/// cancelled op's own CQE is already discarded by its stale id.
-#[cfg(target_os = "linux")]
-const URING_REMOVE_KEY: u64 = u64::MAX - 1;
-
-/// The Linux `io_uring` backend in **readiness mode**: raw FFI
-/// (`io_uring_setup` + `io_uring_enter`, mmap'd SQ/CQ rings, no
-/// external crates), no completion-mode I/O yet — every arm is an
-/// `IORING_OP_POLL_ADD` in its default **oneshot** mode, which is
-/// exactly the [`Poller`] trait's one-shot contract, so the reactor
-/// and the conformance suite run unchanged on top.
-///
-/// **The batching invariant.** `add`/`modify`/`delete` perform *no
-/// syscall*: they append pre-built SQEs to a local pending batch (a
-/// `modify` of an armed fd appends `POLL_REMOVE` + `POLL_ADD`, keyed so
-/// the superseded op's completion is discarded). [`Poller::wait`]
-/// flushes the whole batch into the shared SQ ring and collects
-/// completions with **one** `io_uring_enter(to_submit, 1,
-/// GETEVENTS)` — so a round that re-arms K connections costs one
-/// syscall where epoll pays K `epoll_ctl`s plus an `epoll_wait`. (The
-/// ring only forces extra `enter`s when a round carries more SQEs than
-/// the 256-entry SQ, i.e. >85 interest changes in one round.)
-///
-/// **Wait timeouts.** On kernels with `IORING_FEAT_EXT_ARG` (5.11+)
-/// the timeout travels in the `enter` call itself; older kernels get a
-/// per-wait `IORING_OP_TIMEOUT` SQE whose completion count of 1 makes
-/// it fire with (or instead of) the first readiness completion — its
-/// CQE is discarded by key either way.
-///
-/// **Lifetime of an armed op.** A `POLL_ADD` holds a kernel reference
-/// on the *file*, so closing the fd neither completes nor leaks it:
-/// the reactor's `delete` (queued before any close can race ahead)
-/// submits the `POLL_REMOVE` that releases it, and ring teardown on
-/// drop releases anything still in flight.
-#[cfg(target_os = "linux")]
-pub struct UringPoller {
-    ring_fd: RawFd,
-    // Held only to keep the mappings alive for the raw pointers below;
-    // unmapped on drop.
-    _sq_ring: RingMmap,
-    _cq_ring: RingMmap,
-    _sqe_mem: RingMmap,
-    /// SQ consumer head (kernel writes, we read with Acquire).
-    sq_khead: *const std::sync::atomic::AtomicU32,
-    /// SQ producer tail (we write with Release).
-    sq_ktail: *const std::sync::atomic::AtomicU32,
-    sq_mask: u32,
-    sq_entries: u32,
-    /// SQ index array: `array[tail & mask]` names the SQE slot.
-    sq_array: *mut u32,
-    sqes: *mut sys::uring::io_uring_sqe,
-    /// CQ consumer head (we write with Release).
-    cq_khead: *const std::sync::atomic::AtomicU32,
-    /// CQ producer tail (kernel writes, we read with Acquire).
-    cq_ktail: *const std::sync::atomic::AtomicU32,
-    cq_mask: u32,
-    cqes: *const sys::uring::io_uring_cqe,
-    /// Local mirror of the SQ tail (single-threaded producer).
-    tail: u32,
-    ext_arg: bool,
-    states: Vec<UringFdState>,
-    /// SQEs built by `add`/`modify`/`delete`, flushed by `wait`.
-    pending: Vec<sys::uring::io_uring_sqe>,
-    next_id: u32,
-    /// Timespec for the in-flight wait timeout; field-held so the
-    /// pointer baked into an `IORING_OP_TIMEOUT` SQE (read by the
-    /// kernel at submission) can never dangle.
-    ts: sys::uring::kernel_timespec,
-}
-
-// SAFETY: the raw pointers all target the three mmap'd regions owned
-// (and kept alive) by the struct itself; the trait contract drives the
-// poller from a single thread at a time, which is all `Send` promises.
-#[cfg(target_os = "linux")]
-unsafe impl Send for UringPoller {}
-
-#[cfg(target_os = "linux")]
-impl UringPoller {
-    /// SQ depth: bounds how many arm/disarm SQEs one `enter` can carry,
-    /// not how many fds can be watched (armed polls live in the kernel,
-    /// off the ring).
-    const SQ_ENTRIES: u32 = 256;
-    /// CQ depth (requested via `IORING_SETUP_CQSIZE`): sized well past
-    /// the SQ so a burst of thousands of simultaneous completions rides
-    /// the ring instead of the kernel's overflow list.
-    const CQ_ENTRIES: u32 = 4096;
-
-    /// Sets up the ring, or reports why this host cannot
-    /// (`ENOSYS` pre-5.1 kernels, `EPERM` under seccomp policies that
-    /// deny io_uring, `ENOMEM`/`EPERM` under tight memlock limits —
-    /// this is the capability probe `create_poller` and
-    /// [`uring_available`] rely on). `FLUX_URING_DISABLE=1` forces the
-    /// probe to fail, which is how the fallback path is tested on hosts
-    /// where the real setup would succeed.
-    pub fn new() -> io::Result<Self> {
-        if std::env::var("FLUX_URING_DISABLE").as_deref() == Ok("1") {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "io_uring disabled via FLUX_URING_DISABLE",
-            ));
-        }
-        let mut params = sys::uring::io_uring_params {
-            flags: sys::uring::IORING_SETUP_CQSIZE,
-            cq_entries: Self::CQ_ENTRIES,
-            ..Default::default()
-        };
-        let mut ring_fd = unsafe {
-            sys::uring::syscall(
-                sys::uring::SYS_IO_URING_SETUP,
-                Self::SQ_ENTRIES,
-                &mut params as *mut sys::uring::io_uring_params,
-            )
-        } as RawFd;
-        if ring_fd < 0 && io::Error::last_os_error().raw_os_error() == Some(22 /* EINVAL */) {
-            // Pre-5.5 kernel without IORING_SETUP_CQSIZE: take the
-            // default CQ (2x SQ) rather than refusing the backend.
-            params = Default::default();
-            ring_fd = unsafe {
-                sys::uring::syscall(
-                    sys::uring::SYS_IO_URING_SETUP,
-                    Self::SQ_ENTRIES,
-                    &mut params as *mut sys::uring::io_uring_params,
-                )
-            } as RawFd;
-        }
-        if ring_fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        // From here on the fd must not leak on an early error.
-        let close_on_err = |e: io::Error| {
-            unsafe { sys::uring::close(ring_fd) };
-            e
-        };
-        let sq_len = params.sq_off.array as usize + params.sq_entries as usize * 4;
-        let cq_len = params.cq_off.cqes as usize
-            + params.cq_entries as usize * std::mem::size_of::<sys::uring::io_uring_cqe>();
-        // Two independent ring mmaps (the legacy layout): valid on
-        // every kernel, with or without IORING_FEAT_SINGLE_MMAP.
-        let sq_ring =
-            RingMmap::map(ring_fd, sq_len, sys::uring::IORING_OFF_SQ_RING).map_err(close_on_err)?;
-        let cq_ring =
-            RingMmap::map(ring_fd, cq_len, sys::uring::IORING_OFF_CQ_RING).map_err(close_on_err)?;
-        let sqe_mem = RingMmap::map(
-            ring_fd,
-            params.sq_entries as usize * std::mem::size_of::<sys::uring::io_uring_sqe>(),
-            sys::uring::IORING_OFF_SQES,
-        )
-        .map_err(close_on_err)?;
-        let poller = UringPoller {
-            sq_khead: sq_ring.at(params.sq_off.head),
-            sq_ktail: sq_ring.at(params.sq_off.tail),
-            sq_mask: unsafe { *sq_ring.at::<u32>(params.sq_off.ring_mask) },
-            sq_entries: params.sq_entries,
-            sq_array: sq_ring.at(params.sq_off.array),
-            sqes: sqe_mem.at(0),
-            cq_khead: cq_ring.at(params.cq_off.head),
-            cq_ktail: cq_ring.at(params.cq_off.tail),
-            cq_mask: unsafe { *cq_ring.at::<u32>(params.cq_off.ring_mask) },
-            cqes: cq_ring.at(params.cq_off.cqes),
-            ring_fd,
-            _sq_ring: sq_ring,
-            _cq_ring: cq_ring,
-            _sqe_mem: sqe_mem,
-            tail: 0,
-            ext_arg: params.features & sys::uring::IORING_FEAT_EXT_ARG != 0,
-            states: Vec::new(),
-            pending: Vec::new(),
-            next_id: 1,
-            ts: Default::default(),
-        };
-        Ok(poller)
-    }
-
-    fn alloc_id(&mut self) -> u32 {
-        let id = self.next_id;
-        // 0 is the "not armed" sentinel; ids wrap far past any op that
-        // could still be in flight.
-        self.next_id = self.next_id.checked_add(1).unwrap_or(1);
-        id
-    }
-
-    /// `user_data` for a poll op: fd in the low half, op id in the high
-    /// half, so a completion both routes to its fd and proves it is the
-    /// *current* arm of that fd.
-    fn key(fd: RawFd, id: u32) -> u64 {
-        ((id as u64) << 32) | fd as u32 as u64
-    }
-
-    fn poll_mask(interest: Interest) -> u32 {
-        let mut mask = 0u32;
-        if interest.read {
-            mask |= sys::POLLIN as u32;
-        }
-        if interest.write {
-            mask |= sys::POLLOUT as u32;
-        }
-        mask
-    }
-
-    /// The one syscall. `arg` carries the EXT_ARG timeout when used.
-    fn enter(
-        &self,
-        to_submit: u32,
-        min_complete: u32,
-        flags: u32,
-        arg: *const sys::uring::getevents_arg,
-        argsz: usize,
-    ) -> io::Result<u32> {
-        let rc = unsafe {
-            sys::uring::syscall(
-                sys::uring::SYS_IO_URING_ENTER,
-                self.ring_fd,
-                to_submit,
-                min_complete,
-                flags,
-                arg,
-                argsz,
-            )
-        };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(rc as u32)
-    }
-
-    /// SQEs placed in the ring but not yet consumed by the kernel.
-    fn unsubmitted(&self) -> u32 {
-        let khead = unsafe { &*self.sq_khead }.load(std::sync::atomic::Ordering::Acquire);
-        self.tail.wrapping_sub(khead)
-    }
-
-    /// Places one SQE in the shared ring, submitting the backlog first
-    /// if the ring is full (only possible when one wait round carries
-    /// more than `SQ_ENTRIES` interest changes).
-    fn place(&mut self, sqe: sys::uring::io_uring_sqe) -> io::Result<()> {
-        while self.unsubmitted() == self.sq_entries {
-            self.enter(self.sq_entries, 0, 0, std::ptr::null(), 0)?;
-        }
-        let idx = self.tail & self.sq_mask;
-        unsafe {
-            *self.sqes.add(idx as usize) = sqe;
-            *self.sq_array.add(idx as usize) = idx;
-        }
-        self.tail = self.tail.wrapping_add(1);
-        unsafe { &*self.sq_ktail }.store(self.tail, std::sync::atomic::Ordering::Release);
-        Ok(())
-    }
-
-    fn flush_pending(&mut self) -> io::Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let ops = std::mem::take(&mut self.pending);
-        for sqe in &ops {
-            self.place(*sqe)?;
-        }
-        // Hand the (now empty) buffer's capacity back for the next
-        // round of control ops.
-        self.pending = ops;
-        self.pending.clear();
-        Ok(())
-    }
-
-    /// Appends the SQEs that move `fd` to `interest`: a `POLL_REMOVE`
-    /// for any in-flight arm (its completion, fired or cancelled, is
-    /// discarded by the id bump), then a fresh oneshot `POLL_ADD` when
-    /// any interest remains. Shared by `add` and `modify` — like epoll's
-    /// upsert, the distinction carries no information the state table
-    /// doesn't already hold.
-    fn rearm(&mut self, fd: RawFd, interest: Interest) -> io::Result<()> {
-        if fd < 0 {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "negative fd"));
-        }
-        let idx = fd as usize;
-        if self.states.len() <= idx {
-            self.states.resize(idx + 1, UringFdState::default());
-        }
-        if self.states[idx].armed_id != 0 {
-            self.pending.push(sys::uring::io_uring_sqe {
-                opcode: sys::uring::IORING_OP_POLL_REMOVE,
-                fd: -1,
-                addr: Self::key(fd, self.states[idx].armed_id),
-                user_data: URING_REMOVE_KEY,
-                ..Default::default()
-            });
-            self.states[idx].armed_id = 0;
-        }
-        if interest.read || interest.write {
-            let id = self.alloc_id();
-            self.pending.push(sys::uring::io_uring_sqe {
-                opcode: sys::uring::IORING_OP_POLL_ADD,
-                fd,
-                op_flags: Self::poll_mask(interest),
-                user_data: Self::key(fd, id),
-                ..Default::default()
-            });
-            self.states[idx].armed_id = id;
-        }
-        self.states[idx].registered = true;
-        self.states[idx].interest = interest;
-        Ok(())
-    }
-
-    /// Drains every published CQE, translating matching poll
-    /// completions into [`PollerEvent`]s.
-    fn drain_cq(&mut self, events: &mut Vec<PollerEvent>) {
-        use std::sync::atomic::Ordering;
-        let tail = unsafe { &*self.cq_ktail }.load(Ordering::Acquire);
-        let mut head = unsafe { &*self.cq_khead }.load(Ordering::Relaxed);
-        if head == tail {
-            return;
-        }
-        while head != tail {
-            let cqe = unsafe { *self.cqes.add((head & self.cq_mask) as usize) };
-            head = head.wrapping_add(1);
-            if cqe.user_data == URING_TIMEOUT_KEY || cqe.user_data == URING_REMOVE_KEY {
-                continue;
-            }
-            let fd = cqe.user_data as u32 as RawFd;
-            let id = (cqe.user_data >> 32) as u32;
-            let Some(state) = self.states.get_mut(fd as usize) else {
-                continue;
-            };
-            if !state.registered || state.armed_id != id {
-                continue; // stale: superseded, cancelled, or fd deleted
-            }
-            // The oneshot consumed itself: disarmed until `modify`.
-            state.armed_id = 0;
-            const ERRS: u32 =
-                (sys::POLLERR as u32) | (sys::POLLHUP as u32) | (sys::POLLNVAL as u32);
-            let (readable, writable) = if cqe.res >= 0 {
-                let bits = cqe.res as u32;
-                (
-                    bits & (sys::POLLIN as u32 | ERRS) != 0,
-                    bits & (sys::POLLOUT as u32 | ERRS) != 0,
-                )
-            } else {
-                // The arm itself failed (e.g. the fd closed under a
-                // still-queued SQE): fold into both flags, like ERR/HUP,
-                // so read and write paths both observe the error.
-                (true, true)
-            };
-            if readable || writable {
-                events.push(PollerEvent {
-                    fd,
-                    readable,
-                    writable,
-                });
-            } else {
-                // Defensive: a zero-mask completion would otherwise
-                // strand the watch (the caller never saw an event, so
-                // it will never re-arm). Re-arm with the recorded
-                // interest instead.
-                let interest = state.interest;
-                let _ = self.rearm(fd, interest);
-            }
-        }
-        unsafe { &*self.cq_khead }.store(head, Ordering::Release);
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for UringPoller {
-    fn drop(&mut self) {
-        // Tearing the ring down cancels and releases every in-flight
-        // poll op (and the file references they hold).
-        unsafe {
-            sys::uring::close(self.ring_fd);
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Poller for UringPoller {
-    fn name(&self) -> &'static str {
-        "uring"
-    }
-
-    fn add(&mut self, fd: RawFd, interest: Interest) -> io::Result<()> {
-        self.rearm(fd, interest)
-    }
-
-    fn modify(&mut self, fd: RawFd, interest: Interest) -> io::Result<()> {
-        self.rearm(fd, interest)
-    }
-
-    fn delete(&mut self, fd: RawFd) -> io::Result<()> {
-        if fd < 0 {
-            return Ok(());
-        }
-        let Some(state) = self.states.get_mut(fd as usize) else {
-            return Ok(());
-        };
-        if state.armed_id != 0 {
-            let key = Self::key(fd, state.armed_id);
-            self.pending.push(sys::uring::io_uring_sqe {
-                opcode: sys::uring::IORING_OP_POLL_REMOVE,
-                fd: -1,
-                addr: key,
-                user_data: URING_REMOVE_KEY,
-                ..Default::default()
-            });
-        }
-        self.states[fd as usize] = UringFdState::default();
-        Ok(())
-    }
-
-    fn wait(&mut self, events: &mut Vec<PollerEvent>, timeout: Duration) -> io::Result<()> {
-        events.clear();
-        // Batch-flush every control change since the last round into
-        // the SQ; in the common case nothing is entered here and the
-        // single enter below both submits and waits.
-        self.flush_pending()?;
-        let mut flags = sys::uring::IORING_ENTER_GETEVENTS;
-        let mut min_complete = 0u32;
-        let mut arg = sys::uring::getevents_arg::default();
-        let mut arg_ptr: *const sys::uring::getevents_arg = std::ptr::null();
-        let mut argsz = 0usize;
-        if !timeout.is_zero() {
-            min_complete = 1;
-            self.ts = sys::uring::kernel_timespec {
-                tv_sec: timeout.as_secs() as i64,
-                tv_nsec: timeout.subsec_nanos() as i64,
-            };
-            if self.ext_arg {
-                arg.ts = &self.ts as *const sys::uring::kernel_timespec as u64;
-                arg_ptr = &arg;
-                argsz = std::mem::size_of::<sys::uring::getevents_arg>();
-                flags |= sys::uring::IORING_ENTER_EXT_ARG;
-            } else {
-                // Pre-5.11 kernel: a TIMEOUT op with completion count 1
-                // bounds the wait. It posts exactly one (discarded) CQE
-                // — with the round's first completion, or with -ETIME.
-                self.place(sys::uring::io_uring_sqe {
-                    opcode: sys::uring::IORING_OP_TIMEOUT,
-                    fd: -1,
-                    off: 1,
-                    addr: &self.ts as *const sys::uring::kernel_timespec as u64,
-                    len: 1,
-                    user_data: URING_TIMEOUT_KEY,
-                    ..Default::default()
-                })?;
-            }
-        }
-        // One io_uring_enter for the whole round: submits every batched
-        // arm/disarm AND waits for readiness. A CQ already holding
-        // completions returns immediately (min_complete is satisfied).
-        match self.enter(self.unsubmitted(), min_complete, flags, arg_ptr, argsz) {
-            Ok(_) => {}
-            Err(e) => match e.raw_os_error() {
-                // ETIME: the wait timed out (EXT_ARG path). EINTR: a
-                // signal; the caller re-waits. EBUSY: CQ overflow
-                // backlog — drain below, the kernel flushes the
-                // overflow list on the next GETEVENTS enter.
-                Some(62 /* ETIME */) | Some(4 /* EINTR */) | Some(16 /* EBUSY */) => {}
-                _ => return Err(e),
-            },
-        }
-        self.drain_cq(events);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1365,13 +627,7 @@ mod tests {
     fn backends() -> Vec<Box<dyn Poller>> {
         let mut v: Vec<Box<dyn Poller>> = vec![Box::new(PollPoller::new())];
         #[cfg(target_os = "linux")]
-        {
-            v.push(Box::new(EpollPoller::new().expect("epoll_create1")));
-            match UringPoller::new() {
-                Ok(p) => v.push(Box::new(p)),
-                Err(e) => eprintln!("skipping uring backend (unavailable on this host): {e}"),
-            }
-        }
+        v.push(Box::new(EpollPoller::new().expect("epoll_create1")));
         v
     }
 
@@ -1568,109 +824,17 @@ mod tests {
         p.delete(keeper.0.as_raw_fd()).unwrap();
     }
 
+    /// Each request resolves to the backend that runs, and the
+    /// platform default is epoll on Linux and poll elsewhere.
     #[test]
-    fn env_override_selects_backend() {
-        // Not testing the env var itself (process-global), just the
-        // fallback construction paths.
-        let p = create_poller(PollerBackend::Poll);
-        assert_eq!(p.name(), "poll");
-        let p = create_poller(PollerBackend::Epoll);
-        if cfg!(target_os = "linux") {
-            assert_eq!(p.name(), "epoll");
+    fn create_poller_resolves_each_backend() {
+        let native = if cfg!(target_os = "linux") {
+            "epoll"
         } else {
-            assert_eq!(p.name(), "poll");
-        }
-        // Uring resolves to itself where the ring comes up, and must
-        // land on a working backend (the epoll link of the fallback
-        // chain) everywhere else — never panic, never a dead poller.
-        let p = create_poller(PollerBackend::Uring);
-        #[cfg(target_os = "linux")]
-        if uring_available() {
-            assert_eq!(p.name(), "uring");
-        } else {
-            assert_eq!(p.name(), "epoll");
-        }
-        #[cfg(not(target_os = "linux"))]
-        assert_eq!(p.name(), "poll");
-    }
-
-    /// A `modify` while a poll op is armed must supersede it: the old
-    /// op's completion (cancelled or already fired) may not surface,
-    /// and the new interest must. This exercises the
-    /// POLL_REMOVE + POLL_ADD batch and the stale-id discard in the CQ
-    /// drain — the uring-specific machinery the shared contract tests
-    /// touch only incidentally.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn uring_modify_supersedes_armed_op() {
-        let Ok(mut p) = UringPoller::new() else {
-            eprintln!("skipping: io_uring unavailable on this host");
-            return;
+            "poll"
         };
-        let (rx, mut tx) = std::io::pipe().unwrap();
-        let fd = rx.as_raw_fd();
-        tx.write_all(b"x").unwrap(); // readable from the start
-
-        // Arm for read, then — without waiting — swap to write-only
-        // interest. The read op is cancelled while its completion may
-        // already be posted; neither form may leak through.
-        p.add(fd, Interest::READ).unwrap();
-        p.modify(fd, Interest::WRITE).unwrap();
-        let mut events = Vec::new();
-        p.wait(&mut events, Duration::from_millis(100)).unwrap();
-        assert!(
-            events
-                .iter()
-                .all(|e| e.fd != fd || !e.readable || e.writable),
-            "superseded read-only arm leaked a read event: {events:?}"
-        );
-        // A pipe read end is never writable: nothing should fire even
-        // across a second round.
-        p.wait(&mut events, Duration::from_millis(50)).unwrap();
-        assert!(events.is_empty(), "write interest on pipe read end fired");
-
-        // Swap back to read: the buffered byte fires immediately.
-        p.modify(fd, Interest::READ).unwrap();
-        p.wait(&mut events, Duration::from_secs(2)).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].fd, fd);
-        assert!(events[0].readable);
-        p.delete(fd).unwrap();
+        assert_eq!(create_poller(PollerBackend::Poll).name(), "poll");
+        assert_eq!(create_poller(PollerBackend::Epoll).name(), native);
+        assert_eq!(create_poller(PollerBackend::default()).name(), native);
     }
-
-    /// `delete` with a readiness completion already posted in the CQ:
-    /// the stale CQE must be discarded, and a later re-`add` of the
-    /// same fd must not be confused by it (id mismatch, not fd match).
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn uring_delete_discards_posted_completion() {
-        let Ok(mut p) = UringPoller::new() else {
-            eprintln!("skipping: io_uring unavailable on this host");
-            return;
-        };
-        let (rx, mut tx) = std::io::pipe().unwrap();
-        let fd = rx.as_raw_fd();
-        p.add(fd, Interest::READ).unwrap();
-        let mut events = Vec::new();
-        // Flush the arm into the kernel, then make it fire while no
-        // wait is in progress: the CQE sits in the ring.
-        p.wait(&mut events, Duration::ZERO).unwrap();
-        tx.write_all(b"x").unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        // Deleted before the completion is drained → never delivered.
-        p.delete(fd).unwrap();
-        p.wait(&mut events, Duration::from_millis(50)).unwrap();
-        assert!(events.is_empty(), "deleted fd delivered: {events:?}");
-        // Fresh registration on the same fd still works.
-        p.add(fd, Interest::READ).unwrap();
-        p.wait(&mut events, Duration::from_secs(2)).unwrap();
-        assert_eq!(events.len(), 1);
-        assert!(events[0].readable);
-        p.delete(fd).unwrap();
-    }
-
-    // The FLUX_URING_DISABLE construction knob is tested in the
-    // dedicated `uring_fallback` integration binary: env vars are
-    // process-global, so flipping it here would race the parallel
-    // tests that probe ring availability.
 }

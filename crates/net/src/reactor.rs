@@ -36,7 +36,7 @@
 //! **Division of labour.** The backend owns only the mechanism of
 //! waiting on fds; every invariant that used to live in the poll loop
 //! is enforced *here*, once, above the [`Poller`] trait — so both
-//! backends (and any future kqueue/io_uring one) inherit it:
+//! backends (and a future kqueue one) inherit it:
 //!
 //! * **fd-reuse safety.** Deregistration *synchronously* zeroes the
 //!   slot's liveness cell: [`Reactor::deregister`] clears the token's
@@ -200,7 +200,7 @@ pub struct Reactor {
     poller: Mutex<Option<Box<dyn Poller>>>,
     backend_name: &'static str,
     /// True when the resolved backend differs from the requested one
-    /// (e.g. `uring` requested, capability probe failed, epoll chosen).
+    /// (epoll requested, poll chosen).
     backend_fell_back: bool,
     stopping: AtomicBool,
     pinned: AtomicBool,
@@ -260,16 +260,16 @@ impl Reactor {
         self.events_delivered.load(Ordering::Relaxed)
     }
 
-    /// The backend actually in use (`"poll"`, `"epoll"`, or
-    /// `"uring"`), after any fallback.
+    /// The backend actually in use (`"poll"` or `"epoll"`), after the
+    /// epoll → poll fallback.
     pub fn backend_name(&self) -> &'static str {
         self.backend_name
     }
 
     /// True when the requested backend could not be constructed and a
-    /// fallback was substituted — a `uring` request landing on epoll
-    /// (no io_uring on this kernel / seccomp denies it), or an `epoll`
-    /// request landing on poll. Surfaces in
+    /// fallback was substituted — the only one is an `epoll` request
+    /// landing on poll (`epoll_create1` failed, or the host is not
+    /// Linux). Surfaces in
     /// [`DriverCounters::poller_fallbacks`](crate::driver::DriverCounters)
     /// so CI and benches report the resolved backend honestly instead
     /// of silently measuring the wrong thing.
@@ -795,11 +795,6 @@ mod tests {
         let mut v = vec![PollerBackend::Poll];
         if cfg!(target_os = "linux") {
             v.push(PollerBackend::Epoll);
-            if crate::poller::uring_available() {
-                v.push(PollerBackend::Uring);
-            } else {
-                eprintln!("skipping uring backend (unavailable on this host)");
-            }
         }
         v
     }
@@ -1065,17 +1060,6 @@ mod tests {
             let (reactor, _rx) = test_reactor(PollerBackend::Epoll);
             assert_eq!(reactor.backend_name(), "epoll");
             assert!(!reactor.backend_fell_back());
-            reactor.stop();
-            // Uring either resolves to itself or honestly reports the
-            // epoll fallback — never a silent mismatch.
-            let (reactor, _rx) = test_reactor(PollerBackend::Uring);
-            if crate::poller::uring_available() {
-                assert_eq!(reactor.backend_name(), "uring");
-                assert!(!reactor.backend_fell_back());
-            } else {
-                assert_eq!(reactor.backend_name(), "epoll");
-                assert!(reactor.backend_fell_back());
-            }
             reactor.stop();
         }
     }

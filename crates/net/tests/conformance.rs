@@ -3,8 +3,7 @@
 //! POLLOUT drain, write failure on removal) must hold **identically**
 //! over every [`flux_net::Poller`] backend. Each scenario runs once per
 //! backend through the same harness; a backend that passes here can be
-//! swapped in via `NetConfig::backend` (or `FLUX_POLLER`) without any
-//! server noticing.
+//! swapped in via `NetConfig::backend` without any server noticing.
 //!
 //! The shutdown thread-join invariant has its own binary
 //! (`tests/shutdown.rs`), because it scans `/proc/self/task` and needs

@@ -1,29 +1,21 @@
 //! Shared helpers for the integration-test binaries: one place that
 //! knows which [`PollerBackend`]s exist on this host, so adding a
-//! backend (kqueue, io_uring) extends every suite at once.
+//! backend (kqueue) extends every suite at once.
 
 use flux_net::{ConnDriver, NetConfig, PollerBackend};
 use std::sync::Arc;
 
-/// Every backend available on this host. io_uring is probed at runtime
-/// (real ring setup) and skipped with a notice — never silently — on
-/// kernels or seccomp sandboxes that refuse it.
+/// Every backend on this host: poll, plus epoll on Linux.
 pub fn backends() -> Vec<PollerBackend> {
     let mut v = vec![PollerBackend::Poll];
     if cfg!(target_os = "linux") {
         v.push(PollerBackend::Epoll);
-        if flux_net::uring_available() {
-            v.push(PollerBackend::Uring);
-        } else {
-            eprintln!("notice: io_uring unavailable on this host, uring backend not exercised");
-        }
     }
     v
 }
 
 /// A driver configured for `backend`, asserting the request was
-/// honoured (no silent fallback on a host that has the backend —
-/// [`backends`] only hands out uring after a successful probe).
+/// honoured (no silent fallback on a host that has the backend).
 pub fn driver_on(backend: PollerBackend) -> Arc<ConnDriver> {
     let driver = Arc::new(ConnDriver::with_config(&NetConfig {
         backend,

@@ -86,8 +86,8 @@ pub struct ServerBuilder<S: ServerSpec> {
 impl<S: ServerSpec> ServerBuilder<S> {
     /// A builder with the defaults: the paper's event-driven runtime
     /// (one dispatcher shard, four I/O workers), the default
-    /// [`NetConfig`] (epoll on Linux with poll fallback, honouring
-    /// `FLUX_POLLER`), profiling off, stats on.
+    /// [`NetConfig`] (epoll on Linux, poll elsewhere or when
+    /// `epoll_create1` fails), profiling off, stats on.
     pub fn new(spec: S) -> Self {
         ServerBuilder {
             spec,
@@ -131,14 +131,6 @@ impl<S: ServerSpec> ServerBuilder<S> {
     /// Replaces the whole network configuration.
     pub fn net(mut self, net: NetConfig) -> Self {
         self.net = net;
-        self
-    }
-
-    /// Selects the readiness backend (poll or epoll) for this server's
-    /// driver.
-    #[cfg(unix)]
-    pub fn backend(mut self, backend: flux_net::PollerBackend) -> Self {
-        self.net.backend = backend;
         self
     }
 

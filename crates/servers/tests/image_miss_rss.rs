@@ -11,18 +11,24 @@
 //! runs). With the source cloned twice per full-scale miss, three
 //! whole-image `f32` planes built before the first block and a JPEG
 //! buffer a quarter the raster's size, it grew by 1616-1664 KiB (three
-//! runs). The bound sits between the two.
+//! runs). The bound sits between the two. The same loop on the poll
+//! backend, run second in the same process after the peak is reset,
+//! grows it by 400-564 KiB (five runs).
 //!
 //! One test, alone in its file: the peak resident set belongs to the
-//! process, and another test's allocations would count against it. The
-//! client keeps its own memory still while it measures: every reply lands
-//! in an arena made resident beforehand, and the expected JPEGs are
-//! encoded only after the peak has been read.
+//! process, and another test's allocations would count against it. It
+//! runs the server once per readiness backend, one after the other, and
+//! resets the process's peak to its current resident set before each
+//! measurement. The client keeps its own memory still while it measures:
+//! every reply lands in an arena made resident beforehand, and the
+//! expected JPEGs are encoded only after the peak has been read.
 
 #![cfg(target_os = "linux")]
 
+mod util;
+
 use flux_image::jpeg_encode;
-use flux_net::{Listener as _, TcpAcceptor};
+use flux_net::{Listener as _, NetConfig, TcpAcceptor};
 use flux_servers::image::{self, CompressMode, ImageConfig, ImageSource};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -44,6 +50,11 @@ fn peak_rss_kib() -> u64 {
         .find(|l| l.starts_with("VmHWM:"))
         .expect("VmHWM in /proc/self/status");
     line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// Lowers `VmHWM` to the current resident set (`proc(5)`, `clear_refs`).
+fn reset_peak_rss() {
+    std::fs::write("/proc/self/clear_refs", "5").unwrap();
 }
 
 /// Reads one `200` reply into `arena[at..]` and returns its body's range.
@@ -77,6 +88,12 @@ fn read_reply(conn: &mut TcpStream, arena: &mut [u8], at: usize) -> Range<usize>
 
 #[test]
 fn an_image_miss_allocates_only_its_jpeg() {
+    for (backend, net) in util::per_backend() {
+        misses_allocate_only_their_jpegs(backend, net);
+    }
+}
+
+fn misses_allocate_only_their_jpegs(backend: &str, net: NetConfig) {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr();
     let server = flux_servers::ServerBuilder::new(ImageConfig {
@@ -86,7 +103,14 @@ fn an_image_miss_allocates_only_its_jpeg() {
         cache_bytes: 112 * 1024,
         compress: CompressMode::Real { quality: QUALITY },
     })
+    .net(net)
     .spawn();
+    let driver = server
+        .ctx
+        .driver
+        .as_ref()
+        .expect("a networked image server");
+    assert_eq!(driver.poller_backend(), backend);
 
     let mut conns: Vec<TcpStream> = (0..2)
         .map(|_| {
@@ -107,6 +131,7 @@ fn an_image_miss_allocates_only_its_jpeg() {
     let mut arena = vec![0xA5u8; ARENA_LEN];
     let mut bodies: Vec<((u32, u32), Range<usize>)> = Vec::with_capacity(2 * tags.len());
 
+    reset_peak_rss();
     let peak_before = peak_rss_kib();
     let misses_before = server.ctx.cache.lock().misses;
     let mut at = 0;
@@ -132,7 +157,7 @@ fn an_image_miss_allocates_only_its_jpeg() {
         let expected = jpeg_encode(&server.ctx.disk[i as usize].scale_eighths(s), QUALITY);
         assert!(
             arena[body.clone()] == expected[..],
-            "/img{i}-{s}.jpg: {} bytes served, {} expected",
+            "{backend}: /img{i}-{s}.jpg: {} bytes served, {} expected",
             body.len(),
             expected.len()
         );
@@ -140,14 +165,15 @@ fn an_image_miss_allocates_only_its_jpeg() {
     // The first pass misses on every tag. The 112 KiB cache holds a
     // quarter of the 460 KiB of JPEGs and, with every count at one, evicts
     // the oldest, so the second pass misses again.
-    assert!(misses >= tags.len() as u64, "{misses} misses");
+    assert!(misses >= tags.len() as u64, "{backend}: {misses} misses");
     // A sanitizer's shadow and trace memory is resident too and grows
     // with every instrumented access; the bound is about this program's
     // own memory (CI's ThreadSanitizer leg sets `TSAN_OPTIONS`).
     if std::env::var_os("TSAN_OPTIONS").is_none() {
         assert!(
             grown < BOUND_KIB,
-            "peak resident set grew by {grown} KiB over {} replies ({misses} misses)",
+            "{backend}: peak resident set grew by {grown} KiB over {} replies \
+             ({misses} misses)",
             bodies.len()
         );
     }

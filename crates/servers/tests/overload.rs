@@ -10,8 +10,10 @@
 //! within the timeout while concurrent healthy clients are served
 //! throughout.
 
+mod util;
+
 use flux_http::{read_response, DocRoot};
-use flux_net::{Conn as _, Listener as _, TcpAcceptor, TcpConn};
+use flux_net::{Conn as _, Listener as _, NetConfig, TcpAcceptor, TcpConn};
 use flux_runtime::RuntimeKind;
 use flux_servers::web;
 use std::io::{Read as _, Write as _};
@@ -36,12 +38,20 @@ fn healthy_request(addr: &str) {
 
 #[test]
 fn slow_loris_is_reaped_while_healthy_clients_are_served() {
+    for (backend, net) in util::per_backend() {
+        slow_loris_is_reaped(backend, net);
+    }
+}
+
+fn slow_loris_is_reaped(backend: &str, net: NetConfig) {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr();
     let server = flux_servers::ServerBuilder::new(web::WebSpec::new(Box::new(acceptor), docroot()))
+        .net(net)
         .runtime(RuntimeKind::event_driven_sharded(2, 2))
         .idle_timeout(Some(Duration::from_millis(300)))
         .spawn();
+    assert_eq!(server.ctx.driver.poller_backend(), backend);
 
     // The loris: one byte of a request head, then silence. This wakes a
     // `Readable`, dispatches `ReadRequest`, and parks an I/O worker in
@@ -63,10 +73,10 @@ fn slow_loris_is_reaped_while_healthy_clients_are_served() {
     let t0 = Instant::now();
     let mut byte = [0u8; 64];
     let n = loris.read(&mut byte).unwrap_or(0);
-    assert_eq!(n, 0, "severed loris must see EOF, got {n} bytes");
+    assert_eq!(n, 0, "{backend}: severed loris must see EOF, got {n} bytes");
     assert!(
         t0.elapsed() < Duration::from_secs(8),
-        "loris outlived the idle timeout by far: {:?}",
+        "{backend}: loris outlived the idle timeout by far: {:?}",
         t0.elapsed()
     );
 
@@ -82,7 +92,7 @@ fn slow_loris_is_reaped_while_healthy_clients_are_served() {
     while counters.idle_reaped() == 0 {
         assert!(
             t0.elapsed() < Duration::from_secs(5),
-            "the sweep must account for the reaped loris"
+            "{backend}: the sweep must account for the reaped loris"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -99,13 +109,21 @@ fn slow_loris_is_reaped_while_healthy_clients_are_served() {
 /// counted as governed, while connections under the cap keep working.
 #[test]
 fn max_conns_closes_excess_connections_immediately() {
+    for (backend, net) in util::per_backend() {
+        max_conns_closes_excess(backend, net);
+    }
+}
+
+fn max_conns_closes_excess(backend: &str, net: NetConfig) {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr();
     let server = flux_servers::ServerBuilder::new(web::WebSpec::new(Box::new(acceptor), docroot()))
+        .net(net)
         .runtime(RuntimeKind::event_driven_sharded(2, 1))
         .max_conns(2)
         .idle_timeout(Some(Duration::from_secs(30)))
         .spawn();
+    assert_eq!(server.ctx.driver.poller_backend(), backend);
 
     // Two keep-alive connections occupy the cap.
     let mut held = Vec::new();
@@ -124,7 +142,10 @@ fn max_conns_closes_excess_connections_immediately() {
     let _ = over.write_all(b"GET /small.txt HTTP/1.1\r\nHost: t\r\n\r\n");
     let mut buf = [0u8; 16];
     let n = over.read(&mut buf).unwrap_or(0);
-    assert_eq!(n, 0, "over-cap connection must be closed unserved");
+    assert_eq!(
+        n, 0,
+        "{backend}: over-cap connection must be closed unserved"
+    );
 
     let counters = server
         .handle
@@ -134,7 +155,7 @@ fn max_conns_closes_excess_connections_immediately() {
         .expect("web server installs net counters");
     assert!(
         counters.accepts_governed() >= 1,
-        "the close must be counted"
+        "{backend}: the close must be counted"
     );
     assert!(counters.accepts_admitted() >= 2);
 

@@ -10,7 +10,9 @@
 //! acknowledges a new connection's first segments at once ("quick-ack
 //! mode"), which would hide the stall from the first dozen round trips.
 
-use flux_net::{Listener as _, TcpAcceptor};
+mod util;
+
+use flux_net::{Listener as _, NetConfig, TcpAcceptor};
 use flux_servers::image::{self, CompressMode, ImageConfig, ImageSource};
 use flux_servers::pubsub::{self, PubSubSpec};
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -37,6 +39,12 @@ fn median_round_trip(mut round_trip: impl FnMut(usize)) -> Duration {
 
 #[test]
 fn image_responses_reach_a_plain_client_without_a_stall() {
+    for (backend, net) in util::per_backend() {
+        image_responses_without_a_stall(backend, net);
+    }
+}
+
+fn image_responses_without_a_stall(backend: &str, net: NetConfig) {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr();
     let server = flux_servers::ServerBuilder::new(ImageConfig {
@@ -46,7 +54,14 @@ fn image_responses_reach_a_plain_client_without_a_stall() {
         image_size: 48,
         cache_bytes: 1 << 20,
     })
+    .net(net)
     .spawn();
+    let driver = server
+        .ctx
+        .driver
+        .as_ref()
+        .expect("a networked image server");
+    assert_eq!(driver.poller_backend(), backend);
 
     let mut conn = TcpStream::connect(&addr).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -58,7 +73,10 @@ fn image_responses_reach_a_plain_client_without_a_stall() {
         assert_eq!(status, 200);
         assert!(flux_image::jpeg_probe(&body).is_ok());
     });
-    assert!(median < LIMIT, "median request→response {median:?}");
+    assert!(
+        median < LIMIT,
+        "{backend}: median request→response {median:?}"
+    );
 
     // The 404 (head and body in one write, then close) arrives whole.
     conn.write_all(b"GET /img99-4.jpg HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -78,9 +96,18 @@ fn image_responses_reach_a_plain_client_without_a_stall() {
 /// acknowledges as it reads, and never sees the stall.)
 #[test]
 fn pubsub_messages_reach_a_plain_client_without_a_stall() {
+    for (backend, net) in util::per_backend() {
+        pubsub_messages_without_a_stall(backend, net);
+    }
+}
+
+fn pubsub_messages_without_a_stall(backend: &str, net: NetConfig) {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr();
-    let server = flux_servers::ServerBuilder::new(PubSubSpec::new(Box::new(acceptor))).spawn();
+    let server = flux_servers::ServerBuilder::new(PubSubSpec::new(Box::new(acceptor)))
+        .net(net)
+        .spawn();
+    assert_eq!(server.ctx.driver.poller_backend(), backend);
 
     let mut conn = TcpStream::connect(&addr).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -107,7 +134,7 @@ fn pubsub_messages_reach_a_plain_client_without_a_stall() {
         topics.sort();
         assert_eq!(topics, ["asks", "bids"]);
     });
-    assert!(median < LIMIT, "median publish→MSG {median:?}");
+    assert!(median < LIMIT, "{backend}: median publish→MSG {median:?}");
 
     pubsub::stop(server);
 }

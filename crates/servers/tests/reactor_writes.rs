@@ -11,8 +11,10 @@
 //! and other clients are served while the slow reader's response sits
 //! in the reactor's `POLLOUT` drain.
 
+mod util;
+
 use flux_http::{read_response, DocRoot};
-use flux_net::{Listener as _, TcpAcceptor, TcpConn};
+use flux_net::{Listener as _, NetConfig, TcpAcceptor, TcpConn};
 use flux_runtime::RuntimeKind;
 use flux_servers::web;
 use std::io::{Read as _, Write as _};
@@ -47,12 +49,20 @@ fn write_node_is_not_blocking_in_the_graph() {
 
 #[test]
 fn slow_reader_never_occupies_the_io_pool() {
+    for (backend, net) in util::per_backend() {
+        slow_reader_leaves_the_pool_free(backend, net);
+    }
+}
+
+fn slow_reader_leaves_the_pool_free(backend: &str, net: NetConfig) {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr();
     let server = flux_servers::ServerBuilder::new(web::WebSpec::new(Box::new(acceptor), docroot()))
+        .net(net)
         // One I/O worker: a single blocking write would wedge the pool.
         .runtime(RuntimeKind::event_driven_sharded(2, 1))
         .spawn();
+    assert_eq!(server.ctx.driver.poller_backend(), backend);
 
     // Slow reader: request the big file, read nothing yet. The response
     // overruns the socket buffers, so the reactor is left holding a
@@ -76,8 +86,8 @@ fn slow_reader_never_occupies_the_io_pool() {
         }
         assert!(
             t0.elapsed() < Duration::from_secs(10),
-            "the big response never hit WouldBlock — socket buffers \
-             swallowed {BIG_LEN} bytes?"
+            "{backend}: the big response never hit WouldBlock — socket \
+             buffers swallowed {BIG_LEN} bytes?"
         );
         std::thread::sleep(Duration::from_millis(10));
     };
@@ -99,15 +109,19 @@ fn slow_reader_never_occupies_the_io_pool() {
     // via POLLOUT and the deferred close delivers EOF afterwards.
     let (status, body) = read_response(&mut slow).unwrap();
     assert_eq!(status, 200);
-    assert_eq!(body.len(), BIG_LEN, "full payload despite partial writes");
+    assert_eq!(
+        body.len(),
+        BIG_LEN,
+        "{backend}: full payload despite partial writes"
+    );
     assert!(body.iter().enumerate().all(|(i, &b)| b == (i % 249) as u8));
     let mut rest = [0u8; 16];
     assert_eq!(slow.read(&mut rest).unwrap(), 0, "EOF after deferred close");
 
     assert!(
         counters.writes_drained() >= 6,
-        "all six responses drained through the driver write path \
-         (got {})",
+        "{backend}: all six responses drained through the driver write \
+         path (got {})",
         counters.writes_drained()
     );
     web::stop(server);

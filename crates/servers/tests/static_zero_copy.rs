@@ -9,12 +9,17 @@
 //! each.)
 //!
 //! One test, alone in its file: the peak resident set belongs to the
-//! process, and another test's allocations would count against it.
+//! process, and another test's allocations would count against it. It
+//! runs the server once per readiness backend, one after the other, and
+//! resets the process's peak to its current resident set before each
+//! measurement.
 
 #![cfg(target_os = "linux")]
 
+mod util;
+
 use flux_http::DocRoot;
-use flux_net::{Listener as _, TcpAcceptor};
+use flux_net::{Listener as _, NetConfig, TcpAcceptor};
 use flux_servers::web;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -36,6 +41,11 @@ fn peak_rss_kib() -> u64 {
         .find(|l| l.starts_with("VmHWM:"))
         .expect("VmHWM in /proc/self/status");
     line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// Lowers `VmHWM` to the current resident set (`proc(5)`, `clear_refs`).
+fn reset_peak_rss() {
+    std::fs::write("/proc/self/clear_refs", "5").unwrap();
 }
 
 /// Reads one `200` response through `buf` alone and checks every body
@@ -80,12 +90,20 @@ fn read_response_through(conn: &mut TcpStream, buf: &mut [u8]) {
 
 #[test]
 fn serving_a_static_file_does_not_grow_the_process() {
+    for (backend, net) in util::per_backend() {
+        static_file_leaves_by_reference(backend, net);
+    }
+}
+
+fn static_file_leaves_by_reference(backend: &str, net: NetConfig) {
     let mut root = DocRoot::new();
     root.insert("/f.bin", (0..FILE_LEN).map(file_byte).collect::<Vec<u8>>());
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr();
-    let server =
-        flux_servers::ServerBuilder::new(web::WebSpec::new(Box::new(acceptor), root)).spawn();
+    let server = flux_servers::ServerBuilder::new(web::WebSpec::new(Box::new(acceptor), root))
+        .net(net)
+        .spawn();
+    assert_eq!(server.ctx.driver.poller_backend(), backend);
     let counters = server.ctx.driver.counters();
 
     let mut conns: Vec<TcpStream> = (0..2)
@@ -98,6 +116,7 @@ fn serving_a_static_file_does_not_grow_the_process() {
         .collect();
     let mut buf = vec![0u8; 64 * 1024];
 
+    reset_peak_rss();
     let peak_before = peak_rss_kib();
     let shared_before = counters.writes_shared.load(Ordering::Relaxed);
     let submitted_before = counters.writes_submitted.load(Ordering::Relaxed);
@@ -118,12 +137,12 @@ fn serving_a_static_file_does_not_grow_the_process() {
     assert_eq!(
         counters.writes_shared.load(Ordering::Relaxed) - shared_before,
         replies,
-        "every body was submitted by reference"
+        "{backend}: every body was submitted by reference"
     );
     assert_eq!(
         counters.writes_submitted.load(Ordering::Relaxed) - submitted_before,
         replies,
-        "head and body are one submission"
+        "{backend}: head and body are one submission"
     );
     // A sanitizer's shadow and trace memory is resident too and grows
     // with every instrumented access; the bound is about this program's
@@ -131,7 +150,8 @@ fn serving_a_static_file_does_not_grow_the_process() {
     if std::env::var_os("TSAN_OPTIONS").is_none() {
         assert!(
             grown < 1024,
-            "peak resident set grew by {grown} KiB over {replies} replies of {FILE_LEN} bytes"
+            "{backend}: peak resident set grew by {grown} KiB over {replies} replies \
+             of {FILE_LEN} bytes"
         );
     }
     // The last flow drops its response a beat after the client has read
@@ -141,6 +161,10 @@ fn serving_a_static_file_does_not_grow_the_process() {
     while file.ref_count() > 1 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(file.ref_count(), 1, "nothing still holds the file");
+    assert_eq!(
+        file.ref_count(),
+        1,
+        "{backend}: nothing still holds the file"
+    );
     web::stop(server);
 }

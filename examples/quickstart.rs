@@ -25,7 +25,6 @@
 //!
 //! ```sh
 //! cargo run --example quickstart
-//! FLUX_POLLER=poll cargo run --example quickstart   # poll(2) backend
 //! ```
 //!
 //! The act-1 program is a miniature request pipeline with a predicate
@@ -179,7 +178,7 @@ fn main() {
     docroot.insert("/hello.html", "hello from the builder");
     let server = ServerBuilder::new(WebSpec::new(Box::new(listener), docroot))
         .runtime(RuntimeKind::event_driven_sharded(2, 2))
-        .net(NetConfig::default()) // epoll on Linux; FLUX_POLLER=poll falls back
+        .net(NetConfig::default()) // epoll on Linux, poll elsewhere
         .spawn();
 
     let mut conn = net.connect("quickstart").unwrap();

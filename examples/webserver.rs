@@ -4,12 +4,11 @@
 //! Construction goes through the one typed `ServerBuilder`: the spec
 //! names the server (`WebSpec`), `.runtime(...)` picks the concurrency
 //! substrate, and `NetConfig` decides the readiness backend — epoll on
-//! Linux by default, `FLUX_POLLER=poll` for the portable fallback.
+//! Linux, poll elsewhere.
 //!
 //! ```sh
 //! cargo run --example webserver           # self-test against localhost
 //! PORT=8080 HOLD=1 cargo run --example webserver   # keep serving
-//! FLUX_POLLER=poll cargo run --example webserver   # poll(2) backend
 //! ```
 
 use flux::http::DocRoot;
@@ -54,7 +53,7 @@ fn main() {
                 .unwrap_or(1)
         });
     // The builder's NetConfig picks the readiness backend (epoll on
-    // Linux, FLUX_POLLER overrides), the per-connection write-buffer
+    // Linux, poll elsewhere), the per-connection write-buffer
     // bound and the Listen source's event-poll timeout.
     let net = NetConfig::default();
     let server = ServerBuilder::new(WebSpec::new(Box::new(acceptor), docroot()))
