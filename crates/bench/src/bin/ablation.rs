@@ -20,9 +20,6 @@
 //!    constraint-guided partitioner versus a constraint-blind
 //!    round-robin baseline, on the paper's image server and BitTorrent
 //!    programs.
-//! 11. **Stage fusion**: fused straight-line segments (one queue turn
-//!     per chain) versus the per-vertex oracle on the MemNet web
-//!     workload at {1, 4} shards. Writes `BENCH_fused_stages.json`.
 //! 12. **Pub/sub fan-out**: end-to-end fan-out latency percentiles of
 //!     the streaming pub/sub server — one paced publisher, N
 //!     subscribers of one topic, every `MSG` encoded once and
@@ -43,8 +40,8 @@
 //!     (`offered == finished + shed`) and the memory envelope.
 //!
 //! Knobs: `FLUX_BENCH_SECS` (default 1.5 per point); `FLUX_BENCH_ONLY`
-//! (comma-separated ablation numbers, e.g. `FLUX_BENCH_ONLY=11`, default
-//! all); `FLUX_BENCH_QUICK=1` shrinks ablations 11/12/13 to one
+//! (comma-separated ablation numbers, e.g. `FLUX_BENCH_ONLY=12`, default
+//! all); `FLUX_BENCH_QUICK=1` shrinks ablations 12/13 to one
 //! small point per mode (seconds, not minutes — the CI smoke legs that
 //! catch compile or panic regressions without a full sweep; quick JSON
 //! artifacts carry `"quick": true`).
@@ -179,154 +176,6 @@ fn run_io_pool(io_workers: usize, secs: f64) -> f64 {
         std::thread::sleep(Duration::from_millis(10));
     }
     server.stats.finished() as f64 / t0.elapsed().as_secs_f64()
-}
-
-/// Ablation 5 (sharded event runtime): web-workload throughput as the
-/// event dispatcher sweeps shard counts. One measured point per shard
-/// count on the same SPECweb-like keep-alive workload as Figure 3.
-fn run_event_shards(shards: usize, workers: usize, secs: f64) -> (flux_bench::LoadReport, u64) {
-    use flux_bench::{run_web_load, WebSet};
-    use flux_net::MemNet;
-
-    let set = std::sync::Arc::new(WebSet::build(2 << 20));
-    let net = MemNet::new();
-    let listener = net.listen("web").unwrap();
-    let server = flux_servers::ServerBuilder::new(flux_servers::web::WebSpec::new(
-        Box::new(listener),
-        set.docroot.clone(),
-    ))
-    .runtime(RuntimeKind::event_driven_sharded(shards, workers))
-    .spawn();
-    let report = run_web_load(
-        &net,
-        "web",
-        &set,
-        64,
-        Duration::from_secs_f64(secs),
-        Duration::from_secs_f64((secs / 4.0).clamp(0.25, 2.0)),
-    );
-    let steals = server.handle.server().stats.total_steals();
-    flux_servers::web::stop(server);
-    (report, steals)
-}
-
-/// Minimal JSON encoder for the shard-sweep record (no serde in the
-/// offline build).
-fn shards_json(rows: &[(usize, flux_bench::LoadReport, u64)]) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = format!(
-        "{{\n  \"bench\": \"event_shards_web\",\n  \"host_cores\": {cores},\n  \"points\": [\n"
-    );
-    for (i, (shards, r, steals)) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"rps\": {:.1}, \"mbps\": {:.2}, \
-             \"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \"steals\": {}}}{}\n",
-            shards,
-            r.rps(),
-            r.mbps(),
-            r.mean_latency.as_secs_f64() * 1e3,
-            r.p95_latency.as_secs_f64() * 1e3,
-            steals,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-struct FusedPoint {
-    mode: &'static str,
-    shards: usize,
-    report: flux_bench::LoadReport,
-    fused_execs: u64,
-}
-
-/// One web-load measurement with the flow interpreter pinned to `mode`:
-/// fused segments (one queue turn per straight-line chain) versus the
-/// per-node oracle.
-fn run_fused(
-    mode: flux_runtime::FusionMode,
-    name: &'static str,
-    shards: usize,
-    secs: f64,
-) -> FusedPoint {
-    use flux_bench::{run_web_load, WebSet};
-    use flux_net::MemNet;
-
-    let set = std::sync::Arc::new(WebSet::build(2 << 20));
-    let net = MemNet::new();
-    let listener = net.listen("web").unwrap();
-    let server = flux_servers::ServerBuilder::new(flux_servers::web::WebSpec::new(
-        Box::new(listener),
-        set.docroot.clone(),
-    ))
-    .runtime(RuntimeKind::event_driven_sharded(shards, 4))
-    .fusion(mode)
-    .spawn();
-    let report = run_web_load(
-        &net,
-        "web",
-        &set,
-        64,
-        Duration::from_secs_f64(secs),
-        Duration::from_secs_f64((secs / 4.0).clamp(0.25, 2.0)),
-    );
-    let fused_execs = server.handle.server().stats.total_fused_execs();
-    flux_servers::web::stop(server);
-    FusedPoint {
-        mode: name,
-        shards,
-        report,
-        fused_execs,
-    }
-}
-
-/// JSON record for the stage-fusion sweep: host_cores and the
-/// fused-vs-per-node throughput ratios at each shard count ride at the
-/// top per the perf-record protocol.
-fn fused_stages_json(points: &[FusedPoint], quick: bool) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let rps_at = |mode: &str, shards: usize| {
-        points
-            .iter()
-            .find(|p| p.mode == mode && p.shards == shards)
-            .map(|p| p.report.rps())
-    };
-    let mut headline = String::new();
-    for shards in [1usize, 4] {
-        if let (Some(fused), Some(per_node)) = (rps_at("fused", shards), rps_at("per_node", shards))
-        {
-            if per_node > 0.0 {
-                headline.push_str(&format!(
-                    "  \"fused_vs_per_node_rps_at_{shards}_shards\": {:.4},\n",
-                    fused / per_node
-                ));
-            }
-        }
-    }
-    let mut out = format!(
-        "{{\n  \"bench\": \"fused_stages_web\",\n  \"host_cores\": {cores},\n  \"quick\": {quick},\n{headline}  \"points\": [\n"
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"shards\": {}, \"rps\": {:.1}, \"mbps\": {:.2}, \
-             \"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \"fused_execs\": {}}}{}\n",
-            p.mode,
-            p.shards,
-            p.report.rps(),
-            p.report.mbps(),
-            p.report.mean_latency.as_secs_f64() * 1e3,
-            p.report.p95_latency.as_secs_f64() * 1e3,
-            p.fused_execs,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 struct PubSubPoint {
@@ -657,109 +506,7 @@ fn main() {
         println!();
     }
 
-    if should(5) {
-        let mut t5 = Table::new(
-            "Ablation 5: sharded event runtime — web throughput vs dispatcher shards",
-            &["shards", "req_s", "mbps", "mean_ms", "p95_ms", "steals"],
-        );
-        let mut shard_rows: Vec<(usize, flux_bench::LoadReport, u64)> = Vec::new();
-        for shards in [1usize, 2, 4, 8] {
-            let (report, steals) = run_event_shards(shards, workers, secs);
-            eprintln!(
-                "# shards={shards:<2} {} req/s {} Mb/s steals {steals}",
-                f(report.rps()),
-                f(report.mbps()),
-            );
-            t5.row(&[
-                shards.to_string(),
-                f(report.rps()),
-                f(report.mbps()),
-                format!("{:.3}", report.mean_latency.as_secs_f64() * 1e3),
-                format!("{:.3}", report.p95_latency.as_secs_f64() * 1e3),
-                steals.to_string(),
-            ]);
-            shard_rows.push((shards, report, steals));
-        }
-        print!("{}", t5.render());
-        println!();
-        println!(
-            "# shards=1 is the paper's single dispatcher; extra shards use the remaining cores,"
-        );
-        println!(
-            "# with session-affine routing and work stealing (see flux-runtime::runtimes docs)."
-        );
-        println!();
-        let json = shards_json(&shard_rows);
-        let json_path = "BENCH_event_shards.json";
-        match std::fs::write(json_path, &json) {
-            Ok(()) => eprintln!("# wrote {json_path}"),
-            Err(e) => eprintln!("# could not write {json_path}: {e}"),
-        }
-    }
-
     let quick = std::env::var("FLUX_BENCH_QUICK").as_deref() == Ok("1");
-
-    if should(11) {
-        // The env knobs would pin one interpreter (or distort the
-        // fairness budget) for both sides; the ablation owns the sweep.
-        std::env::remove_var("FLUX_FUSE");
-        std::env::remove_var("FLUX_FUSE_BUDGET");
-        let secs11 = if quick { secs.min(0.3) } else { secs };
-        let mut t11 = Table::new(
-            "Ablation 11: stage fusion — fused segments vs per-node queue turns (MemNet web, 64 clients)",
-            &["mode", "shards", "req_s", "mbps", "mean_ms", "p95_ms", "fused_execs"],
-        );
-        // Median-of-3 by rps in full mode, same as ablation 10: the
-        // effect is smaller than per-run scheduler noise on CI hosts.
-        let reps = if quick { 1 } else { 3 };
-        let mut fu_points: Vec<FusedPoint> = Vec::new();
-        for shards in [1usize, 4] {
-            for (name, mode) in [
-                ("per_node", flux_runtime::FusionMode::Off),
-                ("fused", flux_runtime::FusionMode::On),
-            ] {
-                let mut runs: Vec<FusedPoint> = (0..reps)
-                    .map(|_| run_fused(mode, name, shards, secs11))
-                    .collect();
-                runs.sort_by(|a, b| a.report.rps().total_cmp(&b.report.rps()));
-                let p = runs.remove(reps / 2);
-                eprintln!(
-                    "# mode={name:<8} shards={shards:<2} {} req/s {} Mb/s p95 {:.3} ms fused_execs {}",
-                    f(p.report.rps()),
-                    f(p.report.mbps()),
-                    p.report.p95_latency.as_secs_f64() * 1e3,
-                    p.fused_execs,
-                );
-                t11.row(&[
-                    name.into(),
-                    shards.to_string(),
-                    f(p.report.rps()),
-                    f(p.report.mbps()),
-                    format!("{:.3}", p.report.mean_latency.as_secs_f64() * 1e3),
-                    format!("{:.3}", p.report.p95_latency.as_secs_f64() * 1e3),
-                    p.fused_execs.to_string(),
-                ]);
-                fu_points.push(p);
-            }
-        }
-        print!("{}", t11.render());
-        println!();
-        println!("# per_node: every Exec vertex is its own queue turn (enqueue, wake, dequeue);");
-        println!("# fused: maximal straight-line Exec/Release chains run in one turn, breaking");
-        println!("# only at dispatch arms, error handlers, Acquires, blocking nodes and joins.");
-        println!("# fused_execs counts node executions that rode inside fused segments.");
-        println!();
-        let json = fused_stages_json(&fu_points, quick);
-        let json_path = if quick {
-            "BENCH_fused_stages.quick.json"
-        } else {
-            "BENCH_fused_stages.json"
-        };
-        match std::fs::write(json_path, &json) {
-            Ok(()) => eprintln!("# wrote {json_path}"),
-            Err(e) => eprintln!("# could not write {json_path}: {e}"),
-        }
-    }
 
     if should(12) {
         const PUBLISH_HZ: f64 = 200.0;

@@ -158,10 +158,9 @@ impl CodeGenerator for RustGenerator {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "/// Straight-line chains the compiler fused (one queue turn each\n\
-             /// on the event runtime): `(source, [vertex, ...])` per multi-vertex\n\
-             /// segment. The runtime re-fuses with `node_blocking` knowledge, so\n\
-             /// chains through nodes registered blocking split further at run time."
+            "/// Straight-line chains the compiler's fusion analysis found:\n\
+             /// `(source, [vertex, ...])` per multi-vertex segment. Analysis\n\
+             /// only: the runtimes still execute one node per step."
         );
         let _ = writeln!(out, "pub const FUSED_SEGMENTS: &[(&str, &[&str])] = &[");
         for flow in &p.flows {

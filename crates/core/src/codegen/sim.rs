@@ -55,9 +55,9 @@ impl CodeGenerator for SimGenerator {
             let _ = writeln!(out, "}}");
             let _ = writeln!(out);
             // Interior members of a multi-vertex fused segment are
-            // inlined into their head's function (one function per
-            // segment mirrors the runtime's one queue turn per
-            // segment); only heads and unfused vertices get functions.
+            // inlined into their head's function (no scheduling decision
+            // falls inside a segment); only heads and unfused vertices
+            // get functions.
             let interior: Vec<bool> = (0..flow.flat.verts.len())
                 .map(|vid| {
                     flow.fused.seg_of[vid]

@@ -29,9 +29,8 @@ pub struct CompiledProgram {
 pub struct Flow {
     pub flat: FlatProgram,
     pub paths: PathTable,
-    /// Straight-line `Exec`/`Release` chains fused into segments using
-    /// compile-time knowledge only (`blocking` declarations); the runtime
-    /// re-fuses with its registry's `node_blocking` knowledge on top.
+    /// Straight-line `Exec`/`Release` chains grouped into segments
+    /// (analysis for `fluxc fused`, the DOT renderer and codegen labels).
     pub fused: FusedFlow,
 }
 

@@ -1,12 +1,13 @@
-//! Stage fusion (compiler pass, after flattening).
+//! Stage fusion analysis (compiler pass, after flattening).
 //!
 //! The flattened graph makes every runtime step explicit, and the event
 //! runtime pays one queue turn per `Exec` vertex — a 5-node straight-line
-//! pipeline costs 5 shard-queue round-trips per request. This pass groups
-//! maximal straight-line chains of `Exec`/`Release` vertices into
-//! [`FusedSegment`]s the runtime executes as one unit, keeping a segment
-//! boundary only where the paper's semantics require the scheduler to be
-//! able to observe (or re-route) the flow:
+//! pipeline costs 5 shard-queue round-trips per request. This pass
+//! *describes* the maximal straight-line chains of `Exec`/`Release`
+//! vertices as [`FusedSegment`]s, for `fluxc fused`, the DOT renderer and
+//! the Rust codegen labels; no runtime executes them. A segment boundary
+//! sits wherever the paper's semantics require the scheduler to be able
+//! to observe (or re-route) the flow:
 //!
 //! - **dispatch**: predicate dispatch picks an arm at runtime, so every
 //!   arm entry (and the dispatch vertex itself) starts a new segment;
@@ -17,20 +18,18 @@
 //!   to rest exactly on the `Acquire` vertex — it is never fused, and the
 //!   vertex after it starts a new segment (the post-acquire re-entry
 //!   point);
-//! - **blocking nodes**: nodes declared `blocking` (or registered
-//!   `node_blocking`) are off-loaded to the I/O pool one at a time;
+//! - **blocking nodes**: nodes declared `blocking` are off-loaded to the
+//!   I/O pool one at a time;
 //! - **joins**: a vertex with two or more predecessors (a post-dispatch
 //!   continuation, a memoized handler entry) can be entered from outside
 //!   any one chain, so it heads its own segment.
 //!
 //! Within a segment every interior member has exactly one predecessor —
 //! the previous member — so execution can only enter a segment at its
-//! head, and the runtime can run the whole chain without re-checking
-//! where it is. Path profiling is unaffected: fused execution takes the
-//! same Ball–Larus edges in the same order as the unfused walk.
+//! head and then runs the whole chain without a scheduling decision.
 
 use crate::flat::{FlatProgram, FlatVertex, VertexId};
-use crate::graph::{NodeId, ProgramGraph};
+use crate::graph::ProgramGraph;
 
 /// Why an edge crosses a segment boundary (used by the dot renderer and
 /// the `--dump-fused` listing).
@@ -92,35 +91,20 @@ pub struct FusedFlow {
     pub seg_of: Vec<Option<usize>>,
     /// Per-vertex predecessor counts over the flat graph.
     preds: Vec<usize>,
-    /// Per-vertex "blocking Exec" flags as seen by this build (declared
-    /// `blocking` plus whatever extra predicate the caller supplied).
+    /// Per-vertex "blocking Exec" flags (nodes declared `blocking`).
     blocking: Vec<bool>,
 }
 
 impl FusedFlow {
-    /// Fuses `flat` using only compile-time knowledge (the `blocking`
-    /// declarations in the program text).
+    /// Fuses `flat`, treating the nodes the program text declares
+    /// `blocking` as boundaries.
     pub fn build(flat: &FlatProgram, graph: &ProgramGraph) -> FusedFlow {
-        Self::build_with(flat, graph, |_| false)
-    }
-
-    /// Fuses `flat`, additionally treating any node for which
-    /// `extra_blocking` returns true as blocking. The runtime passes its
-    /// registry's `node_blocking` knowledge here, which the compiler
-    /// cannot see.
-    pub fn build_with(
-        flat: &FlatProgram,
-        graph: &ProgramGraph,
-        extra_blocking: impl Fn(NodeId) -> bool,
-    ) -> FusedFlow {
         let n = flat.verts.len();
         let blocking: Vec<bool> = flat
             .verts
             .iter()
             .map(|v| match v {
-                FlatVertex::Exec { node, .. } => {
-                    graph.nodes[*node].blocking || extra_blocking(*node)
-                }
+                FlatVertex::Exec { node, .. } => graph.nodes[*node].blocking,
                 _ => false,
             })
             .collect();
@@ -192,9 +176,8 @@ impl FusedFlow {
         }
     }
 
-    /// The largest number of node executions in any one segment (the
-    /// default dispatcher step budget), or 0 for a flow with no
-    /// executable vertices.
+    /// The largest number of node executions in any one segment, or 0
+    /// for a flow with no executable vertices.
     pub fn max_execs(&self) -> usize {
         self.segments.iter().map(|s| s.execs).max().unwrap_or(0)
     }
@@ -390,22 +373,6 @@ mod tests {
         // successor is blocking; B follows a blocking node).
         assert_eq!(fused.segments.len(), 2, "A and B fuse alone; Io is out");
         assert!(fused.segments.iter().all(|s| s.execs == 1));
-    }
-
-    #[test]
-    fn runtime_blocking_predicate_splits_chains() {
-        let src = "Gen () => (int x); A (int x) => (int x); B (int x) => (int x);\
-                   C (int x) => (); source Gen => F; F = A -> B -> C;";
-        let p = compile(src).unwrap();
-        let flow = &p.flows[0];
-        // Compile-time: one 3-exec segment.
-        assert_eq!(flow.fused.segments.len(), 1);
-        assert_eq!(flow.fused.max_execs(), 3);
-        // Registry later marks B blocking: the chain splits around it.
-        let (bid, _) = p.graph.node("B").unwrap();
-        let fused = FusedFlow::build_with(&flow.flat, &p.graph, |n| n == bid);
-        assert_eq!(fused.segments.len(), 2);
-        assert_eq!(fused.max_execs(), 1);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!
 //! After flattening and path numbering, the [`fuse`] pass groups each
 //! flow's maximal straight-line `Exec`/`Release` chains into
-//! [`FusedSegment`]s, which the event runtime executes as one queue
-//! turn each. Fusion is deliberately conservative — a chain breaks at
-//! every semantic boundary and nowhere else:
+//! [`FusedSegment`]s: the chains a flow could run without a scheduling
+//! decision. This is analysis only — the runtimes execute one node per
+//! step. A chain breaks at every semantic boundary and nowhere else:
 //!
 //! - **dispatch** vertices and each **dispatch arm** entry (control
 //!   flow re-converges per arm, not across the dispatch);
@@ -28,10 +28,8 @@
 //!   head so mid-segment errors route exactly like unfused execution);
 //! - **acquire** vertices (lock acquisition can block or fail, so it
 //!   stays its own scheduling point);
-//! - nodes declared **blocking** (the runtime must see them unfused to
-//!   off-load them to the I/O pool — the runtime re-fuses with its
-//!   registry's `node_blocking` knowledge via
-//!   [`FusedFlow::build_with`]);
+//! - nodes declared **blocking** (the runtime off-loads them to the I/O
+//!   pool one at a time);
 //! - **join** points (any vertex with more than one predecessor, which
 //!   includes session-affinity re-route targets).
 //!
@@ -45,7 +43,7 @@
 //! assert_eq!(program.flows.len(), 1);
 //! // Every node the runtime must supply an implementation for:
 //! assert!(program.required_nodes().contains(&"Compress".to_string()));
-//! // Straight-line chains are pre-fused for the runtimes:
+//! // Straight-line chains are found at compile time:
 //! assert!(program.flows[0].fused.segments.iter().any(|s| s.verts.len() >= 2));
 //! ```
 

@@ -1245,11 +1245,13 @@ impl ConnDriver {
                             // Cheaper than registering + reaping, and it
                             // keeps draining the kernel backlog so
                             // waiting peers fail fast instead of timing
-                            // out on an un-accepted SYN.
-                            drop(conn);
+                            // out on an un-accepted SYN. Counted before
+                            // the close, so a peer that sees EOF also
+                            // sees the count.
                             this.counters
                                 .accepts_governed
                                 .fetch_add(1, Ordering::Relaxed);
+                            drop(conn);
                             continue;
                         }
                         let rate = this.accept_rate.load(Ordering::Relaxed);

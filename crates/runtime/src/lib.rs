@@ -35,10 +35,10 @@
 //!   they enter any queue — servers answer a cheap prebuilt 503/BUSY
 //!   there instead of queueing doomed work.
 //! * **Admitted events are never dropped.** Requeues
-//!   (`Step::WouldBlock`, fairness budgets), I/O-pool completions and
-//!   work-steal transfers all move events that already passed
-//!   admission; none of those paths consults the cap, so a flow that
-//!   entered the graph always reaches an `End`.
+//!   (`Step::WouldBlock`, one-node-per-turn fairness), I/O-pool
+//!   completions and work-steal transfers all move events that already
+//!   passed admission; none of those paths consults the cap, so a flow
+//!   that entered the graph always reaches an `End`.
 //! * **Every shed is counted.** The conservation invariant `offered ==
 //!   admitted + shed` is exposed through
 //!   [`ServerStats::overload`](stats::OverloadStat) /
@@ -51,28 +51,16 @@
 //! down, in `flux-net`'s `ConnDriver` — see that crate's "Overload
 //! invariants" docs.
 //!
-//! ## Fusion boundaries
+//! ## One node per queue turn
 //!
-//! By default ([`server::FusionMode::On`], builder knob + `FLUX_FUSE`
-//! env) the server executes *fused segments*: maximal straight-line
-//! `Exec`/`Release` chains, computed by `flux-core`'s fusion pass and
-//! re-fused here with the registry's [`NodeRegistry::node_blocking`]
-//! knowledge, run as **one queue turn** per segment instead of one per
-//! vertex. Segments never cross a semantic boundary — dispatch arms,
-//! error-handler entries, constraint `Acquire`s, blocking nodes (which
-//! must stay visible to the I/O off-load check) and join points all
-//! break the chain — so a mid-segment [`NodeOutcome::Err`] still
-//! releases held locks and lands on the flow's `on_err` vertex exactly
-//! as the unfused walk would, and Ball–Larus path sums are
-//! bit-identical (each fused transition replays the original
-//! profiling edge). Dispatcher fairness generalizes from the old
-//! one-exec-per-turn latch to a *step budget* (`FLUX_FUSE_BUDGET`,
-//! default = the longest segment's execution count): a turn may spend
-//! that many node executions before the event is re-queued.
-//! [`server::FusionMode::Off`] (or `FLUX_FUSE=0`) keeps the per-vertex
-//! interpreter as the semantic oracle and ablation baseline, and
-//! [`ShardStat::fused_execs`] / [`ServerStats::describe`] report how
-//! many node executions rode inside fused segments.
+//! The event dispatcher runs at most one node execution per queue turn:
+//! an event that has run a node and stands at another goes to the back
+//! of its shard's queue, as in the paper's runtime, where every node
+//! input is an event of its own. Lock and dispatch vertices between
+//! two nodes run in the same turn. `flux-core`'s fusion pass still
+//! finds the straight-line segments a flow could run in one turn, but
+//! only as analysis for `fluxc fused` and the DOT renderer; no runtime
+//! executes them.
 //!
 //! ```
 //! use flux_runtime::{NodeOutcome, NodeRegistry, SourceOutcome, FluxServer};
@@ -117,14 +105,13 @@ pub mod registry;
 pub mod runtimes;
 pub mod server;
 pub mod stats;
-pub mod testutil;
 
 pub use locks::{FlowId, LockManager, ReentrantRwLock};
 pub use profile::{HotOrder, HotPath, PathProfiler};
 pub use profile_socket::handle_profile_conn;
 pub use registry::{NodeOutcome, NodeRegistry, SourceOutcome};
 pub use runtimes::{shard_index, start, OverloadConfig, OverloadPolicy, RuntimeKind, ServerHandle};
-pub use server::{FlowCursor, FluxServer, FusionMode, LockWait, Step};
+pub use server::{FlowCursor, FluxServer, LockWait, Step};
 pub use stats::{
     CachePadded, FanoutStat, LatencyHistogram, NetCounters, OverloadStat, PinningStat, ServerStats,
     ShardStat,

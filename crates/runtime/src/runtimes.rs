@@ -33,14 +33,15 @@
 //!   latency ordering): the oldest event runs immediately, the rest
 //!   move to the thief's own queue in the same lock acquisition — so a
 //!   saturated shard sheds backlog without per-event lock traffic
-//!   (`ShardStat::stolen_batch` counts the bulk moves). Fairness
-//!   re-queues stay on the executing shard rather than re-routing
-//!   home. A `Step::WouldBlock` retry is re-routed
-//!   to the cursor's home shard rather than the thief's queue, so a
-//!   blocked session flow stops ping-ponging between cores while the
-//!   lock holder (pinned to the same home shard) makes progress.
-//!   Per-shard queue-depth, steal and affinity counters land in
-//!   [`crate::stats::ShardStat`].
+//!   (`ShardStat::stolen_batch` counts the bulk moves). An event runs
+//!   at most one node per queue turn, as in the paper's one event per
+//!   node input; it is then re-queued at the back of the executing
+//!   shard rather than re-routed home. A `Step::WouldBlock` retry is
+//!   re-routed to the cursor's home shard rather than the thief's
+//!   queue, so a blocked session flow stops ping-ponging between cores
+//!   while the lock holder (pinned to the same home shard) makes
+//!   progress. Per-shard queue-depth, steal and affinity counters land
+//!   in [`crate::stats::ShardStat`].
 //!
 //!   **Shutdown.** A shard may exit only when every source loop has
 //!   exited *and* the global live-event count is zero; the count is
@@ -360,11 +361,6 @@ struct ShardSet<P> {
     /// executed, or parked in the I/O pool. Incremented at submission,
     /// decremented at `Step::Done`.
     live: AtomicUsize,
-    /// Fairness budget: node executions one event may spend per queue
-    /// turn before the dispatcher requeues it (`FLUX_FUSE_BUDGET`,
-    /// default = the server's longest fused segment). A budget of 1
-    /// with fusion off reproduces the old one-exec-per-turn latch.
-    step_budget: usize,
     /// Per-shard queue depth at which *source* submissions shed
     /// (`usize::MAX` under [`OverloadPolicy::Unbounded`]). Only
     /// [`ShardSet::route_home_batch`] consults it: requeues and steals
@@ -382,7 +378,6 @@ impl<P> ShardSet<P> {
     fn new(
         n: usize,
         sources: usize,
-        step_budget: usize,
         max_depth: usize,
         shed_handler: Option<Arc<dyn Fn(P) + Send + Sync>>,
     ) -> Self {
@@ -397,7 +392,6 @@ impl<P> ShardSet<P> {
             stats: (0..n).map(|_| ShardStat::default()).collect(),
             active_sources: AtomicUsize::new(sources),
             live: AtomicUsize::new(0),
-            step_budget: step_budget.max(1),
             max_depth,
             shed_handler,
         }
@@ -572,11 +566,6 @@ fn start_event_driven<P: Send + 'static>(
     io_workers: usize,
     overload: OverloadPolicy,
 ) -> Vec<JoinHandle<()>> {
-    let step_budget = std::env::var("FLUX_FUSE_BUDGET")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&b| b > 0)
-        .unwrap_or_else(|| server.max_segment_execs().max(1));
     let max_depth = match overload {
         OverloadPolicy::Unbounded => usize::MAX,
         OverloadPolicy::Bounded(cfg) => cfg.max_shard_depth.max(1),
@@ -585,7 +574,6 @@ fn start_event_driven<P: Send + 'static>(
     let set = Arc::new(ShardSet::<P>::new(
         shards,
         server.flow_count(),
-        step_budget,
         max_depth,
         server.shed_handler(),
     ));
@@ -814,8 +802,7 @@ fn run_shard<P: Send + 'static>(
             set.forward_home(ev);
             continue;
         }
-        let budget = set.step_budget;
-        let mut spent = 0usize;
+        let mut ran_node = false;
         loop {
             if srv.at_blocking_exec(&ev.cursor) {
                 // The event stays live while parked in the I/O pool.
@@ -823,30 +810,19 @@ fn run_shard<P: Send + 'static>(
                 blocked_streak = 0;
                 break;
             }
-            // Fairness: each queue turn may spend `budget` node
-            // executions (a fused segment spends its whole length at
-            // once). An event that has spent anything and whose next
-            // step would overdraw is re-queued locally — local, not
-            // affinity routing, so a stolen event keeps running on the
-            // thief. The first execution is always allowed, even when
-            // a single segment exceeds the budget.
-            let cost = srv.exec_cost(&ev.cursor);
-            if cost > 0 && spent > 0 && spent + cost > budget {
+            // Fairness: one node execution per queue turn. An event that
+            // has run a node and stands at another is re-queued locally —
+            // local, not affinity routing, so a stolen event keeps running
+            // on the thief.
+            let runs_node = srv.exec_cost(&ev.cursor) > 0;
+            if runs_node && ran_node {
                 set.enqueue(si, ev);
                 break;
             }
             match srv.step(&mut ev.cursor, &mut ev.payload, LockWait::Try) {
                 Step::Continue => {
                     blocked_streak = 0;
-                    let fused = ev.cursor.take_fused_execs();
-                    if fused > 0 {
-                        set.stats[si]
-                            .fused_execs
-                            .fetch_add(fused, Ordering::Relaxed);
-                        spent += fused as usize;
-                    } else {
-                        spent += cost;
-                    }
+                    ran_node |= runs_node;
                 }
                 Step::Done(_) => {
                     blocked_streak = 0;
@@ -1082,9 +1058,8 @@ mod tests {
         assert_eq!(sum, (0..500).sum::<u64>());
     }
 
-    /// The staged runtime actually stages: with fusion off, consecutive
-    /// nodes of one flow run on different stage threads. (With fusion on,
-    /// a fused segment deliberately runs whole on its head's stage.)
+    /// The staged runtime actually stages: consecutive nodes of one
+    /// flow run on different stage threads.
     #[test]
     fn staged_runs_nodes_on_stage_threads() {
         const SRC: &str = "
@@ -1115,15 +1090,7 @@ mod tests {
                 NodeOutcome::Ok
             });
         }
-        let server = Arc::new(
-            crate::server::FluxServer::with_options(
-                program,
-                r,
-                false,
-                crate::server::FusionMode::Off,
-            )
-            .unwrap(),
-        );
+        let server = Arc::new(crate::server::FluxServer::new(program, r).unwrap());
         let handle = start(server.clone(), RuntimeKind::Staged { stage_workers: 1 });
         handle.join();
         assert_eq!(server.stats.finished(), 50);

@@ -5,71 +5,19 @@
 //! is *stepwise*: [`FluxServer::step`] advances a [`FlowCursor`] by one
 //! vertex, so the thread runtimes can drive a flow to completion on one
 //! stack while the event runtime interleaves thousands of cursors on a
-//! single dispatcher thread.
-//!
-//! Under [`FusionMode::On`] (the default), straight-line chains of
-//! `Exec`/`Release` vertices are compiled into [`ResolvedVertex::FusedExec`]
-//! segments that one `step` call executes end to end — one queue turn per
-//! segment instead of one per node. Fusion is re-derived here (not taken
-//! verbatim from the compiler) because the registry knows about
-//! `node_blocking` nodes the program text doesn't declare; see
-//! `flux_core::fuse` for the boundary rules. Fused execution is
-//! observation-equivalent to the unfused walk: the same nodes run in the
-//! same order, a mid-segment `NodeOutcome::Err` releases locks and lands
-//! on the same `on_err` vertex, and the same Ball–Larus edges are
-//! recorded, so `path_sum` is bit-identical.
+//! single dispatcher thread. Every node is its own step, as in the
+//! paper's event-driven runtime (§3.2); the straight-line segments
+//! `flux_core::fuse` finds are compile-time analysis for `fluxc`, not an
+//! execution mode.
 
 use crate::locks::{FlowId, HeldLock, LockManager};
 use crate::profile::PathProfiler;
 use crate::registry::{NodeEntry, NodeOutcome, NodeRegistry, SourceOutcome};
 use crate::stats::ServerStats;
-use flux_core::fuse::FusedFlow;
 use flux_core::{CompiledProgram, ConstraintRef, EndKind, FlatVertex, PatElem, VertexId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Whether the server fuses straight-line vertex chains into single-step
-/// segments. `Off` keeps the per-node interpreter — the semantic oracle
-/// differential tests and ablations compare against. The `FLUX_FUSE`
-/// env var (`0`/`off` or `1`/`on`) overrides whatever the builder chose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FusionMode {
-    /// Fuse chains; one queue turn executes a whole segment.
-    #[default]
-    On,
-    /// Interpret vertex by vertex (paper-faithful baseline).
-    Off,
-}
-
-impl FusionMode {
-    /// The `FLUX_FUSE` operator override, if set to something
-    /// recognizable.
-    pub fn from_env() -> Option<FusionMode> {
-        match std::env::var("FLUX_FUSE").ok()?.trim() {
-            "0" | "off" | "false" => Some(FusionMode::Off),
-            "1" | "on" | "true" => Some(FusionMode::On),
-            _ => None,
-        }
-    }
-}
-
-/// One member of a fused segment, carrying its original vertex id so
-/// edge bookkeeping (Ball–Larus increments, profiler edge counters) is
-/// identical to the unfused walk.
-enum FusedOp<P> {
-    Exec {
-        vertex: VertexId,
-        entry: NodeEntry<P>,
-        on_ok: VertexId,
-        on_err: VertexId,
-    },
-    Release {
-        vertex: VertexId,
-        count: usize,
-        next: VertexId,
-    },
-}
 
 /// A vertex with every name resolved to callables — no hash lookups on
 /// the hot path.
@@ -95,16 +43,6 @@ enum ResolvedVertex<P> {
     },
     End {
         outcome: EndKind,
-    },
-    /// A fused straight-line segment: `ops[0]`'s vertex is this vertex,
-    /// and each op's ok/next edge leads to the next op. One `step`
-    /// executes the whole chain (a mid-chain error exits early through
-    /// its own `on_err` edge).
-    FusedExec {
-        ops: Box<[FusedOp<P>]>,
-        /// Number of `Exec` ops (the segment's node-execution cost,
-        /// pre-computed for the dispatcher's step budget).
-        execs: usize,
     },
 }
 
@@ -139,19 +77,6 @@ pub struct FlowCursor {
     pub started: Instant,
     held: Vec<HeldLock>,
     acquire_progress: usize,
-    /// Node executions the most recent `step` performed inside a fused
-    /// segment (0 for every other vertex kind). The event dispatcher
-    /// drains this via [`FlowCursor::take_fused_execs`] for its step
-    /// budget and the per-shard `fused_execs` counter.
-    fused_step_execs: u32,
-}
-
-impl FlowCursor {
-    /// Returns and resets the fused-execution count of the most recent
-    /// `step` (see `fused_step_execs`).
-    pub fn take_fused_execs(&mut self) -> u64 {
-        std::mem::replace(&mut self.fused_step_execs, 0) as u64
-    }
 }
 
 /// Result of advancing a cursor one step.
@@ -183,11 +108,6 @@ pub struct FluxServer<P> {
     pub stats: ServerStats,
     next_flow_id: AtomicU64,
     pub(crate) shutdown: AtomicBool,
-    fusion: FusionMode,
-    /// Largest node-execution count of any fused segment (1 when fusion
-    /// is off or every segment is a singleton): the default dispatcher
-    /// step budget.
-    max_fused_execs: usize,
     /// The registry's shed handler (see `NodeRegistry::on_shed`),
     /// invoked by the sharded runtime for every payload shed at the
     /// source under a bounded overload policy.
@@ -198,7 +118,7 @@ impl<P: Send + 'static> FluxServer<P> {
     /// Binds `program` to `registry`, resolving every node, predicate and
     /// session function. Fails with the list of missing implementations.
     pub fn new(program: CompiledProgram, registry: NodeRegistry<P>) -> Result<Self, Vec<String>> {
-        Self::build(program, registry, false, FusionMode::default())
+        Self::build(program, registry, false)
     }
 
     /// Like [`FluxServer::new`] but with Ball–Larus path profiling
@@ -207,33 +127,18 @@ impl<P: Send + 'static> FluxServer<P> {
         program: CompiledProgram,
         registry: NodeRegistry<P>,
     ) -> Result<Self, Vec<String>> {
-        Self::build(program, registry, true, FusionMode::default())
-    }
-
-    /// [`FluxServer::new`]/[`FluxServer::with_profiling`] with an
-    /// explicit [`FusionMode`] (the builder's fusion knob; `FLUX_FUSE`
-    /// still wins when set).
-    pub fn with_options(
-        program: CompiledProgram,
-        registry: NodeRegistry<P>,
-        profile: bool,
-        fusion: FusionMode,
-    ) -> Result<Self, Vec<String>> {
-        Self::build(program, registry, profile, fusion)
+        Self::build(program, registry, true)
     }
 
     fn build(
         program: CompiledProgram,
         registry: NodeRegistry<P>,
         profile: bool,
-        fusion: FusionMode,
     ) -> Result<Self, Vec<String>> {
-        let fusion = FusionMode::from_env().unwrap_or(fusion);
         registry.validate(&program)?;
         let program = Arc::new(program);
         let graph = &program.graph;
         let mut flows = Vec::with_capacity(program.flows.len());
-        let mut max_fused_execs = 1usize;
         for flow in &program.flows {
             let mut verts = Vec::with_capacity(flow.flat.verts.len());
             for v in &flow.flat.verts {
@@ -294,52 +199,6 @@ impl<P: Send + 'static> FluxServer<P> {
                     FlatVertex::End { outcome } => ResolvedVertex::End { outcome: *outcome },
                 });
             }
-            if fusion == FusionMode::On {
-                // Re-fuse with registry knowledge on top of the compiler's
-                // pass: `node_blocking` registrations break chains the
-                // program text alone would fuse (the `blocking` keyword is
-                // already a compile-time boundary).
-                let fused = FusedFlow::build_with(&flow.flat, graph, |node| {
-                    registry
-                        .node_entry(graph.name(node))
-                        .is_some_and(|e| e.may_block)
-                });
-                for seg in &fused.segments {
-                    if seg.verts.len() < 2 {
-                        continue; // a singleton gains nothing from fusing
-                    }
-                    let ops: Box<[FusedOp<P>]> = seg
-                        .verts
-                        .iter()
-                        .map(|&vid| match &flow.flat.verts[vid] {
-                            FlatVertex::Exec {
-                                node,
-                                on_ok,
-                                on_err,
-                            } => FusedOp::Exec {
-                                vertex: vid,
-                                entry: registry
-                                    .node_entry(graph.name(*node))
-                                    .expect("validated above")
-                                    .clone(),
-                                on_ok: *on_ok,
-                                on_err: *on_err,
-                            },
-                            FlatVertex::Release { node, next } => FusedOp::Release {
-                                vertex: vid,
-                                count: graph.nodes[*node].constraints.len(),
-                                next: *next,
-                            },
-                            other => unreachable!("non-fusable segment member {other:?}"),
-                        })
-                        .collect();
-                    max_fused_execs = max_fused_execs.max(seg.execs);
-                    verts[seg.verts[0]] = ResolvedVertex::FusedExec {
-                        ops,
-                        execs: seg.execs,
-                    };
-                }
-            }
             let source_name = graph.name(flow.flat.source).to_string();
             flows.push(ResolvedFlow {
                 verts,
@@ -359,8 +218,6 @@ impl<P: Send + 'static> FluxServer<P> {
             stats: ServerStats::new(),
             next_flow_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
-            fusion,
-            max_fused_execs,
             shed_handler: registry.shed_handler.clone(),
         })
     }
@@ -368,19 +225,6 @@ impl<P: Send + 'static> FluxServer<P> {
     /// The shed handler registered on the node registry, if any.
     pub(crate) fn shed_handler(&self) -> Option<Arc<dyn Fn(P) + Send + Sync>> {
         self.shed_handler.clone()
-    }
-
-    /// The effective fusion mode this server was built with (builder
-    /// choice after the `FLUX_FUSE` override).
-    pub fn fusion_mode(&self) -> FusionMode {
-        self.fusion
-    }
-
-    /// Largest node-execution count of any fused segment (1 under
-    /// [`FusionMode::Off`]): the event dispatcher's default step budget,
-    /// so the longest segment still fits in one queue turn.
-    pub fn max_segment_execs(&self) -> usize {
-        self.max_fused_execs
     }
 
     /// The compiled program this server runs.
@@ -481,7 +325,6 @@ impl<P: Send + 'static> FluxServer<P> {
             started: now,
             held: Vec::new(),
             acquire_progress: 0,
-            fused_step_execs: 0,
         }
     }
 
@@ -497,23 +340,12 @@ impl<P: Send + 'static> FluxServer<P> {
         )
     }
 
-    /// True when the cursor's current vertex is any node execution
-    /// (plain or fused).
-    pub fn at_exec(&self, cur: &FlowCursor) -> bool {
-        matches!(
-            self.flows[cur.flow_idx].verts[cur.vertex],
-            ResolvedVertex::Exec { .. } | ResolvedVertex::FusedExec { .. }
-        )
-    }
-
-    /// Node executions the next `step` at this cursor intends to perform:
-    /// 0 for bookkeeping vertices, 1 for a plain `Exec`, the member count
-    /// for a fused segment (an upper bound — a mid-segment error exits
-    /// early). The event dispatcher budgets queue turns with this.
+    /// Node executions the next `step` at this cursor performs: 1 at an
+    /// `Exec` vertex, 0 at bookkeeping vertices. The event dispatcher
+    /// gives each node execution its own queue turn with this.
     pub fn exec_cost(&self, cur: &FlowCursor) -> usize {
-        match &self.flows[cur.flow_idx].verts[cur.vertex] {
+        match self.flows[cur.flow_idx].verts[cur.vertex] {
             ResolvedVertex::Exec { .. } => 1,
-            ResolvedVertex::FusedExec { execs, .. } => *execs,
             _ => 0,
         }
     }
@@ -601,58 +433,6 @@ impl<P: Send + 'static> FluxServer<P> {
                         self.take_edge(cur, 1, *on_err);
                     }
                 }
-                Step::Continue
-            }
-            ResolvedVertex::FusedExec { ops, .. } => {
-                debug_assert!(matches!(
-                    ops[0],
-                    FusedOp::Exec { vertex, .. } | FusedOp::Release { vertex, .. }
-                        if vertex == cur.vertex
-                ));
-                let mut ran = 0u32;
-                for op in ops.iter() {
-                    match op {
-                        FusedOp::Exec {
-                            entry,
-                            on_ok,
-                            on_err,
-                            ..
-                        } => {
-                            let t0 = self.profiler.is_some().then(Instant::now);
-                            let outcome = (entry.f)(payload);
-                            if let (Some(prof), Some(t0)) = (&self.profiler, t0) {
-                                prof.record_exec(
-                                    cur.flow_idx,
-                                    cur.vertex,
-                                    t0.elapsed().as_nanos() as u64,
-                                );
-                            }
-                            ran += 1;
-                            match outcome {
-                                NodeOutcome::Ok => self.take_edge(cur, 0, *on_ok),
-                                NodeOutcome::Err(_) => {
-                                    // Identical to the unfused Exec arm:
-                                    // shrink-phase release, then the error
-                                    // edge — the cursor leaves the segment
-                                    // and rests on the handler chain (or
-                                    // error end), itself a segment head.
-                                    self.release_all(cur);
-                                    self.take_edge(cur, 1, *on_err);
-                                    cur.fused_step_execs = ran;
-                                    return Step::Continue;
-                                }
-                            }
-                        }
-                        FusedOp::Release { count, next, .. } => {
-                            for _ in 0..*count {
-                                let h = cur.held.pop().expect("release op with empty held stack");
-                                h.lock.release(cur.flow_id, h.mode);
-                            }
-                            self.take_edge(cur, 0, *next);
-                        }
-                    }
-                }
-                cur.fused_step_execs = ran;
                 Step::Continue
             }
             ResolvedVertex::Dispatch { arms, on_nomatch } => {
@@ -796,56 +576,6 @@ mod tests {
             .info
             .display(&s.program().graph, &s.program().flows[0].flat);
         assert!(display.starts_with("Listen -> Parse -> Respond"));
-    }
-
-    fn server_with(events: Arc<Mutex<Vec<String>>>, fusion: FusionMode) -> FluxServer<P> {
-        let program = flux_core::compile(flux_core::fixtures::MINI_PIPELINE).unwrap();
-        FluxServer::with_options(program, registry(events), true, fusion).unwrap()
-    }
-
-    /// The fused interpreter is observation-equivalent to the unfused
-    /// oracle on every MINI_PIPELINE path — including the mid-segment
-    /// error path — with bit-identical Ball–Larus path sums.
-    #[test]
-    fn fused_matches_unfused_oracle() {
-        let cases = [(true, false), (false, false), (true, true), (false, true)];
-        let mut reports = Vec::new();
-        for fusion in [FusionMode::On, FusionMode::Off] {
-            let events = Arc::new(Mutex::new(Vec::new()));
-            let s = server_with(events.clone(), fusion);
-            assert_eq!(s.fusion_mode(), fusion);
-            let mut ends = Vec::new();
-            for (valid, fail_parse) in cases {
-                let payload = P {
-                    valid,
-                    fail_parse,
-                    ..P::default()
-                };
-                let cursor = s.new_cursor(0, &payload);
-                ends.push(s.run_flow(cursor, payload));
-            }
-            let report =
-                s.profiler()
-                    .unwrap()
-                    .report(s.program(), 0, crate::profile::HotOrder::ByCount);
-            let paths: Vec<(u64, u64)> = report.iter().map(|p| (p.info.id, p.count)).collect();
-            reports.push((events.lock().clone(), ends, paths));
-        }
-        let (fused, unfused) = (&reports[0], &reports[1]);
-        assert_eq!(fused.0, unfused.0, "identical node execution order");
-        assert_eq!(fused.1, unfused.1, "identical end kinds");
-        assert_eq!(fused.2, unfused.2, "identical path ids and counts");
-    }
-
-    #[test]
-    fn fusion_budget_hint_reflects_segments() {
-        let events = Arc::new(Mutex::new(Vec::new()));
-        // MINI_PIPELINE's longest chain is Respond -> Retry (2 execs).
-        assert_eq!(
-            server_with(events.clone(), FusionMode::On).max_segment_execs(),
-            2
-        );
-        assert_eq!(server_with(events, FusionMode::Off).max_segment_execs(), 1);
     }
 
     #[test]

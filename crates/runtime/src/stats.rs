@@ -151,12 +151,6 @@ pub struct ShardStat {
     /// batches` is the mean batch size — the amortization factor of the
     /// per-event lock+notify cost.
     pub batch_events: CachePadded<AtomicU64>,
-    /// Node executions performed inside fused segments on this shard
-    /// (see `flux_core::fuse`): a queue turn that runs a 3-node fused
-    /// chain adds 3 here but only 1 to [`ShardStat::executed`], so
-    /// dashboards can tell a fused workload — few turns, many nodes —
-    /// from a genuinely idle one. Zero under `FusionMode::Off`.
-    pub fused_execs: AtomicU64,
     /// Pinned events (`NodeRegistry::session_pinned`) this shard
     /// declined to execute and forwarded to their session's home shard
     /// instead — the enforcement counter of topic-keyed affinity under
@@ -432,18 +426,6 @@ impl ServerStats {
             .unwrap_or(0)
     }
 
-    /// Total node executions performed inside fused segments across all
-    /// shards of the most recent sharded event-runtime run.
-    pub fn total_fused_execs(&self) -> u64 {
-        self.shard_stats()
-            .map(|s| {
-                s.iter()
-                    .map(|st| st.fused_execs.load(Ordering::Relaxed))
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-
     /// Total events shed at the source boundary across all shards of
     /// the most recent sharded event-runtime run (see
     /// [`ShardStat::shed`]).
@@ -464,8 +446,7 @@ impl ServerStats {
     /// One-line summary for logs and bench records, composing the
     /// sub-block summaries: flow outcomes, pinning, and — when a sharded
     /// run installed its counter block — the shard count and dispatcher
-    /// turn/steal/fusion totals (so a fused workload's low turn count
-    /// reads as fusion, not idleness).
+    /// turn/steal totals.
     pub fn describe(&self) -> String {
         let mut out = format!(
             "flows {} (completed {}, errored {}, handled {}, nomatch {}) | {}",
@@ -482,10 +463,9 @@ impl ServerStats {
                 .map(|st| st.executed.load(Ordering::Relaxed) + st.stolen.load(Ordering::Relaxed))
                 .sum();
             out.push_str(&format!(
-                " | {} shard(s) | turns {turns}, stolen {}, fused execs {}",
+                " | {} shard(s) | turns {turns}, stolen {}",
                 shards.len(),
                 self.total_steals(),
-                self.total_fused_execs(),
             ));
             let rerouted = self.total_pinned_rerouted();
             if rerouted > 0 {
@@ -580,17 +560,13 @@ mod tests {
         assert!(d.starts_with("flows 1 (completed 1,"), "{d}");
         assert!(d.contains("unpinned"), "{d}");
         assert!(!d.contains("shard(s)"), "no shard block installed: {d}");
-        assert!(!d.contains("fused execs"), "no shard block installed: {d}");
-        // Installing a shard block surfaces the fused counter.
+        // Installing a shard block surfaces the dispatcher totals.
         let shards: std::sync::Arc<[ShardStat]> = (0..2).map(|_| ShardStat::default()).collect();
         shards[0].executed.fetch_add(4, Ordering::Relaxed);
-        shards[1].fused_execs.fetch_add(9, Ordering::Relaxed);
         s.install_shards(shards);
         let d = s.describe();
         assert!(d.contains("| 2 shard(s) |"), "{d}");
         assert!(d.contains("turns 4"), "{d}");
-        assert!(d.contains("fused execs 9"), "{d}");
-        assert_eq!(s.total_fused_execs(), 9);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 
 use flux_core::ConstraintMode;
 use flux_runtime::{
-    start, FluxServer, FusionMode, NodeOutcome, NodeRegistry, ReentrantRwLock, RuntimeKind,
-    SourceOutcome,
+    start, FluxServer, NodeOutcome, NodeRegistry, ReentrantRwLock, RuntimeKind, SourceOutcome,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,102 +112,5 @@ proptest! {
             .filter(|n| n % err_mod != 0 && *n < small_cut)
             .count() as u64;
         prop_assert_eq!(s, expect_small);
-    }
-
-    /// Differential oracle for stage fusion: random programs (variable
-    /// chain length, erroring stage position, dispatch cut) driven by
-    /// random scripts must be observation-equivalent under
-    /// `FusionMode::On` and `FusionMode::Off` — identical node
-    /// execution order, identical flow outcomes, and bit-identical
-    /// Ball–Larus path profiles (same path ids, same counts). Acquire
-    /// vertices never fuse and fused `Release` ops replay the same
-    /// profiling edges per vertex, so an identical vertex walk (which
-    /// identical path sums prove) implies the identical lock
-    /// acquire/release sequence too.
-    #[test]
-    fn fused_matches_unfused_execution(
-        chain in 1usize..4,
-        err_stage in 0usize..4,
-        total in 1u64..60,
-        err_mod in 2u64..9,
-        small_cut in 1u64..60,
-    ) {
-        let err_stage = err_stage % chain;
-        // Gen -> S0 -> ... -> S{chain-1} -> Route -> Done, with an
-        // error handler on a random stage (mid-segment when > 0) and a
-        // constrained Done so Acquire/Release boundaries are in play.
-        let mut src = String::from(
-            "Gen () => (int n);\n\
-             Small (int n) => (int n);\n\
-             Big (int n) => (int n);\n\
-             Done (int n) => ();\n\
-             Fail (int n) => ();\n\
-             typedef small IsSmall;\n\
-             source Gen => Flow;\n",
-        );
-        for i in 0..chain {
-            src.push_str(&format!("S{i} (int n) => (int n);\n"));
-        }
-        let stages: Vec<String> = (0..chain).map(|i| format!("S{i}")).collect();
-        src.push_str(&format!("Flow = {} -> Route -> Done;\n", stages.join(" -> ")));
-        src.push_str("Route:[small] = Small;\nRoute:[_] = Big;\n");
-        src.push_str(&format!("handle error S{err_stage} => Fail;\n"));
-        src.push_str("atomic Done: {tally};\n");
-
-        let run = |fusion: FusionMode| {
-            let program = flux_core::compile(&src).unwrap();
-            let events = Arc::new(parking_lot::Mutex::new(Vec::<String>::new()));
-            let mut reg: NodeRegistry<u64> = NodeRegistry::new();
-            reg.source("Gen", || SourceOutcome::Shutdown);
-            let em = err_mod;
-            for (i, name) in stages.iter().enumerate() {
-                let ev = events.clone();
-                let name2 = name.clone();
-                let errs_here = i == err_stage;
-                reg.node(name, move |n: &mut u64| {
-                    ev.lock().push(name2.clone());
-                    if errs_here && (*n).is_multiple_of(em) {
-                        NodeOutcome::Err(1)
-                    } else {
-                        NodeOutcome::Ok
-                    }
-                });
-            }
-            let sc = small_cut;
-            reg.predicate("IsSmall", move |n: &u64| *n < sc);
-            for name in ["Small", "Big", "Done", "Fail"] {
-                let ev = events.clone();
-                reg.node(name, move |_| {
-                    ev.lock().push(name.into());
-                    NodeOutcome::Ok
-                });
-            }
-            let server = FluxServer::with_options(program, reg, true, fusion).unwrap();
-            assert_eq!(server.fusion_mode(), fusion, "env unset in proptests");
-            let mut ends = Vec::new();
-            for n in 0..total {
-                let cursor = server.new_cursor(0, &n);
-                ends.push(server.run_flow(cursor, n));
-            }
-            let report = server.profiler().unwrap().report(
-                server.program(),
-                0,
-                flux_runtime::HotOrder::ByCount,
-            );
-            let paths: Vec<(u64, u64)> = report.iter().map(|p| (p.info.id, p.count)).collect();
-            let max_execs = server.max_segment_execs();
-            let trace = events.lock().clone();
-            (trace, ends, paths, max_execs)
-        };
-
-        let fused = run(FusionMode::On);
-        let unfused = run(FusionMode::Off);
-        prop_assert_eq!(&fused.0, &unfused.0, "node execution order diverged");
-        prop_assert_eq!(&fused.1, &unfused.1, "flow outcomes diverged");
-        prop_assert_eq!(&fused.2, &unfused.2, "path profiles diverged");
-        prop_assert_eq!(unfused.3, 1, "unfused interpreter has no segments");
-        if chain >= 2 {
-            prop_assert!(fused.3 >= 2, "S-chain of {} must fuse", chain);
-        }
     }
 }

@@ -440,6 +440,39 @@ fn shard_stats_track_depth_and_drain_to_zero() {
     assert!(executed >= 2_000, "every event dequeued somewhere");
 }
 
+/// The dispatcher runs at most one node per queue turn: on one shard
+/// (nothing to steal, no locks to retry) a three-node chain costs
+/// exactly three turns per flow. Running a flow to completion in one
+/// turn would read one turn per flow here.
+#[test]
+fn one_queue_turn_per_node() {
+    const FLOWS: u64 = 200;
+    let program = flux_core::compile(
+        "Gen () => (int v); A (int v) => (int v); B (int v) => (int v);
+         C (int v) => (); Flow = A -> B -> C; source Gen => Flow;",
+    )
+    .unwrap();
+    let produced = AtomicU64::new(0);
+    let mut reg: NodeRegistry<u64> = NodeRegistry::new();
+    reg.source("Gen", move || {
+        let i = produced.fetch_add(1, Ordering::SeqCst);
+        if i >= FLOWS {
+            SourceOutcome::Shutdown
+        } else {
+            SourceOutcome::New(i)
+        }
+    });
+    for node in ["A", "B", "C"] {
+        reg.node(node, |_| NodeOutcome::Ok);
+    }
+    let server = Arc::new(FluxServer::new(program, reg).unwrap());
+    let handle = start(server.clone(), RuntimeKind::event_driven_sharded(1, 1));
+    handle.join();
+    assert_eq!(server.stats.completed.load(Ordering::Relaxed), FLOWS);
+    let stats = server.stats.shard_stats().unwrap();
+    assert_eq!(stats[0].executed.load(Ordering::Relaxed), 3 * FLOWS);
+}
+
 /// Restarting the same server with a different (larger) shard count
 /// must not read the first run's smaller counter block: each run
 /// installs fresh per-shard stats.

@@ -26,7 +26,7 @@
 
 use flux_core::CompiledProgram;
 use flux_net::{ConnDriver, NetConfig};
-use flux_runtime::{FusionMode, NodeRegistry, OverloadPolicy, RuntimeKind};
+use flux_runtime::{NodeRegistry, OverloadPolicy, RuntimeKind};
 use std::sync::Arc;
 
 /// What a server kind must provide to be built: its compiled program,
@@ -71,9 +71,6 @@ pub struct RunningServer<P: Send + 'static, C> {
 pub struct ServerBuilder<S: ServerSpec> {
     spec: S,
     runtime: RuntimeKind,
-    /// Set by [`ServerBuilder::fusion`]; [`FusionMode::On`] (segment
-    /// execution) when unset.
-    fusion: Option<FusionMode>,
     /// Set by [`ServerBuilder::overload`]; applied to the event-driven
     /// runtime at [`ServerBuilder::spawn`], so `.overload(...)` and
     /// `.runtime(...)` compose in either order.
@@ -87,12 +84,13 @@ impl<S: ServerSpec> ServerBuilder<S> {
     /// A builder with the defaults: the paper's event-driven runtime
     /// (one dispatcher shard, four I/O workers), the default
     /// [`NetConfig`] (epoll on Linux, poll elsewhere or when
-    /// `epoll_create1` fails), profiling off, stats on.
+    /// `epoll_create1` fails), profiling off, stats on. Every runtime
+    /// interprets the flow graph one node per step; there is no
+    /// interpreter to choose.
     pub fn new(spec: S) -> Self {
         ServerBuilder {
             spec,
             runtime: RuntimeKind::event_driven_sharded(1, 4),
-            fusion: None,
             overload: None,
             net: NetConfig::default(),
             profile: false,
@@ -103,15 +101,6 @@ impl<S: ServerSpec> ServerBuilder<S> {
     /// Which runtime executes the flows (paper §3.2).
     pub fn runtime(mut self, kind: RuntimeKind) -> Self {
         self.runtime = kind;
-        self
-    }
-
-    /// Selects the flow interpreter: [`FusionMode::On`] (the default)
-    /// executes fused straight-line segments in one queue turn,
-    /// [`FusionMode::Off`] keeps the per-vertex oracle for ablation.
-    /// The `FLUX_FUSE` env var overrides either choice at start.
-    pub fn fusion(mut self, mode: FusionMode) -> Self {
-        self.fusion = Some(mode);
         self
     }
 
@@ -194,13 +183,12 @@ impl<S: ServerSpec> ServerBuilder<S> {
             *overload = policy;
         }
         let (program, registry, ctx) = self.spec.build(&self.net);
-        let mut server = flux_runtime::FluxServer::with_options(
-            program,
-            registry,
-            self.profile,
-            self.fusion.unwrap_or_default(),
-        )
-        .expect("registry satisfies the program");
+        let server = if self.profile {
+            flux_runtime::FluxServer::with_profiling(program, registry)
+        } else {
+            flux_runtime::FluxServer::new(program, registry)
+        };
+        let mut server = server.expect("registry satisfies the program");
         if let Some(fanout) = S::fanout(&ctx) {
             server.stats.fanout = fanout;
         }

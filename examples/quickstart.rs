@@ -5,17 +5,16 @@
 //! 2. stand up a real server (the §4.2 web server) through the one
 //!    typed `ServerBuilder`, which owns the remaining knobs: the
 //!    runtime kind, the network configuration (`NetConfig`: readiness
-//!    backend, write-buffer bound, event-poll timeout), the flow
-//!    interpreter (`FusionMode`: fused straight-line segments vs
-//!    per-node queue turns) and the stats/profiling toggles;
+//!    backend, write-buffer bound, event-poll timeout) and the
+//!    stats/profiling toggles;
 //! 3. a *streaming* server through the same builder: the pub/sub
 //!    server subscribes clients to topics, aggregates each topic's
 //!    publishes over a sliding window, and multicasts the encoded
 //!    aggregate to every subscriber as one refcounted payload —
 //!    encoded once no matter the fan-out;
-//! 4. inspect what the compiler fused: the same dump `fluxc fused`
-//!    (alias `--dump-fused`) prints — each flow's straight-line
-//!    segments and the boundary reasons where fusion stops;
+//! 4. inspect the compiler's fusion analysis: the same dump `fluxc
+//!    fused` (alias `--dump-fused`) prints — each flow's straight-line
+//!    segments and the boundary reasons where a segment stops;
 //! 5. overload control through the same builder: `max_conns` governs
 //!    admission at the accept edge, `OverloadPolicy::bounded` caps the
 //!    shard queues so a flood sheds (the web server answers a prebuilt
@@ -240,12 +239,11 @@ fn main() {
     );
     flux::servers::pubsub::stop(server);
 
-    // Act 4: what did the compiler fuse? Each flow's straight-line
-    // Exec/Release chains run as one queue turn per segment on the
-    // event runtime (FusionMode::On, the default; `.fusion(...)` on the
-    // builder or FLUX_FUSE=0 selects the per-node oracle). The dump
+    // Act 4: the compiler's fusion analysis. Each flow's straight-line
+    // Exec/Release chains are segments no scheduling decision
+    // interrupts; the runtimes still run one node per step. The dump
     // below is exactly `fluxc fused` / `fluxc --dump-fused`: segments
-    // first, then every boundary edge with the reason fusion stopped —
+    // first, then every boundary edge with the reason a segment stops —
     // dispatch arms, error arms, acquires, blocking nodes, joins.
     let program = flux::core::compile(PROGRAM).expect("program compiles");
     println!();
