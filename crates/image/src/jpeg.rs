@@ -30,6 +30,21 @@
 //! the image, and the bytes are unchanged: each sample is the same f32
 //! expression of the same pixel, and the plane-based encoder survives as
 //! a test oracle that the proptests hold this one to.
+//!
+//! The quantiser and the bit writer keep the same contract. Each
+//! coefficient is divided by its quantiser as an f32 (the same IEEE
+//! division as before: no reciprocal, no FMA) and rounded half away from
+//! zero without `f32::round`, which is a `roundf` call on the baseline
+//! x86-64 target: `t = v as i32` truncates, the fraction `v − t` is
+//! exact because it lies on `v`'s own grid, and `t` moves one step away
+//! from zero when that fraction reaches ±0.5. That is `round()`'s rule
+//! exactly for every |v| < 2²³, far beyond the ±2048 a quantised
+//! coefficient can reach. The bit writer gathers bits in a 64-bit
+//! accumulator and appends them 32 at a time, stuffing `0x00` after an
+//! `0xFF` byte only in the rare word that has one; a Huffman code and its
+//! magnitude bits (at most 27 together) go in as one put. The oracle has
+//! its own copies of the per-coefficient `round()` quantiser and the
+//! byte-at-a-time writer, so a slip in either shows as a byte difference.
 
 use crate::ppm::Image;
 
@@ -91,8 +106,8 @@ const AC_CHROMA_VALS: [u8; 162] = [
 ];
 
 /// (code, length) pairs indexed by symbol value.
-fn build_encode_table(bits: &[u8; 16], vals: &[u8]) -> Vec<(u16, u8)> {
-    let mut table = vec![(0u16, 0u8); 256];
+fn build_encode_table(bits: &[u8; 16], vals: &[u8]) -> [(u16, u8); 256] {
+    let mut table = [(0u16, 0u8); 256];
     let mut code = 0u16;
     let mut k = 0;
     for (len_minus_1, &count) in bits.iter().enumerate() {
@@ -110,9 +125,14 @@ fn build_encode_table(bits: &[u8; 16], vals: &[u8]) -> Vec<(u16, u8)> {
 
 /// Appends byte-stuffed entropy-coded bits to the end of `out`, the JPEG
 /// written so far, so the scan follows the headers without a copy.
+///
+/// Bits gather in a 64-bit accumulator and leave it 32 at a time. A word
+/// without an `0xFF` byte is appended whole; only a word with one goes
+/// out byte by byte, with the `0x00` stuffed after each `0xFF`.
 struct BitWriter {
     out: Vec<u8>,
-    acc: u32,
+    acc: u64,
+    /// Bits pending at the low end of `acc`, fewer than 32 between puts.
     nbits: u32,
 }
 
@@ -125,26 +145,43 @@ impl BitWriter {
         }
     }
 
-    fn put(&mut self, code: u16, len: u8) {
-        debug_assert!((1..=16).contains(&len));
-        self.acc = (self.acc << len) | (code as u32 & ((1 << len) - 1));
-        self.nbits += len as u32;
-        while self.nbits >= 8 {
-            let byte = ((self.acc >> (self.nbits - 8)) & 0xff) as u8;
-            self.out.push(byte);
-            if byte == 0xff {
-                self.out.push(0x00); // byte stuffing
-            }
-            self.nbits -= 8;
+    /// Appends the low `len` bits of `bits`, most significant first.
+    fn put(&mut self, bits: u32, len: u32) {
+        debug_assert!(len <= 32);
+        self.acc = (self.acc << len) | (bits as u64 & ((1 << len) - 1));
+        self.nbits += len;
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            self.push_stuffed(&((self.acc >> self.nbits) as u32).to_be_bytes());
         }
     }
 
-    /// Pads the last byte with 1-bits and returns the buffer.
-    fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            let pad = 8 - self.nbits;
-            self.put((1u16 << pad) - 1, pad as u8);
+    /// Appends a Huffman `(code, len)` and then the `cat` magnitude bits
+    /// of `v`: at most 16 + 11 bits, so one put.
+    fn put_coded(&mut self, (code, len): (u16, u8), v: i32, cat: u8) {
+        let bits = ((code as u32) << cat) | magnitude_bits(v) as u32;
+        self.put(bits, (len + cat) as u32);
+    }
+
+    fn push_stuffed(&mut self, bytes: &[u8]) {
+        if !bytes.contains(&0xff) {
+            self.out.extend_from_slice(bytes);
+            return;
         }
+        for &byte in bytes {
+            self.out.push(byte);
+            if byte == 0xff {
+                self.out.push(0x00);
+            }
+        }
+    }
+
+    /// Pads the last byte with 1-bits, flushes, and returns the buffer.
+    fn finish(mut self) -> Vec<u8> {
+        let pad = (8 - self.nbits % 8) % 8;
+        self.put((1 << pad) - 1, pad);
+        let tail = ((self.acc << (32 - self.nbits)) as u32).to_be_bytes();
+        self.push_stuffed(&tail[..self.nbits as usize / 8]);
         self.out
     }
 }
@@ -293,6 +330,37 @@ fn magnitude_bits(v: i32) -> u16 {
     }
 }
 
+/// Quantises a transformed block in natural order: each coefficient is
+/// divided by its quantiser and rounded half away from zero.
+fn quantise(block: &[f32; 64], q: &[f32; 64]) -> [i32; 64] {
+    let mut out = [0i32; 64];
+    for (o, (&v, &q)) in out.iter_mut().zip(block.iter().zip(q)) {
+        *o = round_half_away(v / q);
+    }
+    out
+}
+
+/// `v.round() as i32`, rounding half away from zero, without the `roundf`
+/// call that `f32::round` is on the baseline x86-64 target. The
+/// truncation `t` is exact, and so is the fraction `v − t`: both lie on
+/// `v`'s own grid of floats. Comparing that fraction with ±0.5 is then
+/// exactly the rounding rule, for any |v| < 2²³ and beyond it, where
+/// every float is an integer and the fraction is 0. A quantised DCT
+/// coefficient is at most 2048 in magnitude.
+fn round_half_away(v: f32) -> i32 {
+    let t = v as i32;
+    let f = v - t as f32;
+    t + (f >= 0.5) as i32 - (f <= -0.5) as i32
+}
+
+/// A width or height as SOF0 records it.
+fn sof_dimension(d: usize) -> u16 {
+    match u16::try_from(d) {
+        Ok(d) if d > 0 => d,
+        _ => panic!("a baseline JPEG dimension is 1..=65535, not {d}"),
+    }
+}
+
 /// Encodes `img` as a baseline JFIF JPEG (4:4:4, quality 1..=100).
 ///
 /// Each 8×8 block is converted from `img.rgb` where it lies: its 64
@@ -304,17 +372,33 @@ fn magnitude_bits(v: i32) -> u16 {
 /// scan is appended to the header's buffer, and the JPEG is returned at
 /// exactly its length, so a cache that counts `len()` counts what it
 /// holds.
+///
+/// # Panics
+///
+/// If `img.width` or `img.height` is 0 or above 65 535: SOF0 records
+/// each in 16 bits, and a baseline frame has no lines of zero width.
 pub fn encode(img: &Image, quality: u8) -> Vec<u8> {
     let mut scan = Scan::start(img, quality);
     for by in 0..img.height.div_ceil(8) {
         let rows = block_rows(img, by);
         for bx in 0..img.width.div_ceil(8) {
             let cols = block_cols(img, bx);
+            // A block wholly inside the raster reads each of its rows as
+            // one 24-byte slice; an edge block gathers its clamped columns.
+            let inside = 8 * (bx + 1) <= img.width;
             let mut ycc = [[0f32; 64]; 3];
+            let mut edge = [0u8; 24];
             for (dy, &row) in rows.iter().enumerate() {
-                for (dx, &col) in cols.iter().enumerate() {
-                    let p = 3 * (row + col);
-                    let (y, cb, cr) = rgb_to_ycbcr(img.rgb[p], img.rgb[p + 1], img.rgb[p + 2]);
+                let pixels = if inside {
+                    &img.rgb[3 * (row + 8 * bx)..][..24]
+                } else {
+                    for (px, &col) in edge.chunks_exact_mut(3).zip(&cols) {
+                        px.copy_from_slice(&img.rgb[3 * (row + col)..][..3]);
+                    }
+                    &edge
+                };
+                for (dx, px) in pixels.chunks_exact(3).enumerate() {
+                    let (y, cb, cr) = rgb_to_ycbcr(px[0], px[1], px[2]);
                     let i = 8 * dy + dx;
                     ycc[0][i] = y - 128.0;
                     ycc[1][i] = cb - 128.0;
@@ -344,11 +428,12 @@ fn block_cols(img: &Image, bx: usize) -> [usize; 8] {
 /// One baseline scan being written: the headers first, then each block's
 /// entropy-coded coefficients appended to the same buffer.
 struct Scan {
-    /// Quantisers in natural order, luma then chroma.
-    quant: [[u16; 64]; 2],
+    /// Quantisers in natural order as divisors (each `q as f32`, exact),
+    /// luma then chroma.
+    quant: [[f32; 64]; 2],
     /// DC and AC Huffman codes, luma then chroma.
-    dc: [Vec<(u16, u8)>; 2],
-    ac: [Vec<(u16, u8)>; 2],
+    dc: [[(u16, u8); 256]; 2],
+    ac: [[(u16, u8); 256]; 2],
     /// Last DC coefficient of each component.
     prev_dc: [i32; 3],
     bits: BitWriter,
@@ -356,6 +441,10 @@ struct Scan {
 
 impl Scan {
     /// Writes SOI through SOS for `img` at `quality`.
+    ///
+    /// # Panics
+    ///
+    /// If a dimension is 0 or does not fit SOF0's 16 bits.
     fn start(img: &Image, quality: u8) -> Scan {
         let qy = scaled_table(&Q_LUMA, quality);
         let qc = scaled_table(&Q_CHROMA, quality);
@@ -374,7 +463,7 @@ impl Scan {
             }
         }
         // SOF0: 8-bit, 3 components, 1x1 sampling (4:4:4).
-        let (w, h) = (img.width as u16, img.height as u16);
+        let (w, h) = (sof_dimension(img.width), sof_dimension(img.height));
         out.extend_from_slice(&[0xff, 0xc0, 0x00, 0x11, 0x08]);
         out.extend_from_slice(&h.to_be_bytes());
         out.extend_from_slice(&w.to_be_bytes());
@@ -398,7 +487,7 @@ impl Scan {
             0xff, 0xda, 0x00, 0x0c, 0x03, 1, 0x00, 2, 0x11, 3, 0x11, 0x00, 0x3f, 0x00,
         ]);
         Scan {
-            quant: [qy, qc],
+            quant: [qy, qc].map(|q| q.map(f32::from)),
             dc: [
                 build_encode_table(&DC_LUMA_BITS, &DC_LUMA_VALS),
                 build_encode_table(&DC_CHROMA_BITS, &DC_CHROMA_VALS),
@@ -418,21 +507,13 @@ impl Scan {
         let table = comp.min(1);
         let (q, dc, ac) = (&self.quant[table], &self.dc[table], &self.ac[table]);
         fdct(block);
-        // Quantize into zig-zag order.
-        let mut coeffs = [0i32; 64];
-        for i in 0..64 {
-            let nat = ZIGZAG[i];
-            coeffs[i] = (block[nat] / q[nat] as f32).round() as i32;
-        }
-        // DC.
+        let natural = quantise(block, q);
+        let coeffs: [i32; 64] = std::array::from_fn(|i| natural[ZIGZAG[i]]);
+        // DC: the category's code and the magnitude bits in one put.
         let diff = coeffs[0] - self.prev_dc[comp];
         self.prev_dc[comp] = coeffs[0];
         let cat = category(diff);
-        let (code, len) = dc[cat as usize];
-        self.bits.put(code, len);
-        if cat > 0 {
-            self.bits.put(magnitude_bits(diff), cat);
-        }
+        self.bits.put_coded(dc[cat as usize], diff, cat);
         // AC with run-length coding.
         let mut run = 0u8;
         for &cf in &coeffs[1..] {
@@ -441,21 +522,20 @@ impl Scan {
                 continue;
             }
             while run >= 16 {
-                let (zc, zl) = ac[0xf0]; // ZRL
-                self.bits.put(zc, zl);
+                self.bits.put_coded(ac[0xf0], 0, 0); // ZRL
                 run -= 16;
             }
             let cat = category(cf);
             let sym = (run << 4) | cat;
-            let (code, len) = ac[sym as usize];
-            debug_assert!(len > 0, "missing AC code for symbol {sym:#x}");
-            self.bits.put(code, len);
-            self.bits.put(magnitude_bits(cf), cat);
+            debug_assert!(
+                ac[sym as usize].1 > 0,
+                "missing AC code for symbol {sym:#x}"
+            );
+            self.bits.put_coded(ac[sym as usize], cf, cat);
             run = 0;
         }
         if run > 0 {
-            let (ec, el) = ac[0x00]; // EOB
-            self.bits.put(ec, el);
+            self.bits.put_coded(ac[0x00], 0, 0); // EOB
         }
     }
 
@@ -887,8 +967,10 @@ mod tests {
     }
 
     /// The plane-based encoder the in-place one must match byte for byte:
-    /// the whole image is converted to YCbCr planes first, and each block
-    /// is then read from the planes.
+    /// the whole image is converted to YCbCr planes first, each block is
+    /// then read from the planes, and it is quantised and coded by
+    /// [`reference_block`] into a [`ByteWriter`]. Only the headers and
+    /// the Huffman tables come from [`Scan::start`].
     fn encode_planes(img: &Image, quality: u8) -> Vec<u8> {
         let mut planes = [(); 3].map(|_| vec![0f32; img.width * img.height]);
         for (i, px) in img.rgb.chunks_exact(3).enumerate() {
@@ -897,7 +979,17 @@ mod tests {
             planes[1][i] = cb;
             planes[2][i] = cr;
         }
-        let mut scan = Scan::start(img, quality);
+        let Scan { dc, ac, bits, .. } = Scan::start(img, quality);
+        let quant = [
+            scaled_table(&Q_LUMA, quality),
+            scaled_table(&Q_CHROMA, quality),
+        ];
+        let mut out = ByteWriter {
+            out: bits.out,
+            acc: 0,
+            nbits: 0,
+        };
+        let mut prev_dc = [0i32; 3];
         for by in 0..img.height.div_ceil(8) {
             let rows = block_rows(img, by);
             for bx in 0..img.width.div_ceil(8) {
@@ -909,11 +1001,120 @@ mod tests {
                             *d = plane[row + col] - 128.0;
                         }
                     }
-                    scan.block(comp, &mut block);
+                    let t = comp.min(1);
+                    let tables = (&quant[t], &dc[t], &ac[t]);
+                    reference_block(&mut out, &mut prev_dc[comp], tables, &mut block);
                 }
             }
         }
-        scan.finish()
+        let mut jpg = out.finish();
+        jpg.extend_from_slice(&[0xff, 0xd9]);
+        jpg
+    }
+
+    /// The byte-at-a-time bit writer the word-wide one must match.
+    struct ByteWriter {
+        out: Vec<u8>,
+        acc: u32,
+        nbits: u32,
+    }
+
+    impl ByteWriter {
+        fn put(&mut self, code: u16, len: u8) {
+            self.acc = (self.acc << len) | (code as u32 & ((1 << len) - 1));
+            self.nbits += len as u32;
+            while self.nbits >= 8 {
+                let byte = ((self.acc >> (self.nbits - 8)) & 0xff) as u8;
+                self.out.push(byte);
+                if byte == 0xff {
+                    self.out.push(0x00);
+                }
+                self.nbits -= 8;
+            }
+        }
+
+        fn finish(mut self) -> Vec<u8> {
+            if self.nbits > 0 {
+                let pad = 8 - self.nbits;
+                self.put((1u16 << pad) - 1, pad as u8);
+            }
+            self.out
+        }
+    }
+
+    type Tables<'a> = (&'a [u16; 64], &'a [(u16, u8); 256], &'a [(u16, u8); 256]);
+
+    /// The block coder the encoder's must match: `f32::round` per
+    /// coefficient in zig-zag order, and each code and each magnitude
+    /// written by its own put.
+    fn reference_block(
+        out: &mut ByteWriter,
+        prev_dc: &mut i32,
+        (q, dc, ac): Tables,
+        block: &mut [f32; 64],
+    ) {
+        fdct(block);
+        let mut coeffs = [0i32; 64];
+        for i in 0..64 {
+            let nat = ZIGZAG[i];
+            coeffs[i] = (block[nat] / q[nat] as f32).round() as i32;
+        }
+        let diff = coeffs[0] - *prev_dc;
+        *prev_dc = coeffs[0];
+        let cat = category(diff);
+        let (code, len) = dc[cat as usize];
+        out.put(code, len);
+        if cat > 0 {
+            out.put(magnitude_bits(diff), cat);
+        }
+        let mut run = 0u8;
+        for &cf in &coeffs[1..] {
+            if cf == 0 {
+                run += 1;
+                continue;
+            }
+            while run >= 16 {
+                let (zc, zl) = ac[0xf0];
+                out.put(zc, zl);
+                run -= 16;
+            }
+            let cat = category(cf);
+            let (code, len) = ac[((run << 4) | cat) as usize];
+            out.put(code, len);
+            out.put(magnitude_bits(cf), cat);
+            run = 0;
+        }
+        if run > 0 {
+            let (ec, el) = ac[0x00];
+            out.put(ec, el);
+        }
+    }
+
+    /// Rasters of arbitrary bytes, 1..=97 pixels a side, in which some
+    /// 8×8 tiles are one flat colour: the noise drives large magnitude
+    /// categories and `0xFF` bytes to stuff, the flat tiles drive zero
+    /// runs and end-of-block codes.
+    fn noisy_raster() -> BoxedStrategy<Image> {
+        (1usize..=97, 1usize..=97).prop_flat_map(|(w, h)| {
+            let tiles = w.div_ceil(8) * h.div_ceil(8);
+            (
+                prop::collection::vec(any::<u8>(), 3 * w * h..3 * w * h + 1),
+                prop::collection::vec(any::<bool>(), tiles..tiles + 1),
+            )
+                .prop_map(move |(mut rgb, flat)| {
+                    for (i, px) in rgb.chunks_exact_mut(3).enumerate() {
+                        let tile = (i / w / 8) * w.div_ceil(8) + (i % w) / 8;
+                        if flat[tile] {
+                            px.copy_from_slice(&[tile as u8, 0xff, 0x80]);
+                        }
+                    }
+                    Image {
+                        width: w,
+                        height: h,
+                        rgb,
+                    }
+                })
+        })
     }
 
     fn to_block(v: Vec<f32>) -> [f32; 64] {
@@ -970,6 +1171,51 @@ mod tests {
             let img = Image::synthetic(w, h, seed);
             prop_assert_eq!(encode(&img, quality), encode_planes(&img, quality));
         }
+
+        #[test]
+        fn encode_is_byte_identical_on_noise(img in noisy_raster(), quality in 1u8..=100) {
+            prop_assert_eq!(encode(&img, quality), encode_planes(&img, quality));
+        }
+    }
+
+    #[test]
+    fn rounding_is_f32_round() {
+        let mut cases = vec![0.0f32, -0.0, 0.49999997, 2048.0];
+        for k in 0..=2048 {
+            let half = k as f32 + 0.5;
+            cases.extend([half.next_down(), half, half.next_up()]);
+        }
+        for v in cases.into_iter().flat_map(|v| [v, -v]) {
+            assert_eq!(round_half_away(v), v.round() as i32, "{v:e}");
+        }
+    }
+
+    #[test]
+    fn quantise_divides_exactly() {
+        // Coefficients on and next to each half step of every quantiser,
+        // where a reciprocal or a fused multiply would round differently.
+        for q in 1..=255u16 {
+            let qs = [f32::from(q); 64];
+            for k in -17i16..17 {
+                let half = (f32::from(k) + 0.5) * f32::from(q);
+                for v in [half.next_down(), half, half.next_up()] {
+                    let want = (v / f32::from(q)).round() as i32;
+                    assert_eq!(quantise(&[v; 64], &qs), [want; 64], "{v:e} / {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=65535")]
+    fn encode_rejects_a_side_sof0_cannot_hold() {
+        encode(&Image::new(70_000, 1), 75);
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=65535")]
+    fn encode_rejects_an_empty_image() {
+        encode(&Image::new(8, 0), 75);
     }
 
     #[test]

@@ -64,36 +64,41 @@ impl Image {
     /// The pattern is separable: each trigonometric term depends on x or
     /// on y alone, so it is evaluated once per column or once per row,
     /// with the same f32 expressions as a per-pixel evaluation and hence
-    /// the same bytes.
+    /// the same bytes. A row is computed one channel at a time into three
+    /// `width`-byte buffers, a straight run over columns that the
+    /// compiler vectorises, and the buffers are then interleaved into the
+    /// raster a word at a time.
+    ///
+    /// Every value the pattern produces lies in [0, 255]: red and green
+    /// are 255·(0.5 + 0.5·p) with |p| ≤ 1, blue is 255·fx·(1 − fy) with
+    /// both factors in [0, 1], and a rectangle's 255 − v maps [0, 255]
+    /// onto itself; no f32 rounding of these steps leaves the interval.
+    /// On [0, 256) the floor that `to_u8` computes is exactly `as u8`,
+    /// whose saturating conversion does not vectorise.
     pub fn synthetic(width: usize, height: usize, seed: u64) -> Image {
         let mut img = Image::new(width, height);
         let s1 = (seed & 0xff) as f32 / 255.0;
         let s2 = ((seed >> 8) & 0xff) as f32 / 255.0;
         // Per column: fx, the red channel's x term, and whether the
         // column crosses one of the hard-edged rectangles.
-        let columns: Vec<(f32, f32, bool)> = (0..width)
-            .map(|x| {
-                let fx = x as f32 / width.max(1) as f32;
-                let in_box = (x / 37) % 5 == (seed as usize) % 5;
-                (fx, (fx * 7.0 + s1 * 6.0).sin(), in_box)
-            })
+        let fx: Vec<f32> = (0..width).map(|x| x as f32 / width.max(1) as f32).collect();
+        let red_x: Vec<f32> = fx.iter().map(|&fx| (fx * 7.0 + s1 * 6.0).sin()).collect();
+        let box_cols: Vec<bool> = (0..width)
+            .map(|x| (x / 37) % 5 == (seed as usize) % 5)
             .collect();
+        let [mut r, mut g, mut b] = [(); 3].map(|_| vec![0u8; width]);
         for (y, row) in img.rgb.chunks_exact_mut(3 * width.max(1)).enumerate() {
             let fy = y as f32 / height.max(1) as f32;
             let red_y = (fy * 3.0).cos();
-            let g = 255.0 * (0.5 + 0.5 * ((fy * 9.0 + s2 * 4.0).sin()));
+            let green = 255.0 * (0.5 + 0.5 * ((fy * 9.0 + s2 * 4.0).sin()));
             // A few hard-edged rectangles for high-frequency content.
-            let box_row = (y / 23) % 3 == 0;
-            for (px, &(fx, red_x, box_col)) in row.chunks_exact_mut(3).zip(&columns) {
-                let r = 255.0 * (0.5 + 0.5 * (red_x * red_y));
-                let b = 255.0 * (fx * (1.0 - fy));
-                let (r, g, b) = if box_row && box_col {
-                    (255.0 - r, 255.0 - g, 255.0 - b)
-                } else {
-                    (r, g, b)
-                };
-                px.copy_from_slice(&[r as u8, g as u8, b as u8]);
-            }
+            let boxes = ((y / 23) % 3 == 0).then_some(&box_cols[..]);
+            fill_channel(&mut r, &red_x, boxes, |rx| {
+                255.0 * (0.5 + 0.5 * (rx * red_y))
+            });
+            fill_channel(&mut g, &fx, boxes, |_| green);
+            fill_channel(&mut b, &fx, boxes, |fx| 255.0 * (fx * (1.0 - fy)));
+            interleave(row, &r, &g, &b);
         }
         img
     }
@@ -106,49 +111,48 @@ impl Image {
     }
 
     /// Decodes a `P6` or `P3` PPM.
+    ///
+    /// The header's dimensions are untrusted: a raster size that
+    /// overflows `usize` is an error, and a `P3` decode reserves no more
+    /// samples than the rest of the input could hold.
     pub fn from_ppm(data: &[u8]) -> Result<Image, PpmError> {
         let mut toks = Tokens { data, pos: 0 };
         let magic = toks.token()?;
-        match magic {
-            b"P6" => {
-                let width = toks.int()? as usize;
-                let height = toks.int()? as usize;
-                let maxval = toks.int()?;
-                if maxval != 255 {
-                    return err(format!("unsupported maxval {maxval}"));
-                }
-                // Exactly one whitespace byte separates header and raster.
-                toks.pos += 1;
-                let need = 3 * width * height;
-                let raster = data
-                    .get(toks.pos..toks.pos + need)
-                    .ok_or_else(|| PpmError("truncated raster".into()))?;
-                Ok(Image {
-                    width,
-                    height,
-                    rgb: raster.to_vec(),
-                })
-            }
-            b"P3" => {
-                let width = toks.int()? as usize;
-                let height = toks.int()? as usize;
-                let maxval = toks.int()?;
-                if maxval != 255 {
-                    return err(format!("unsupported maxval {maxval}"));
-                }
-                let need = 3 * width * height;
-                let mut rgb = Vec::with_capacity(need);
-                for _ in 0..need {
-                    let v = toks.int()?;
-                    if v > 255 {
-                        return err(format!("sample {v} exceeds maxval"));
-                    }
-                    rgb.push(v as u8);
-                }
-                Ok(Image { width, height, rgb })
-            }
-            other => err(format!("bad magic {:?}", String::from_utf8_lossy(other))),
+        if magic != b"P6" && magic != b"P3" {
+            return err(format!("bad magic {:?}", String::from_utf8_lossy(magic)));
         }
+        let width = toks.int()? as usize;
+        let height = toks.int()? as usize;
+        let maxval = toks.int()?;
+        if maxval != 255 {
+            return err(format!("unsupported maxval {maxval}"));
+        }
+        let need = width
+            .checked_mul(height)
+            .and_then(|n| n.checked_mul(3))
+            .ok_or_else(|| PpmError(format!("{width}x{height} raster is too large")))?;
+        let rgb = if magic == b"P6" {
+            // Exactly one whitespace byte separates header and raster.
+            let start = toks.pos + 1;
+            start
+                .checked_add(need)
+                .and_then(|end| data.get(start..end))
+                .ok_or_else(|| PpmError("truncated raster".into()))?
+                .to_vec()
+        } else {
+            // Each sample takes a digit and all but the last a separator.
+            let room = (data.len() - toks.pos).div_ceil(2);
+            let mut rgb = Vec::with_capacity(need.min(room));
+            for _ in 0..need {
+                let v = toks.int()?;
+                if v > 255 {
+                    return err(format!("sample {v} exceeds maxval"));
+                }
+                rgb.push(v as u8);
+            }
+            rgb
+        };
+        Ok(Image { width, height, rgb })
     }
 
     /// Box-filter scale to `numer/8` of the original (numer in 1..=8),
@@ -203,6 +207,64 @@ fn box_span(o: usize, n: usize, len: usize) -> (usize, usize) {
     let lo = o * len / n;
     let hi = ((o + 1) * len).div_ceil(n).max(lo + 1).min(len);
     (lo, hi)
+}
+
+/// One channel of a [`Image::synthetic`] row: `out[x]` is
+/// `value(xs[x])`, or 255 minus it in the columns `boxes` marks, as a
+/// byte. `boxes` is `None` in rows that cross no rectangle, which then
+/// skip the selection.
+fn fill_channel(out: &mut [u8], xs: &[f32], boxes: Option<&[bool]>, value: impl Fn(f32) -> f32) {
+    match boxes {
+        Some(boxes) => {
+            for (o, (&x, &inside)) in out.iter_mut().zip(xs.iter().zip(boxes)) {
+                let v = value(x);
+                *o = to_u8(if inside { 255.0 - v } else { v });
+            }
+        }
+        None => {
+            for (o, &x) in out.iter_mut().zip(xs) {
+                *o = to_u8(value(x));
+            }
+        }
+    }
+}
+
+/// Interleaves one row's channels into RGB triples. Four pixels go out
+/// as three 32-bit words assembled in registers, which the baseline
+/// x86-64 target does faster than twelve byte stores; the row's last
+/// `width % 4` pixels go one at a time.
+fn interleave(row: &mut [u8], r: &[u8], g: &[u8], b: &[u8]) {
+    let (quads, tail) = row.as_chunks_mut::<12>();
+    let (r4, r_tail) = r.as_chunks::<4>();
+    let (g4, g_tail) = g.as_chunks::<4>();
+    let (b4, b_tail) = b.as_chunks::<4>();
+    for (out, ((r, g), b)) in quads.iter_mut().zip(r4.iter().zip(g4).zip(b4)) {
+        let [r, g, b] = [r, g, b].map(|c| u32::from_le_bytes(*c));
+        let byte = |c: u32, k: u32| (c >> (8 * k)) & 0xff;
+        // r0 g0 b0 r1 | g1 b1 r2 g2 | b2 r3 g3 b3
+        let w0 = byte(r, 0) | byte(g, 0) << 8 | byte(b, 0) << 16 | byte(r, 1) << 24;
+        let w1 = byte(g, 1) | byte(b, 1) << 8 | byte(r, 2) << 16 | byte(g, 2) << 24;
+        let w2 = byte(b, 2) | byte(r, 3) << 8 | byte(g, 3) << 16 | byte(b, 3) << 24;
+        out[..4].copy_from_slice(&w0.to_le_bytes());
+        out[4..8].copy_from_slice(&w1.to_le_bytes());
+        out[8..].copy_from_slice(&w2.to_le_bytes());
+    }
+    let pixels = tail.as_chunks_mut::<3>().0;
+    for (px, ((&r, &g), &b)) in pixels.iter_mut().zip(r_tail.iter().zip(g_tail).zip(b_tail)) {
+        *px = [r, g, b];
+    }
+}
+
+/// `v as u8` for `v` in [0, 256), the range of every value
+/// [`Image::synthetic`] converts, in operations that vectorise. Adding
+/// 2²³ leaves the nearest integer n to `v` in the low mantissa bits of
+/// `m` (its ulp is 1), and subtracting 1 where n > v turns that into
+/// ⌊v⌋, which is what `as u8` truncates to on this range. Below 0 it
+/// wraps where `as u8` saturates.
+fn to_u8(v: f32) -> u8 {
+    const TWO_23: f32 = 8_388_608.0;
+    let m = v + TWO_23;
+    (m.to_bits() as i32 - (m - TWO_23 > v) as i32) as u8
 }
 
 struct Tokens<'a> {
@@ -305,7 +367,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn synthetic_matches_reference(w in 1usize..97, h in 1usize..97, seed in any::<u64>()) {
+        fn synthetic_matches_reference(w in 1usize..=260, h in 1usize..97, seed in any::<u64>()) {
             prop_assert_eq!(Image::synthetic(w, h, seed), synthetic_reference(w, h, seed));
         }
 
@@ -333,6 +395,19 @@ mod tests {
         ) {
             let img = Image::synthetic(w, h, seed);
             prop_assert_eq!(img.resize_box(nw, nh), resize_box_reference(&img, nw, nh));
+        }
+    }
+
+    #[test]
+    fn to_u8_is_as_u8_on_the_synthesised_range() {
+        let mut cases = vec![256f32.next_down()];
+        for k in 0..=255u8 {
+            let v = k as f32;
+            cases.extend([v.next_down(), v, v.next_up()]);
+        }
+        // 0's lower neighbour is the one below the range.
+        for v in cases.into_iter().filter(|&v| v >= 0.0) {
+            assert_eq!(to_u8(v), v as u8, "{v:e}");
         }
     }
 
@@ -380,6 +455,21 @@ mod tests {
     fn truncated_raster_rejected() {
         let data = b"P6\n4 4\n255\nshort";
         assert!(Image::from_ppm(data).is_err());
+    }
+
+    #[test]
+    fn overflowing_dimensions_rejected() {
+        let e = Image::from_ppm(b"P6\n4294967295 4294967295\n255\n").unwrap_err();
+        assert!(e.0.contains("too large"), "{e}");
+        assert!(Image::from_ppm(b"P3\n4294967295 4294967295\n255\n1").is_err());
+    }
+
+    #[test]
+    fn p3_reserves_only_what_the_input_holds() {
+        // A 30 GB raster claimed by a 22-byte file: an error, not an
+        // allocation failure.
+        let e = Image::from_ppm(b"P3\n100000 100000\n255\n1").unwrap_err();
+        assert!(e.0.contains("end of header"), "{e}");
     }
 
     #[test]

@@ -5,6 +5,19 @@
 use flux_image::{jpeg_decode, jpeg_encode, jpeg_probe, psnr, Image, LfuCache};
 use proptest::prelude::*;
 
+/// A `P6` or `P3` header claiming any `u32` dimensions, over a short
+/// tail of arbitrary bytes: the raster sizes a hostile header can ask for.
+fn hostile_header() -> BoxedStrategy<Vec<u8>> {
+    let side = || prop_oneof![any::<u32>(), 0u32..4];
+    let tail = proptest::collection::vec(any::<u8>(), 0..64);
+    (any::<bool>(), side(), side(), tail).prop_map(|(p6, w, h, tail)| {
+        let magic = if p6 { "P6" } else { "P3" };
+        let mut data = format!("{magic}\n{w} {h}\n255\n").into_bytes();
+        data.extend(tail);
+        data
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -16,7 +29,9 @@ proptest! {
     }
 
     #[test]
-    fn ppm_decoder_total(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+    fn ppm_decoder_total(
+        data in prop_oneof![proptest::collection::vec(any::<u8>(), 0..256), hostile_header()],
+    ) {
         let _ = Image::from_ppm(&data); // never panics
     }
 
