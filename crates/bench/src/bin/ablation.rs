@@ -20,37 +20,13 @@
 //!    constraint-guided partitioner versus a constraint-blind
 //!    round-robin baseline, on the paper's image server and BitTorrent
 //!    programs.
-//! 12. **Pub/sub fan-out**: end-to-end fan-out latency percentiles of
-//!     the streaming pub/sub server — one paced publisher, N
-//!     subscribers of one topic, every `MSG` encoded once and
-//!     multicast as a refcounted shared payload — swept over
-//!     subscriber counts {64, 256, 1024}. Writes
-//!     `BENCH_pubsub_fanout.json` with server-side publish/delivery/
-//!     coalesce counters next to each point.
-//! 13. **Overload control**: the real-TCP web server under a C1M-shape
-//!     connection load — ~100k mostly-idle held connections (clamped
-//!     to the fd budget) plus an active keep-alive set driven by the
-//!     **open-loop** generator ([`flux_bench::run_open_loop`]), with
-//!     bounded shard queues, the accept governor and idle reaping all
-//!     armed. A capacity probe ramps the offered rate, then a 2x
-//!     overload phase must keep goodput near capacity, keep the p99 of
-//!     *admitted* requests bounded, and shed the excess as counted,
-//!     client-visible 503s — no silent drops. Writes
-//!     `BENCH_overload.json` with the server-side conservation check
-//!     (`offered == finished + shed`) and the memory envelope.
 //!
-//! Knobs: `FLUX_BENCH_SECS` (default 1.5 per point); `FLUX_BENCH_ONLY`
-//! (comma-separated ablation numbers, e.g. `FLUX_BENCH_ONLY=12`, default
-//! all); `FLUX_BENCH_QUICK=1` shrinks ablations 12/13 to one
-//! small point per mode (seconds, not minutes — the CI smoke legs that
-//! catch compile or panic regressions without a full sweep; quick JSON
-//! artifacts carry `"quick": true`).
+//! Knobs: `FLUX_BENCH_SECS` (default 1.5 per point) and
+//! `FLUX_BENCH_WORKERS` (thread-pool size, default 8).
 
 use flux_bench::{env_or, f, Table};
 use flux_core::model::ModelParams;
-use flux_runtime::{
-    start, FluxServer, NodeOutcome, NodeRegistry, OverloadPolicy, RuntimeKind, SourceOutcome,
-};
+use flux_runtime::{start, FluxServer, NodeOutcome, NodeRegistry, RuntimeKind, SourceOutcome};
 use flux_sim::{FluxSimulation, SimConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -157,7 +133,7 @@ fn run_io_pool(io_workers: usize, secs: f64) -> f64 {
         }
         SourceOutcome::New(0)
     });
-    reg.node_blocking("Io", |_| {
+    reg.node("Io", |_| {
         std::thread::sleep(Duration::from_millis(1)); // 1 ms blocking call
         NodeOutcome::Ok
     });
@@ -176,101 +152,6 @@ fn run_io_pool(io_workers: usize, secs: f64) -> f64 {
         std::thread::sleep(Duration::from_millis(10));
     }
     server.stats.finished() as f64 / t0.elapsed().as_secs_f64()
-}
-
-struct PubSubPoint {
-    report: flux_bench::PubSubLoadReport,
-    /// Server-side publishes seen by the Aggregate node (whole run, not
-    /// just the measurement window).
-    srv_publishes: u64,
-    srv_deliveries: u64,
-    coalesced: u64,
-    writes_shared: u64,
-    evicted: u64,
-}
-
-/// One pub/sub fan-out measurement: the streaming server on four
-/// dispatcher shards, one paced publisher, `subscribers` subscribers of
-/// a single topic.
-fn run_pubsub_fanout(subscribers: usize, publish_hz: f64, secs: f64) -> PubSubPoint {
-    use flux_bench::run_pubsub_load;
-    use flux_net::MemNet;
-
-    let net = MemNet::new();
-    let listener = net.listen("pubsub").unwrap();
-    let server =
-        flux_servers::ServerBuilder::new(flux_servers::pubsub::PubSubSpec::new(Box::new(listener)))
-            .runtime(RuntimeKind::event_driven_sharded(4, 4))
-            .spawn();
-    let report = run_pubsub_load(
-        &net,
-        "pubsub",
-        subscribers,
-        publish_hz,
-        Duration::from_secs_f64(secs),
-        Duration::from_secs_f64((secs / 4.0).clamp(0.25, 2.0)),
-    );
-    let ctx = &server.ctx;
-    let point = PubSubPoint {
-        srv_publishes: ctx.fanout.publishes.load(Ordering::Relaxed),
-        srv_deliveries: ctx.fanout.deliveries.load(Ordering::Relaxed),
-        coalesced: ctx.fanout.coalesced_publishes.load(Ordering::Relaxed),
-        writes_shared: ctx.driver.counters().writes_shared.load(Ordering::Relaxed),
-        evicted: ctx
-            .driver
-            .counters()
-            .slow_consumer_evicted
-            .load(Ordering::Relaxed),
-        report,
-    };
-    flux_servers::pubsub::stop(server);
-    point
-}
-
-/// JSON record for the pub/sub fan-out sweep: host_cores and the p99
-/// at the widest fan-out ride at the top per the perf-record protocol.
-fn pubsub_fanout_json(points: &[PubSubPoint], publish_hz: f64, quick: bool) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let widest = points.iter().max_by_key(|p| p.report.subscribers);
-    let mut headline = String::new();
-    if let Some(p) = widest {
-        headline.push_str(&format!(
-            "  \"fanout_p99_ms_at_{}_subscribers\": {:.3},\n",
-            p.report.subscribers,
-            p.report.p99_latency.as_secs_f64() * 1e3
-        ));
-    }
-    let mut out = format!(
-        "{{\n  \"bench\": \"pubsub_fanout\",\n  \"host_cores\": {cores},\n  \"quick\": {quick},\n  \"publish_hz\": {publish_hz},\n{headline}  \"points\": [\n"
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"subscribers\": {}, \"publishes\": {}, \"deliveries\": {}, \
-             \"deliveries_per_sec\": {:.1}, \"mean_ms\": {:.3}, \"p50_ms\": {:.3}, \
-             \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"errors\": {}, \
-             \"srv_publishes\": {}, \"srv_deliveries\": {}, \"coalesced_publishes\": {}, \
-             \"writes_shared\": {}, \"slow_consumer_evicted\": {}}}{}\n",
-            p.report.subscribers,
-            p.report.publishes,
-            p.report.deliveries,
-            p.report.deliveries_per_sec(),
-            p.report.mean_latency.as_secs_f64() * 1e3,
-            p.report.p50_latency.as_secs_f64() * 1e3,
-            p.report.p95_latency.as_secs_f64() * 1e3,
-            p.report.p99_latency.as_secs_f64() * 1e3,
-            p.report.errors,
-            p.srv_publishes,
-            p.srv_deliveries,
-            p.coalesced,
-            p.writes_shared,
-            p.evicted,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Predicted (conservative and session-aware) and measured throughput of
@@ -341,448 +222,45 @@ fn run_sessions(sessions: usize, workers: usize, secs: f64) -> (f64, f64, f64) {
     (conservative, aware, measured)
 }
 
-/// Ablation 13 (overload): one open-loop phase against the running web
-/// server. The generator connects and drives only the *active* set;
-/// the C1M-shape idle holders are kept alive separately by the caller
-/// so they persist across the probe and measurement phases.
-#[cfg(unix)]
-fn run_overload_phase(
-    addr: &str,
-    active: usize,
-    rate: f64,
-    secs: f64,
-    warm: f64,
-) -> flux_bench::OpenLoopReport {
-    flux_bench::run_open_loop(&flux_bench::OpenLoopConfig {
-        addr: addr.to_string(),
-        conns: active,
-        active,
-        rate,
-        duration: Duration::from_secs_f64(secs),
-        warmup: Duration::from_secs_f64(warm),
-        path: "/index.html".to_string(),
-        // A small arrival backlog models client patience: an arrival
-        // that cannot be assigned promptly is abandoned (counted), so
-        // admitted-request latency reflects the server, not an
-        // unbounded client queue.
-        queue_cap: (active / 4).max(32),
-    })
+/// Ablation 1: constraint granularity, predicted and measured.
+fn ablation_granularity(workers: usize, secs: f64) {
+    let mut t = Table::new(
+        "Ablation 1: constraint granularity (3-stage pipeline, 0.5 ms/node)",
+        &["granularity", "predicted_flows_s", "measured_flows_s"],
+    );
+    for g in ["none", "fine", "coarse", "readers"] {
+        let (p, m) = run_granularity(g, workers, secs);
+        eprintln!("# {g:>8}: predicted {} measured {}", f(p), f(m));
+        t.row(&[g.into(), f(p), f(m)]);
+    }
+    print!("{}", t.render());
+    println!();
+    println!("# coarse serializes the whole flow (worst); readers run fully parallel;");
+    println!("# fine writer locks pipeline between stages. The simulator predicts the order.");
+    println!();
 }
 
-/// Everything the overload record needs, gathered by the `should(13)`
-/// block; serialized by [`overload_json`].
-#[cfg(unix)]
-struct OverloadRecord {
-    quick: bool,
-    fd_limit: usize,
-    conns_requested: usize,
-    conns_held_idle: usize,
-    active: usize,
-    queue_cap: usize,
-    capacity_rps: f64,
-    p50_cap_ms: f64,
-    p99_cap_ms: f64,
-    over: flux_bench::OpenLoopReport,
-    p50_over_ms: f64,
-    p99_over_ms: f64,
-    server_offered: u64,
-    server_finished: u64,
-    server_shed: u64,
-    conservation_ok: bool,
-    accepts_admitted: u64,
-    accepts_governed: u64,
-    idle_reaped: u64,
-    writes_deferred: u64,
-    rss_after_hold_mb: f64,
-    rss_end_mb: f64,
+/// Ablation 2: event-runtime I/O pool size.
+fn ablation_io_pool(secs: f64) {
+    let mut t2 = Table::new(
+        "Ablation 2: event-runtime I/O pool size (1 ms blocking node)",
+        &["io_workers", "flows_s"],
+    );
+    for io in [1usize, 2, 4, 8, 16] {
+        let tput = run_io_pool(io, secs);
+        eprintln!("# io_workers={io:<3} {} flows/s", f(tput));
+        t2.row(&[io.to_string(), f(tput)]);
+    }
+    print!("{}", t2.render());
+    println!();
+    println!("# throughput scales with the pool until the 1 ms blocking call stops dominating —");
+    println!("# the paper's LD_PRELOAD shim had the same effective knob (outstanding async ops).");
+    println!();
 }
 
-#[cfg(unix)]
-fn overload_json(r: &OverloadRecord) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let goodput_ratio = if r.capacity_rps > 0.0 {
-        r.over.goodput_rps() / r.capacity_rps
-    } else {
-        0.0
-    };
-    let p99_ratio = if r.p99_cap_ms > 0.0 {
-        r.p99_over_ms / r.p99_cap_ms
-    } else {
-        0.0
-    };
-    format!(
-        "{{\n  \"bench\": \"overload_web_open_loop\",\n  \"host_cores\": {cores},\n  \
-         \"quick\": {},\n  \"fd_limit\": {},\n  \"conns_requested\": {},\n  \
-         \"conns_held_idle\": {},\n  \"active_conns\": {},\n  \"queue_cap_per_shard\": {},\n  \
-         \"note\": \"in-process client+server; on small hosts capacity is the pair's, \
-         not the server's alone\",\n  \
-         \"capacity_rps\": {:.1},\n  \"p50_at_capacity_ms\": {:.3},\n  \
-         \"p99_at_capacity_ms\": {:.3},\n  \"overload\": {{\n    \
-         \"offered_rps\": {:.1},\n    \"goodput_rps\": {:.1},\n    \
-         \"goodput_ratio_vs_capacity\": {:.3},\n    \"p50_ms\": {:.3},\n    \
-         \"p99_ms\": {:.3},\n    \"p99_ratio_vs_capacity\": {:.3},\n    \
-         \"client_ok\": {},\n    \"client_rejected_503\": {},\n    \"client_errors\": {},\n    \
-         \"client_abandoned\": {},\n    \"server_offered\": {},\n    \
-         \"server_finished\": {},\n    \"server_shed\": {},\n    \
-         \"conservation_ok\": {},\n    \"accepts_admitted\": {},\n    \
-         \"accepts_governed\": {},\n    \"idle_reaped\": {},\n    \
-         \"writes_deferred\": {}\n  }},\n  \"rss_after_hold_mb\": {:.1},\n  \
-         \"rss_end_mb\": {:.1}\n}}\n",
-        r.quick,
-        r.fd_limit,
-        r.conns_requested,
-        r.conns_held_idle,
-        r.active,
-        r.queue_cap,
-        r.capacity_rps,
-        r.p50_cap_ms,
-        r.p99_cap_ms,
-        r.over.offered_rps(),
-        r.over.goodput_rps(),
-        goodput_ratio,
-        r.p50_over_ms,
-        r.p99_over_ms,
-        p99_ratio,
-        r.over.ok,
-        r.over.rejected,
-        r.over.errors,
-        r.over.abandoned,
-        r.server_offered,
-        r.server_finished,
-        r.server_shed,
-        r.conservation_ok,
-        r.accepts_admitted,
-        r.accepts_governed,
-        r.idle_reaped,
-        r.writes_deferred,
-        r.rss_after_hold_mb,
-        r.rss_end_mb,
-    )
-}
-
-fn main() {
-    let secs: f64 = env_or("FLUX_BENCH_SECS", 1.5);
-    let workers = env_or("FLUX_BENCH_WORKERS", 8usize);
-    let only: String = std::env::var("FLUX_BENCH_ONLY").unwrap_or_default();
-    let should = |n: u32| only.is_empty() || only.split(',').any(|s| s.trim() == n.to_string());
-
-    if should(1) {
-        let mut t = Table::new(
-            "Ablation 1: constraint granularity (3-stage pipeline, 0.5 ms/node)",
-            &["granularity", "predicted_flows_s", "measured_flows_s"],
-        );
-        for g in ["none", "fine", "coarse", "readers"] {
-            let (p, m) = run_granularity(g, workers, secs);
-            eprintln!("# {g:>8}: predicted {} measured {}", f(p), f(m));
-            t.row(&[g.into(), f(p), f(m)]);
-        }
-        print!("{}", t.render());
-        println!();
-        println!("# coarse serializes the whole flow (worst); readers run fully parallel;");
-        println!("# fine writer locks pipeline between stages. The simulator predicts the order.");
-        println!();
-    }
-
-    if should(2) {
-        let mut t2 = Table::new(
-            "Ablation 2: event-runtime I/O pool size (1 ms blocking node)",
-            &["io_workers", "flows_s"],
-        );
-        for io in [1usize, 2, 4, 8, 16] {
-            let tput = run_io_pool(io, secs);
-            eprintln!("# io_workers={io:<3} {} flows/s", f(tput));
-            t2.row(&[io.to_string(), f(tput)]);
-        }
-        print!("{}", t2.render());
-        println!();
-        println!(
-            "# throughput scales with the pool until the 1 ms blocking call stops dominating —"
-        );
-        println!(
-            "# the paper's LD_PRELOAD shim had the same effective knob (outstanding async ops)."
-        );
-        println!();
-    }
-
-    let quick = std::env::var("FLUX_BENCH_QUICK").as_deref() == Ok("1");
-
-    if should(12) {
-        const PUBLISH_HZ: f64 = 200.0;
-        let secs12 = if quick { secs.min(0.3) } else { secs };
-        let subscriber_counts: &[usize] = if quick { &[16] } else { &[64, 256, 1024] };
-        let mut t12 = Table::new(
-            "Ablation 12: pub/sub fan-out — delivery latency vs subscriber count (MemNet, 200 publishes/s, 4 shards)",
-            &["subs", "deliv_s", "p50_ms", "p95_ms", "p99_ms", "coalesced"],
-        );
-        // Median-of-3 by p99 in full mode: tail latency is the product
-        // here, and single runs are at the mercy of scheduler noise.
-        let reps = if quick { 1 } else { 3 };
-        let mut ps_points: Vec<PubSubPoint> = Vec::new();
-        for &subs in subscriber_counts {
-            let mut runs: Vec<PubSubPoint> = (0..reps)
-                .map(|_| run_pubsub_fanout(subs, PUBLISH_HZ, secs12))
-                .collect();
-            runs.sort_by(|a, b| {
-                a.report
-                    .p99_latency
-                    .partial_cmp(&b.report.p99_latency)
-                    .unwrap()
-            });
-            let p = runs.remove(reps / 2);
-            eprintln!(
-                "# subs={subs:<5} {} deliveries/s p50 {:.3} ms p99 {:.3} ms ({} publishes, {} coalesced)",
-                f(p.report.deliveries_per_sec()),
-                p.report.p50_latency.as_secs_f64() * 1e3,
-                p.report.p99_latency.as_secs_f64() * 1e3,
-                p.report.publishes,
-                p.coalesced,
-            );
-            t12.row(&[
-                subs.to_string(),
-                f(p.report.deliveries_per_sec()),
-                format!("{:.3}", p.report.p50_latency.as_secs_f64() * 1e3),
-                format!("{:.3}", p.report.p95_latency.as_secs_f64() * 1e3),
-                format!("{:.3}", p.report.p99_latency.as_secs_f64() * 1e3),
-                p.coalesced.to_string(),
-            ]);
-            ps_points.push(p);
-        }
-        print!("{}", t12.render());
-        println!();
-        println!("# One publisher paces PUBs on a single topic; every subscriber receives each");
-        println!("# MSG. The server encodes the aggregate once per round and multicasts it as a");
-        println!("# refcounted shared payload, so the payload-copy count per publish is 1");
-        println!("# regardless of fan-out (writes_shared counts only buffer handles cloned).");
-        println!("# Latency is publish write to MSG arrival, timestamped in-process.");
-        println!();
-        let json = pubsub_fanout_json(&ps_points, PUBLISH_HZ, quick);
-        let json_path = if quick {
-            "BENCH_pubsub_fanout.quick.json"
-        } else {
-            "BENCH_pubsub_fanout.json"
-        };
-        match std::fs::write(json_path, &json) {
-            Ok(()) => eprintln!("# wrote {json_path}"),
-            Err(e) => eprintln!("# could not write {json_path}: {e}"),
-        }
-    }
-
-    #[cfg(unix)]
-    if should(13) {
-        use flux_net::{Listener as _, TcpAcceptor};
-        use std::sync::atomic::Ordering;
-
-        let secs13 = if quick { 0.5 } else { secs.max(1.5) };
-        let warm13 = if quick { 0.15 } else { 0.3 };
-        let active = if quick { 64usize } else { 256 };
-        let conns_requested: usize = if quick { 512 } else { 100_000 };
-        let fd_limit = flux_bench::fd_limit();
-        // Every loopback connection costs two fds in-process (client +
-        // server end); reserve headroom for the active set, the
-        // listener, the reactor and the docroot.
-        let budget = fd_limit.saturating_sub(512) / 2;
-        let hold_target = conns_requested.min(budget.saturating_sub(2 * active));
-        const QUEUE_CAP: usize = 16;
-
-        let mut docroot = flux_http::DocRoot::new();
-        let body: Vec<u8> = (0..512).map(|i| (i % 251) as u8).collect();
-        docroot.insert("/index.html", body);
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind loopback");
-        // Shed-and-close makes clients reconnect in bursts; a deep
-        // backlog keeps dropped-SYN retransmission stalls out of the
-        // measurement (the std default of 128 overflows between
-        // acceptor scheduling slices on a saturated 1-core host).
-        acceptor.set_backlog(4096).expect("raise listen backlog");
-        let addr = acceptor.local_addr();
-        let server = flux_servers::ServerBuilder::new(flux_servers::web::WebSpec::new(
-            Box::new(acceptor),
-            docroot,
-        ))
-        .runtime(RuntimeKind::event_driven_sharded(2, 2))
-        .overload(OverloadPolicy::bounded(QUEUE_CAP))
-        .max_conns(hold_target + 2 * active + 256)
-        .idle_timeout(Some(Duration::from_secs(60)))
-        .spawn();
-        let srv = server.handle.server().clone();
-
-        // The C1M shape: held, mostly-idle connections. They cost the
-        // server slab slots, fds and poller registrations but offer no
-        // load — the point is that admission, shedding and reaping keep
-        // working with the tables this big.
-        let mut held: Vec<std::net::TcpStream> = Vec::with_capacity(hold_target);
-        for _ in 0..hold_target {
-            match std::net::TcpStream::connect(&addr) {
-                Ok(s) => held.push(s),
-                Err(_) => break,
-            }
-        }
-        let rss_after_hold = flux_bench::rss_mb();
-        eprintln!(
-            "# holding {} idle connections (requested {conns_requested}, fd limit {fd_limit}), rss {rss_after_hold:.1} MiB",
-            held.len(),
-        );
-
-        // Capacity probe: capacity is the highest offered rate the
-        // server sustains *cleanly* — ≥95% of offered achieved with
-        // <1% rejects — found by doubling to the knee, then bisecting
-        // between the last clean and first shedding rate. (Peak
-        // goodput under shedding overshoots: 503-and-close churn makes
-        // it unsustainable, so it is the wrong overload baseline.)
-        let probe_secs = if quick { 0.3 } else { 0.8 };
-        let probe = |rate: f64| {
-            let r = run_overload_phase(&addr, active, rate, probe_secs, warm13);
-            let achieved = r.goodput_rps();
-            let clean =
-                achieved >= 0.95 * rate && (r.rejected as f64) < 0.01 * r.offered.max(1) as f64;
-            eprintln!(
-                "# probe: offered {} rps -> achieved {} rps, {} rejects{}",
-                f(rate),
-                f(achieved),
-                r.rejected,
-                if clean { "" } else { " (knee)" },
-            );
-            (achieved, clean)
-        };
-        let mut rate = if quick { 500.0 } else { 1_000.0 };
-        let mut clean_rate = 0.0f64;
-        let mut knee_rate = 0.0f64;
-        let mut first_achieved = 0.0f64;
-        loop {
-            let (achieved, clean) = probe(rate);
-            if first_achieved == 0.0 {
-                first_achieved = achieved;
-            }
-            if clean {
-                clean_rate = rate;
-                rate *= 2.0;
-                if rate >= 262_144.0 {
-                    break;
-                }
-            } else {
-                knee_rate = rate;
-                break;
-            }
-        }
-        if clean_rate > 0.0 && knee_rate > 0.0 {
-            for _ in 0..3 {
-                let mid = (clean_rate + knee_rate) / 2.0;
-                let (_, clean) = probe(mid);
-                if clean {
-                    clean_rate = mid;
-                } else {
-                    knee_rate = mid;
-                }
-            }
-        }
-        let capacity = if clean_rate > 0.0 {
-            clean_rate
-        } else {
-            first_achieved.max(1.0)
-        };
-
-        // At-capacity reference, then the 2x overload phase with
-        // server-side counters snapshotted around it.
-        let cap_run = run_overload_phase(&addr, active, capacity, secs13, warm13);
-        let (p50_cap, p99_cap) = (cap_run.percentile(0.50), cap_run.percentile(0.99));
-        let (shed0, fin0, off0) = (
-            srv.stats.total_shed(),
-            srv.stats.finished(),
-            srv.stats.overload.offered.load(Ordering::Relaxed),
-        );
-        let over = run_overload_phase(&addr, active, 2.0 * capacity, secs13, warm13);
-        let (p50_over, p99_over) = (over.percentile(0.50), over.percentile(0.99));
-        let shed = srv.stats.total_shed() - shed0;
-        let finished = srv.stats.finished() - fin0;
-        let offered_srv = srv.stats.overload.offered.load(Ordering::Relaxed) - off0;
-        let counters = srv
-            .stats
-            .net_counters()
-            .expect("web server installs net counters");
-        let rss_end = flux_bench::rss_mb();
-
-        let mut t13 = Table::new(
-            "Ablation 13: overload control — open-loop web load over held idle connections (TCP, bounded shard queues)",
-            &["phase", "offered_rps", "goodput_rps", "p50_ms", "p99_ms", "503s", "abandoned"],
-        );
-        for (name, r, p50, p99) in [
-            ("capacity", &cap_run, p50_cap, p99_cap),
-            ("2x overload", &over, p50_over, p99_over),
-        ] {
-            t13.row(&[
-                name.to_string(),
-                f(r.offered_rps()),
-                f(r.goodput_rps()),
-                format!("{:.3}", p50.as_secs_f64() * 1e3),
-                format!("{:.3}", p99.as_secs_f64() * 1e3),
-                r.rejected.to_string(),
-                r.abandoned.to_string(),
-            ]);
-        }
-        print!("{}", t13.render());
-        println!();
-        println!("# Open-loop arrivals (the schedule does not wait for completions), latency");
-        println!("# measured from *scheduled* arrival; only admitted (2xx) requests enter the");
-        println!("# percentiles. At 2x capacity the bounded shard queues shed the excess at the");
-        println!("# source boundary and the shed handler answers a prebuilt 503 — counted on");
-        println!("# both sides, so offered == finished + shed on the server and every client");
-        println!("# arrival lands in exactly one of ok/503/error/abandoned.");
-        println!();
-        eprintln!(
-            "# overload phase: server offered {offered_srv} = finished {finished} + shed {shed}; \
-             governed accepts {}, idle reaped {}, rss {rss_end:.1} MiB",
-            counters.accepts_governed(),
-            counters.idle_reaped(),
-        );
-
-        let conns_held_idle = held.len();
-        drop(held);
-        flux_servers::web::stop(server);
-        // Conservation is checked on the cumulative totals *after*
-        // shutdown — quiescent, so no event is in flight between the
-        // offered and finished counters.
-        let conservation_ok = srv.stats.overload.offered.load(Ordering::Relaxed)
-            == srv.stats.finished() + srv.stats.total_shed();
-
-        let record = OverloadRecord {
-            quick,
-            fd_limit,
-            conns_requested,
-            conns_held_idle,
-            active,
-            queue_cap: QUEUE_CAP,
-            capacity_rps: capacity,
-            p50_cap_ms: p50_cap.as_secs_f64() * 1e3,
-            p99_cap_ms: p99_cap.as_secs_f64() * 1e3,
-            p50_over_ms: p50_over.as_secs_f64() * 1e3,
-            p99_over_ms: p99_over.as_secs_f64() * 1e3,
-            over,
-            server_offered: offered_srv,
-            server_finished: finished,
-            server_shed: shed,
-            conservation_ok,
-            accepts_admitted: counters.accepts_admitted(),
-            accepts_governed: counters.accepts_governed(),
-            idle_reaped: counters.idle_reaped(),
-            writes_deferred: counters.writes_deferred(),
-            rss_after_hold_mb: rss_after_hold,
-            rss_end_mb: rss_end,
-        };
-        let json = overload_json(&record);
-        let json_path = if quick {
-            "BENCH_overload.quick.json"
-        } else {
-            "BENCH_overload.json"
-        };
-        match std::fs::write(json_path, &json) {
-            Ok(()) => eprintln!("# wrote {json_path}"),
-            Err(e) => eprintln!("# could not write {json_path}: {e}"),
-        }
-    }
-
-    if should(3) {
-        let mut t3 = Table::new(
+/// Ablation 3: conservative vs session-aware simulator.
+fn ablation_sessions(workers: usize, secs: f64) {
+    let mut t3 = Table::new(
         "Ablation 3: session-scoped constraints — conservative vs session-aware simulator (flows/s)",
         &[
             "sessions",
@@ -791,85 +269,93 @@ fn main() {
             "measured",
         ],
     );
-        for sessions in [1usize, 2, 4, 8, 16] {
-            let (cons, aware, meas) = run_sessions(sessions, workers, secs);
-            eprintln!(
-                "# sessions={sessions:<3} conservative {} aware {} measured {}",
-                f(cons),
-                f(aware),
-                f(meas)
-            );
-            t3.row(&[sessions.to_string(), f(cons), f(aware), f(meas)]);
-        }
-        print!("{}", t3.render());
-        println!();
-        println!(
-            "# the conservative prediction (paper §5.1) stays pinned at one-session throughput;"
+    for sessions in [1usize, 2, 4, 8, 16] {
+        let (cons, aware, meas) = run_sessions(sessions, workers, secs);
+        eprintln!(
+            "# sessions={sessions:<3} conservative {} aware {} measured {}",
+            f(cons),
+            f(aware),
+            f(meas)
         );
-        println!(
-            "# the session-aware extension (paper §8) tracks the measured scaling across sessions."
-        );
-        println!();
+        t3.row(&[sessions.to_string(), f(cons), f(aware), f(meas)]);
     }
+    print!("{}", t3.render());
+    println!();
+    println!("# the conservative prediction (paper §5.1) stays pinned at one-session throughput;");
+    println!(
+        "# the session-aware extension (paper §8) tracks the measured scaling across sessions."
+    );
+    println!();
+}
 
-    if should(4) {
-        let mut t4 = Table::new(
-            "Ablation 4: constraint-guided cluster placement vs round-robin",
-            &[
-                "program",
-                "machines",
-                "guided_cut_pct",
-                "guided_remote_locks_s",
-                "rr_cut_pct",
-                "rr_remote_locks_s",
-            ],
-        );
-        let programs: [(&str, &str, &[f64]); 2] = [
-            ("image", flux_core::fixtures::IMAGE_SERVER, &[0.86, 0.14]),
-            (
-                "bittorrent",
-                flux_servers::bt::FLUX_SRC,
-                &[0.55, 0.15, 0.08, 0.05, 0.05, 0.04, 0.03, 0.03, 0.01, 0.01],
-            ),
-        ];
-        for (name, src, probs) in programs {
-            let compiled = flux_core::compile(src).expect("placement program compiles");
-            let mut params = ModelParams::uniform(&compiled, 0.001, 0.01);
-            let dispatch = if name == "image" {
-                "Handler"
-            } else {
-                "HandleMessage"
+/// Ablation 4: constraint-guided placement vs round-robin.
+fn ablation_placement() {
+    let mut t4 = Table::new(
+        "Ablation 4: constraint-guided cluster placement vs round-robin",
+        &[
+            "program",
+            "machines",
+            "guided_cut_pct",
+            "guided_remote_locks_s",
+            "rr_cut_pct",
+            "rr_remote_locks_s",
+        ],
+    );
+    let programs: [(&str, &str, &[f64]); 2] = [
+        ("image", flux_core::fixtures::IMAGE_SERVER, &[0.86, 0.14]),
+        (
+            "bittorrent",
+            flux_servers::bt::FLUX_SRC,
+            &[0.55, 0.15, 0.08, 0.05, 0.05, 0.04, 0.03, 0.03, 0.01, 0.01],
+        ),
+    ];
+    for (name, src, probs) in programs {
+        let compiled = flux_core::compile(src).expect("placement program compiles");
+        let mut params = ModelParams::uniform(&compiled, 0.001, 0.01);
+        let dispatch = if name == "image" {
+            "Handler"
+        } else {
+            "HandleMessage"
+        };
+        params.set_dispatch_probs(&compiled, dispatch, probs);
+        for machines in [2usize, 4] {
+            let cfg = flux_core::PlaceConfig {
+                machines,
+                ..Default::default()
             };
-            params.set_dispatch_probs(&compiled, dispatch, probs);
-            for machines in [2usize, 4] {
-                let cfg = flux_core::PlaceConfig {
-                    machines,
-                    ..Default::default()
-                };
-                let guided = flux_core::place(&compiled, &params, &cfg).unwrap();
-                let rr = flux_core::round_robin(&compiled, &params, machines).unwrap();
-                eprintln!(
+            let guided = flux_core::place(&compiled, &params, &cfg).unwrap();
+            let rr = flux_core::round_robin(&compiled, &params, machines).unwrap();
+            eprintln!(
                 "# {name:>10} machines={machines}: guided cut {:.1}% remote {:.1}/s | rr cut {:.1}% remote {:.1}/s",
                 100.0 * guided.cut_fraction(),
                 guided.remote_lock_rate,
                 100.0 * rr.cut_fraction(),
                 rr.remote_lock_rate,
             );
-                t4.row(&[
-                    name.into(),
-                    machines.to_string(),
-                    format!("{:.1}", 100.0 * guided.cut_fraction()),
-                    f(guided.remote_lock_rate),
-                    format!("{:.1}", 100.0 * rr.cut_fraction()),
-                    f(rr.remote_lock_rate),
-                ]);
-            }
+            t4.row(&[
+                name.into(),
+                machines.to_string(),
+                format!("{:.1}", 100.0 * guided.cut_fraction()),
+                f(guided.remote_lock_rate),
+                format!("{:.1}", 100.0 * rr.cut_fraction()),
+                f(rr.remote_lock_rate),
+            ]);
         }
-        print!("{}", t4.render());
-        println!();
-        println!(
+    }
+    print!("{}", t4.render());
+    println!();
+    println!(
         "# constraints identify shared state (paper §8): colocating their footprints keeps every"
     );
-        println!("# lock machine-local and cuts cross-machine hand-offs by an order of magnitude.");
-    }
+    println!("# lock machine-local and cuts cross-machine hand-offs by an order of magnitude.");
+}
+
+fn main() {
+    let secs: f64 = env_or("FLUX_BENCH_SECS", 1.5);
+    let workers = env_or("FLUX_BENCH_WORKERS", 8usize);
+
+    ablation_granularity(workers, secs);
+    ablation_io_pool(secs);
+    ablation_sessions(workers, secs);
+    ablation_placement();
 }

@@ -11,15 +11,14 @@
 //! | `fig6_sim` | Figure 6 (simulator-predicted vs observed image server) |
 //! | `path_profile` | §5.2 (BitTorrent hot paths under 25/50/100 clients) |
 //! | `fig7_graph` | Figure 7 (the BitTorrent program graph, as DOT) |
-//! | `ablation` | extensions: constraint granularity and runtime sweeps |
+//! | `ablation` | §2.5.2 and §8: constraint granularity, I/O pool size, session-aware simulation, cluster placement |
 //!
-//! Run times scale with `FLUX_BENCH_SECS` / `FLUX_BENCH_FULL=1`.
+//! Run times scale with `FLUX_BENCH_SECS` / `FLUX_BENCH_FULL=1`. The
+//! end-to-end figures a change is judged by come from the repository
+//! benchmark (`benchmark/`), not from these binaries.
 
 pub mod btload;
 pub mod gameload;
-#[cfg(unix)]
-pub mod openloop;
-pub mod pubsubload;
 pub mod report;
 pub mod webload;
 pub mod webset;
@@ -27,9 +26,6 @@ pub mod zipf;
 
 pub use btload::{run_bt_load, BtLoadReport};
 pub use gameload::{run_game_load, GameLoadReport};
-#[cfg(unix)]
-pub use openloop::{fd_limit, rss_mb, run_open_loop, OpenLoopConfig, OpenLoopReport};
-pub use pubsubload::{run_pubsub_load, PubSubLoadReport};
 pub use report::{env_or, f, ms, Table};
 pub use webload::{percentile_ns, run_web_load, LoadReport};
 pub use webset::WebSet;

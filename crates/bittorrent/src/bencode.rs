@@ -15,6 +15,11 @@ pub enum Bencode {
     Dict(BTreeMap<Vec<u8>, Bencode>),
 }
 
+/// Lists and dictionaries nested deeper than this are rejected: the
+/// decoder recurses once per level, and real metainfo and tracker
+/// replies nest a handful of levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Decode failure with a byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BencodeError {
@@ -138,7 +143,7 @@ impl Bencode {
     /// bytes consumed (tracker responses may be embedded in streams).
     pub fn decode_prefix(data: &[u8]) -> Result<(Bencode, usize), BencodeError> {
         let mut pos = 0;
-        let v = parse(data, &mut pos)?;
+        let v = parse(data, &mut pos, 0)?;
         Ok((v, pos))
     }
 }
@@ -150,7 +155,10 @@ fn fail<T>(at: usize, msg: impl Into<String>) -> Result<T, BencodeError> {
     })
 }
 
-fn parse(data: &[u8], pos: &mut usize) -> Result<Bencode, BencodeError> {
+fn parse(data: &[u8], pos: &mut usize, depth: usize) -> Result<Bencode, BencodeError> {
+    if depth > MAX_DEPTH && matches!(data.get(*pos), Some(b'l' | b'd')) {
+        return fail(*pos, format!("nesting deeper than {MAX_DEPTH}"));
+    }
     match data.get(*pos) {
         None => fail(*pos, "unexpected end of input"),
         Some(b'i') => {
@@ -188,7 +196,7 @@ fn parse(data: &[u8], pos: &mut usize) -> Result<Bencode, BencodeError> {
                     *pos += 1;
                     return Ok(Bencode::List(items));
                 }
-                items.push(parse(data, pos)?);
+                items.push(parse(data, pos, depth + 1)?);
             }
         }
         Some(b'd') => {
@@ -201,7 +209,7 @@ fn parse(data: &[u8], pos: &mut usize) -> Result<Bencode, BencodeError> {
                     return Ok(Bencode::Dict(map));
                 }
                 let key_at = *pos;
-                let key = match parse(data, pos)? {
+                let key = match parse(data, pos, depth + 1)? {
                     Bencode::Bytes(b) => b,
                     _ => return fail(key_at, "dictionary key must be a byte string"),
                 };
@@ -210,7 +218,7 @@ fn parse(data: &[u8], pos: &mut usize) -> Result<Bencode, BencodeError> {
                         return fail(key_at, "dictionary keys out of order");
                     }
                 }
-                let value = parse(data, pos)?;
+                let value = parse(data, pos, depth + 1)?;
                 last_key = Some(key.clone());
                 map.insert(key, value);
             }
@@ -329,6 +337,21 @@ mod tests {
         let (v, used) = Bencode::decode_prefix(b"i1ejunk").unwrap();
         assert_eq!(v, Bencode::Int(1));
         assert_eq!(used, 3);
+    }
+
+    /// A megabyte of `l` is refused at the depth cap instead of
+    /// recursing until the stack overflows.
+    #[test]
+    fn deep_nesting_rejected() {
+        let err = Bencode::decode(&vec![b'l'; 1 << 20]).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH + 1);
+        assert!(err.msg.contains("nesting"), "{err}");
+        let mut deepest = vec![b'l'; MAX_DEPTH + 1];
+        deepest.extend(vec![b'e'; MAX_DEPTH + 1]);
+        assert!(Bencode::decode(&deepest).is_ok());
+        let mut too_deep = vec![b'l'; MAX_DEPTH + 2];
+        too_deep.extend(vec![b'e'; MAX_DEPTH + 2]);
+        assert!(Bencode::decode(&too_deep).is_err());
     }
 
     #[test]

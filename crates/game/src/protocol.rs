@@ -83,6 +83,11 @@ pub fn decode_snapshot(data: &[u8]) -> Option<Snapshot> {
     let tick = u64::from_be_bytes(data.get(1..9)?.try_into().ok()?);
     let it_raw = u32::from_be_bytes(data.get(9..13)?.try_into().ok()?);
     let n = u32::from_be_bytes(data.get(13..17)?.try_into().ok()?) as usize;
+    // Each player is 12 bytes: a count the datagram cannot hold is
+    // rejected before it sizes an allocation.
+    if n > (data.len() - 17) / 12 {
+        return None;
+    }
     let mut players = Vec::with_capacity(n);
     for i in 0..n {
         let base = 17 + 12 * i;
@@ -159,5 +164,27 @@ mod tests {
         };
         let enc = encode_snapshot(&s);
         assert_eq!(decode_snapshot(&enc[..enc.len() - 1]), None);
+    }
+
+    /// A 17-byte datagram claiming `u32::MAX` players is rejected; it
+    /// must not size a `Vec` of four billion entries.
+    #[test]
+    fn player_count_beyond_datagram_rejected() {
+        let mut enc = encode_snapshot(&Snapshot {
+            tick: 1,
+            it: None,
+            players: Vec::new(),
+        });
+        assert_eq!(enc.len(), 17);
+        enc[13..17].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(decode_snapshot(&enc), None);
+        // A count one past what the bytes hold is rejected too.
+        let mut one = encode_snapshot(&Snapshot {
+            tick: 1,
+            it: None,
+            players: vec![(1, Pos { x: 1, y: 1 })],
+        });
+        one[13..17].copy_from_slice(&2u32.to_be_bytes());
+        assert_eq!(decode_snapshot(&one), None);
     }
 }

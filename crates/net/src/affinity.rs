@@ -1,11 +1,11 @@
 //! CPU affinity for the reactor thread (Linux `sched_setaffinity`, raw
 //! FFI — the offline build has no `libc` crate).
 //!
-//! Pinning is on by default when the host has more than one core and
-//! can be disabled with `FLUX_PIN=0`. The runtime crate carries a
-//! sibling copy of this ~40-line shim for its dispatcher shards; the
-//! two crates are deliberately independent (neither depends on the
-//! other), so the FFI glue is duplicated rather than shared.
+//! Pinning is on whenever the host has more than one core; there is no
+//! opt-out. The runtime crate carries a sibling copy of this ~40-line
+//! shim for its dispatcher shards; the two crates are deliberately
+//! independent (neither depends on the other), so the FFI glue is
+//! duplicated rather than shared.
 
 /// Number of hardware threads on this host.
 pub fn host_cores() -> usize {
@@ -14,10 +14,9 @@ pub fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// True when thread pinning should be attempted: more than one core
-/// and not opted out via `FLUX_PIN=0`.
+/// True when thread pinning should be attempted: more than one core.
 pub fn should_pin() -> bool {
-    host_cores() > 1 && std::env::var("FLUX_PIN").as_deref() != Ok("0")
+    host_cores() > 1
 }
 
 #[cfg(target_os = "linux")]

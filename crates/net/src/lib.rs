@@ -87,8 +87,8 @@
 //!   policy) rather than buffering without limit.
 //!
 //! On multi-core hosts the reactor thread pins itself to a core
-//! ([`affinity`]; opt out with `FLUX_PIN=0`), matching the runtime's
-//! pinned dispatcher shards.
+//! ([`affinity`]), matching the runtime's pinned dispatcher shards.
+//! Pinning has no opt-out.
 //!
 //! ## Overload invariants
 //!
@@ -99,11 +99,9 @@
 //! * **Accept governing.** [`NetConfig::max_conns`] bounds live
 //!   connections — past it an accepted socket is closed immediately
 //!   (peers fail fast instead of parking in a backlog the server will
-//!   never drain) — and [`NetConfig::accept_rate`] token-buckets the
-//!   accept loop, *pacing* admission (the socket waits for a token)
-//!   rather than rejecting. Both run on the acceptor thread, which
+//!   never drain). The check runs on the acceptor thread, which
 //!   otherwise waits in the kernel for the next connection, so an
-//!   ungoverned accept costs no timer. Both are counted
+//!   ungoverned accept costs no timer. Both outcomes are counted
 //!   ([`DriverCounters::accepts_governed`] vs
 //!   [`DriverCounters::accepts_admitted`]), so `admitted + governed`
 //!   always reconciles with accepts observed.
@@ -137,6 +135,7 @@ pub mod traits;
 
 pub use driver::{
     token_gen, token_slot, ConnDriver, DriverCounters, DriverEvent, NetConfig, SharedConn, Token,
+    IO_TIMEOUT,
 };
 pub use mem::{MemConn, MemDatagram, MemListener, MemNet};
 #[cfg(target_os = "linux")]

@@ -63,7 +63,7 @@
 //! immediately. [`Reactor::stop`] joins the thread, which exits
 //! promptly on the self-pipe wakeup, so no reactor thread can outlive
 //! the driver that spawned it. On multi-core hosts the thread pins
-//! itself to the last core (`FLUX_PIN=0` opts out).
+//! itself to the last core.
 
 #![cfg(unix)]
 

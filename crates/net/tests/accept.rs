@@ -1,8 +1,7 @@
 //! The TCP accept edge waits in the kernel: a connect reaches the
 //! event stream as `Incoming` without a sleep in between, and a burst
 //! of connects is drained whole. (The acceptor's own timeout semantics
-//! are unit-tested in `tcp.rs`; governor, token bucket and error
-//! back-off in `driver.rs`.)
+//! are unit-tested in `tcp.rs`; the error back-off in `driver.rs`.)
 
 #![cfg(unix)]
 

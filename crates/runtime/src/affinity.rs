@@ -1,10 +1,10 @@
 //! CPU affinity for dispatcher shards (Linux `sched_setaffinity`, raw
 //! FFI — the offline build has no `libc` crate).
 //!
-//! Pinning is on by default when the host has more than one core and
-//! can be disabled with `FLUX_PIN=0`. Shard `N` pins to core
-//! `N mod host_cores`, so session-affine queues stop bouncing between
-//! caches under steal-heavy load. The net crate carries a sibling copy
+//! Pinning is on whenever the host has more than one core; there is no
+//! opt-out. Shard `N` pins to core `N mod host_cores`, so
+//! session-affine queues stop bouncing between caches under
+//! steal-heavy load. The net crate carries a sibling copy
 //! of this ~40-line shim for its reactor thread; the two crates are
 //! deliberately independent (neither depends on the other), so the FFI
 //! glue is duplicated rather than shared.
@@ -16,10 +16,9 @@ pub fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// True when thread pinning should be attempted: more than one core
-/// and not opted out via `FLUX_PIN=0`.
+/// True when thread pinning should be attempted: more than one core.
 pub fn should_pin() -> bool {
-    host_cores() > 1 && std::env::var("FLUX_PIN").as_deref() != Ok("0")
+    host_cores() > 1
 }
 
 #[cfg(target_os = "linux")]

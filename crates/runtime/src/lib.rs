@@ -16,7 +16,7 @@
 //! provably awake. [`ShardStat::batches`]/[`ShardStat::batch_events`]
 //! expose the amortization factor, and on multi-core hosts each
 //! `flux-shard-N` thread pins itself to core `N mod host_cores`
-//! ([`affinity`]; opt out with `FLUX_PIN=0`), with the resulting state
+//! ([`affinity`]), with the resulting state
 //! recorded in [`ServerStats::pinning`].
 //!
 //! ## Overload invariants

@@ -594,7 +594,7 @@ fn start_event_driven<P: Send + 'static>(
     );
     ost.offered.store(0, Ordering::Relaxed);
 
-    // Core pinning (opt out with FLUX_PIN=0): shard N takes core
+    // Core pinning on multi-core hosts: shard N takes core
     // N mod host_cores, so session-affine queues stay cache-local. The
     // state lands in ServerStats so bench artifacts can record whether
     // a measurement ran pinned.

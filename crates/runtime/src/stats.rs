@@ -272,7 +272,7 @@ impl OverloadStat {
 /// with core affinity.
 #[derive(Debug, Default)]
 pub struct PinningStat {
-    /// Pinning was attempted (multi-core host, `FLUX_PIN` not `0`).
+    /// Pinning was attempted (multi-core host).
     pub enabled: std::sync::atomic::AtomicBool,
     /// Hardware threads observed at start.
     pub host_cores: AtomicU64,

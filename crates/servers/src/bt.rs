@@ -24,7 +24,7 @@
 use crate::builder::{RunningServer, ServerSpec};
 use flux_bittorrent::{Handshake, Message, Metainfo, PieceStore};
 use flux_core::CompiledProgram;
-use flux_net::{ConnDriver, DriverEvent, Listener, NetConfig, SharedConn, Token};
+use flux_net::{ConnDriver, DriverEvent, Listener, NetConfig, SharedConn, Token, IO_TIMEOUT};
 use flux_runtime::{NodeOutcome, NodeRegistry, SourceOutcome};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -32,108 +32,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The Flux program (~84 lines in the paper's Table 1).
-pub const FLUX_SRC: &str = r#"
-    Listen () => (int token, bool isnew);
-    GetClients (int token, bool isnew) => (int token, bool isnew);
-    SelectSockets (int token, bool isnew) => (int token, bool isnew);
-    CheckSockets (int token, bool isnew)
-      => (int token, bool isnew, bt_message *msg);
-
-    AcceptHandshake (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    SendBitfield (int token, bool isnew, bt_message *msg) => ();
-
-    ReadMessage (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    Request (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    Piece (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    Have (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    Bitfield (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    Interested (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    Uninterested (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    Choke (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    Unchoke (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    Cancel (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    UnknownMessage (int token, bool isnew, bt_message *msg)
-      => (int token, bool isnew, bt_message *msg);
-    MessageDone (int token, bool isnew, bt_message *msg) => ();
-    DropPeer (int token, bool isnew, bt_message *msg) => ();
-
-    TrackerTimer () => (int tick);
-    CheckinWithTracker (int tick) => (int tick);
-    SendRequestToTracker (int tick) => (int tick, tracker_response *resp);
-    GetTrackerResponse (int tick, tracker_response *resp) => ();
-
-    ChokeTimer () => (int tick);
-    UpdateChokeList (int tick) => (int tick);
-    PickChoked (int tick) => (int tick);
-    SendChokeUnchoke (int tick) => ();
-
-    KeepAliveTimer () => (int tick);
-    SendKeepAlives (int tick) => ();
-
-    typedef is_request IsRequest;
-    typedef is_piece IsPiece;
-    typedef is_have IsHave;
-    typedef is_bitfield IsBitfield;
-    typedef is_interested IsInterested;
-    typedef is_uninterested IsUninterested;
-    typedef is_choke IsChoke;
-    typedef is_unchoke IsUnchoke;
-    typedef is_cancel IsCancel;
-    typedef is_new IsNew;
-
-    source Listen => Peer;
-    Peer = GetClients -> SelectSockets -> CheckSockets -> Work;
-    Work:[_, is_new, _] = AcceptHandshake -> SendBitfield;
-    Work:[_, _, _] = Message;
-    Message = ReadMessage -> HandleMessage -> MessageDone;
-    HandleMessage:[_, _, is_request] = Request;
-    HandleMessage:[_, _, is_piece] = Piece;
-    HandleMessage:[_, _, is_have] = Have;
-    HandleMessage:[_, _, is_bitfield] = Bitfield;
-    HandleMessage:[_, _, is_interested] = Interested;
-    HandleMessage:[_, _, is_uninterested] = Uninterested;
-    HandleMessage:[_, _, is_choke] = Choke;
-    HandleMessage:[_, _, is_unchoke] = Unchoke;
-    HandleMessage:[_, _, is_cancel] = Cancel;
-    HandleMessage:[_, _, _] = UnknownMessage;
-
-    source TrackerTimer => Announce;
-    Announce = CheckinWithTracker -> SendRequestToTracker -> GetTrackerResponse;
-
-    source ChokeTimer => Choking;
-    Choking = UpdateChokeList -> PickChoked -> SendChokeUnchoke;
-
-    source KeepAliveTimer => KeepAlive;
-    KeepAlive = SendKeepAlives;
-
-    handle error ReadMessage => DropPeer;
-    handle error AcceptHandshake => DropPeer;
-    handle error UnknownMessage => DropPeer;
-
-    atomic GetClients: {clients?};
-    atomic AcceptHandshake: {clients};
-    atomic DropPeer: {clients};
-    atomic SendKeepAlives: {clients?};
-    atomic SendChokeUnchoke: {clients?};
-    atomic UpdateChokeList: {choking};
-    atomic PickChoked: {choking};
-
-    blocking CheckSockets;
-    blocking ReadMessage;
-    blocking SendRequestToTracker;
-"#;
+/// The Flux program (~84 lines in the paper's Table 1): the text of
+/// `programs/bittorrent.flux`.
+pub const FLUX_SRC: &str = include_str!("../../../programs/bittorrent.flux");
 
 /// Per-flow payload.
 pub struct BtFlow {
@@ -219,7 +120,6 @@ pub fn build(
     let program = flux_core::compile(FLUX_SRC).expect("BitTorrent Flux program compiles");
     let driver = Arc::new(ConnDriver::with_config(net));
     driver.spawn_acceptor(config.listener);
-    let io_timeout = net.io_timeout;
     let store = PieceStore::new(config.meta, config.file).expect("seed file matches metainfo");
     let ctx = Arc::new(BtCtx {
         driver,
@@ -243,7 +143,7 @@ pub fn build(
         if !c.running.load(Ordering::SeqCst) {
             return SourceOutcome::Shutdown;
         }
-        match c.driver.next_event(io_timeout) {
+        match c.driver.next_event(IO_TIMEOUT) {
             None => SourceOutcome::Skip,
             Some(DriverEvent::Incoming(token)) => {
                 SourceOutcome::New(BtFlow::empty(token, true, c.driver.get(token)))
@@ -278,7 +178,7 @@ pub fn build(
     // "no outstanding chunk requests" — the paper's most frequent path,
     // which exits with an error right here.
     let c = ctx.clone();
-    reg.node_blocking("CheckSockets", move |f: &mut BtFlow| {
+    reg.node("CheckSockets", move |f: &mut BtFlow| {
         if f.isnew {
             return NodeOutcome::Ok;
         }
@@ -531,7 +431,7 @@ pub fn build(
     );
     reg.node("CheckinWithTracker", |_f: &mut BtFlow| NodeOutcome::Ok);
     let c = ctx.clone();
-    reg.node_blocking("SendRequestToTracker", move |_f: &mut BtFlow| {
+    reg.node("SendRequestToTracker", move |_f: &mut BtFlow| {
         let Some(mut conn) = (c.tracker_dial)() else {
             return NodeOutcome::Err(1);
         };

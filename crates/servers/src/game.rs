@@ -10,7 +10,7 @@
 use crate::builder::{RunningServer, ServerSpec};
 use flux_core::CompiledProgram;
 use flux_game::{encode_snapshot, ClientMsg, Snapshot, World, TICK_MS};
-use flux_net::{ConnDriver, Datagram, NetConfig};
+use flux_net::{ConnDriver, Datagram, NetConfig, IO_TIMEOUT};
 use flux_runtime::{NodeOutcome, NodeRegistry, SourceOutcome};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -18,40 +18,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The Flux program (~54 lines in the paper's Table 1).
-pub const FLUX_SRC: &str = r#"
-    ReceiveMove () => (game_msg *m);
-    AddPlayer (game_msg *m) => ();
-    RemovePlayer (game_msg *m) => ();
-    Validate (game_msg *m) => (game_msg *m);
-    ApplyMove (game_msg *m) => ();
-    BadMove (game_msg *m) => ();
-
-    Tick () => (int tick);
-    ComputeState (int tick) => (game_state *s);
-    Broadcast (game_state *s) => ();
-
-    typedef is_join IsJoin;
-    typedef is_leave IsLeave;
-
-    source ReceiveMove => MoveFlow;
-    MoveFlow:[is_join] = AddPlayer;
-    MoveFlow:[is_leave] = RemovePlayer;
-    MoveFlow:[_] = Validate -> ApplyMove;
-
-    source Tick => TickFlow;
-    TickFlow = ComputeState -> Broadcast;
-
-    handle error Validate => BadMove;
-
-    atomic AddPlayer: {clients, world};
-    atomic RemovePlayer: {clients, world};
-    atomic ApplyMove: {world};
-    atomic ComputeState: {world};
-    atomic Broadcast: {clients?};
-
-    blocking Broadcast;
-"#;
+/// The Flux program (~54 lines in the paper's Table 1): the text of
+/// `programs/game_server.flux`.
+pub const FLUX_SRC: &str = include_str!("../../../programs/game_server.flux");
 
 /// Per-flow payload.
 pub struct GameFlow {
@@ -87,8 +56,10 @@ impl ServerSpec for GameConfig {
     type Flow = GameFlow;
     type Ctx = Arc<GameCtx>;
 
-    fn build(self, net: &NetConfig) -> (CompiledProgram, NodeRegistry<GameFlow>, Arc<GameCtx>) {
-        build(self, net)
+    /// A datagram server has no connection driver, so `NetConfig` has
+    /// nothing to configure here.
+    fn build(self, _net: &NetConfig) -> (CompiledProgram, NodeRegistry<GameFlow>, Arc<GameCtx>) {
+        build(self)
     }
 
     /// The game server speaks datagrams directly; there is no
@@ -98,14 +69,11 @@ impl ServerSpec for GameConfig {
     }
 }
 
-/// Builds the compiled program, registry and context. `net.io_timeout`
-/// bounds how long `ReceiveMove` blocks per datagram poll.
-pub fn build(
-    config: GameConfig,
-    net: &NetConfig,
-) -> (CompiledProgram, NodeRegistry<GameFlow>, Arc<GameCtx>) {
+/// Builds the compiled program, registry and context.
+/// [`flux_net::IO_TIMEOUT`] bounds how long `ReceiveMove` blocks per
+/// datagram poll.
+pub fn build(config: GameConfig) -> (CompiledProgram, NodeRegistry<GameFlow>, Arc<GameCtx>) {
     let program = flux_core::compile(FLUX_SRC).expect("game server Flux program compiles");
-    let io_timeout = net.io_timeout;
     let ctx = Arc::new(GameCtx {
         socket: config.socket,
         world: Mutex::new(World::new(config.seed)),
@@ -128,7 +96,7 @@ pub fn build(
             return SourceOutcome::Shutdown;
         }
         let mut buf = [0u8; 256];
-        match c.socket.recv_from(&mut buf, Some(io_timeout)) {
+        match c.socket.recv_from(&mut buf, Some(IO_TIMEOUT)) {
             Ok(Some((n, from))) => match ClientMsg::decode(&buf[..n]) {
                 Some(msg) => SourceOutcome::New(GameFlow {
                     msg: Some(msg),
@@ -222,7 +190,7 @@ pub fn build(
     });
 
     let c = ctx.clone();
-    reg.node_blocking("Broadcast", move |f: &mut GameFlow| {
+    reg.node("Broadcast", move |f: &mut GameFlow| {
         let snap = f.snapshot.as_ref().expect("ComputeState ran");
         let wire = encode_snapshot(snap);
         let clients = c.clients.lock();

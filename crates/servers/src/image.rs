@@ -21,48 +21,16 @@ use crate::builder::{RunningServer, ServerSpec};
 use flux_core::CompiledProgram;
 use flux_http::{read_request, ParseError, Response};
 use flux_image::{jpeg_encode, Image, LfuCache};
-use flux_net::{ConnDriver, DriverEvent, Listener, NetConfig, SharedConn, Token};
+use flux_net::{ConnDriver, DriverEvent, Listener, NetConfig, SharedConn, Token, IO_TIMEOUT};
 use flux_runtime::{NodeOutcome, NodeRegistry, SourceOutcome};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Figure 2, with the handler/blocking declarations spelled out.
-pub const FLUX_SRC: &str = r#"
-    Listen () => (int socket);
-    ReadRequest (int socket)
-      => (int socket, bool close, image_tag *request);
-    CheckCache (int socket, bool close, image_tag *request)
-      => (int socket, bool close, image_tag *request);
-    ReadInFromDisk (int socket, bool close, image_tag *request)
-      => (int socket, bool close, image_tag *request, __u8 *rgb_data);
-    StoreInCache (int socket, bool close, image_tag *request)
-      => (int socket, bool close, image_tag *request);
-    Compress (int socket, bool close, image_tag *request, __u8 *rgb_data)
-      => (int socket, bool close, image_tag *request);
-    Write (int socket, bool close, image_tag *request)
-      => (int socket, bool close, image_tag *request);
-    Complete (int socket, bool close, image_tag *request) => ();
-    FourOhFour (int socket, bool close, image_tag *request) => ();
-
-    source Listen => Image;
-
-    Image = ReadRequest -> CheckCache -> Handler -> Write -> Complete;
-
-    typedef hit TestInCache;
-    Handler:[_, _, hit] = ;
-    Handler:[_, _, _] = ReadInFromDisk -> Compress -> StoreInCache;
-
-    handle error ReadInFromDisk => FourOhFour;
-
-    atomic CheckCache:{cache};
-    atomic StoreInCache:{cache};
-    atomic Complete:{cache};
-
-    blocking ReadRequest;
-    blocking Write;
-"#;
+/// Figure 2, with the handler/blocking declarations spelled out: the
+/// text of `programs/image_server.flux`.
+pub const FLUX_SRC: &str = include_str!("../../../programs/image_server.flux");
 
 /// One image request: image id and scale (numerator of eighths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -195,7 +163,6 @@ pub fn build_with(
     net: &NetConfig,
 ) -> (CompiledProgram, NodeRegistry<ImageFlow>, Arc<ImageCtx>) {
     let program = flux_core::compile(FLUX_SRC).expect("image server Flux program compiles");
-    let io_timeout = net.io_timeout;
     let driver = match &config.source {
         ImageSource::Net(_) => Some(Arc::new(ConnDriver::with_config(net))),
         ImageSource::Synthetic { .. } => None,
@@ -220,7 +187,7 @@ pub fn build_with(
             let c = ctx.clone();
             reg.source("Listen", move || {
                 let d = c.driver.as_ref().expect("net mode");
-                match d.next_event(io_timeout) {
+                match d.next_event(IO_TIMEOUT) {
                     None => SourceOutcome::Skip,
                     Some(DriverEvent::Incoming(token)) => {
                         d.arm(token);
@@ -240,7 +207,7 @@ pub fn build_with(
                 }
             });
             let c = ctx.clone();
-            reg.node_blocking("ReadRequest", move |f: &mut ImageFlow| {
+            reg.node("ReadRequest", move |f: &mut ImageFlow| {
                 let Some(conn) = f.conn.clone() else {
                     return NodeOutcome::Err(1);
                 };
@@ -296,7 +263,7 @@ pub fn build_with(
             });
 
             let c = ctx.clone();
-            reg.node_blocking("Write", move |f: &mut ImageFlow| {
+            reg.node("Write", move |f: &mut ImageFlow| {
                 let Some(conn) = f.conn.clone() else {
                     return NodeOutcome::Err(1);
                 };

@@ -35,7 +35,8 @@
 //! (`-` when the window is empty), and `<last>` echoes the value of
 //! the publish that triggered the round (the fan-out benchmark embeds
 //! a timestamp there to measure end-to-end latency). Unrecognized
-//! lines are dropped.
+//! lines are dropped. A line still unterminated after [`MAX_LINE`]
+//! bytes closes its connection, counted in [`PubSubCtx::malformed`].
 //!
 //! # Window semantics
 //!
@@ -60,39 +61,17 @@
 
 use crate::builder::{RunningServer, ServerSpec};
 use flux_core::CompiledProgram;
-use flux_net::{ConnDriver, DriverEvent, Listener, NetConfig, SharedPayload, Token};
+use flux_net::{ConnDriver, DriverEvent, Listener, NetConfig, SharedPayload, Token, IO_TIMEOUT};
 use flux_runtime::{FanoutStat, NodeOutcome, NodeRegistry, SourceOutcome};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The Flux program (mirrors `programs/pubsub.flux`): one source, two
+/// The Flux program (the text of `programs/pubsub.flux`): one source, two
 /// predicate-dispatched paths (subscribe and publish), session-scoped
 /// atomicity on the topic state.
-pub const FLUX_SRC: &str = r#"
-    Listen () => (int token, pubsub_cmd *cmd);
-    Subscribe (int token, pubsub_cmd *cmd) => (int token, pubsub_cmd *cmd);
-    Ack (int token, pubsub_cmd *cmd) => ();
-    Aggregate (int token, pubsub_cmd *cmd) => (int token, pubsub_cmd *cmd);
-    Fanout (int token, pubsub_cmd *cmd) => ();
-    Drop (int token, pubsub_cmd *cmd) => ();
-
-    typedef is_sub IsSub;
-    typedef is_pub IsPub;
-
-    source Listen => Cmd;
-    Cmd:[_, is_sub] = Subscribe -> Ack;
-    Cmd:[_, is_pub] = Aggregate -> Fanout;
-    Cmd:[_, _] = Drop;
-
-    handle error Subscribe => Drop;
-    handle error Aggregate => Drop;
-
-    atomic Subscribe: {topics(session)};
-    atomic Aggregate: {topics(session)};
-    atomic Fanout: {topics(session)};
-"#;
+pub const FLUX_SRC: &str = include_str!("../../../programs/pubsub.flux");
 
 /// One parsed client command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,6 +218,8 @@ pub struct PubSubCtx {
     pub encodes: AtomicU64,
     /// Successful `SUB` registrations.
     pub subscriptions: AtomicU64,
+    /// Connections closed for a line longer than [`MAX_LINE`].
+    pub malformed: AtomicU64,
     topics: Vec<Mutex<HashMap<String, TopicState>>>,
     window: usize,
     topk: usize,
@@ -315,6 +296,12 @@ const LISTEN_BATCH: usize = 128;
 /// readiness after the re-arm, so a firehose publisher cannot starve
 /// the rest of the reactor round.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Longest protocol line, newline excluded. A connection whose partial
+/// line grows past it is closed as malformed: its scratch never grows
+/// without bound, and no tail of an overlong line is parsed as a fresh
+/// command.
+pub const MAX_LINE: usize = 64 * 1024;
 
 /// Parses one protocol line (`\r`-tolerant, already `\n`-stripped).
 fn parse_line(line: &[u8]) -> PubSubCmd {
@@ -394,12 +381,12 @@ fn build_spec(
     let program = flux_core::compile(FLUX_SRC).expect("pub/sub Flux program compiles");
     let driver = Arc::new(ConnDriver::with_config(net));
     driver.spawn_acceptor(listener);
-    let io_timeout = net.io_timeout;
     let ctx = Arc::new(PubSubCtx {
         driver,
         fanout: Arc::new(FanoutStat::default()),
         encodes: AtomicU64::new(0),
         subscriptions: AtomicU64::new(0),
+        malformed: AtomicU64::new(0),
         topics: (0..TOPIC_STRIPES)
             .map(|_| Mutex::new(HashMap::new()))
             .collect(),
@@ -421,7 +408,7 @@ fn build_spec(
     reg.source("Listen", move || {
         let mut buf = events.lock();
         buf.clear();
-        if c.driver.next_events(&mut buf, LISTEN_BATCH, io_timeout) == 0 {
+        if c.driver.next_events(&mut buf, LISTEN_BATCH, IO_TIMEOUT) == 0 {
             return SourceOutcome::Skip;
         }
         let mut flows: Vec<PubSubFlow> = Vec::new();
@@ -451,6 +438,11 @@ fn build_spec(
                             scratch.extend_from_slice(&chunk[..n]);
                             let before = flows.len();
                             coalesced += parse_burst(token, &mut scratch, &mut flows);
+                            if scratch.len() > MAX_LINE {
+                                c.malformed.fetch_add(1, Ordering::Relaxed);
+                                c.driver.remove(token);
+                                continue;
+                            }
                             if flows.len() > before {
                                 // A complete protocol line is progress;
                                 // trickled partial lines are not, so a
@@ -830,6 +822,27 @@ mod tests {
             lines <= 30,
             "Flux pub/sub server stays small: {lines} lines"
         );
+    }
+
+    /// A partial line past [`MAX_LINE`] is a counted malformed close:
+    /// the connection gets no reply, and the tail after the overlong
+    /// line is not parsed as a fresh command.
+    #[test]
+    fn overlong_line_is_a_counted_malformed_close() {
+        let net = MemNet::new();
+        let server = spawn_on(&net, RuntimeKind::event_driven_sharded(1, 1));
+        let mut conn = net.connect("pubsub").unwrap();
+        let mut bytes = vec![b'x'; 8 * MAX_LINE];
+        bytes.extend_from_slice(b"\nSUB t\n");
+        // The server may close the connection before the write ends.
+        let _ = conn.write_all(&bytes);
+        let mut reader = BufReader::new(conn);
+        let mut reply = String::new();
+        let n = reader.read_line(&mut reply).unwrap_or(0);
+        assert_eq!(n, 0, "closed without a reply, got {reply:?}");
+        assert_eq!(server.ctx.malformed.load(Ordering::Relaxed), 1);
+        assert_eq!(server.ctx.subscriptions.load(Ordering::Relaxed), 0);
+        stop(server);
     }
 
     #[test]

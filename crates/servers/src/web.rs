@@ -30,42 +30,18 @@
 use crate::builder::{RunningServer, ServerSpec};
 use flux_core::CompiledProgram;
 use flux_http::{mime_for, read_request_buffered, DocRoot, ParseError, Request, Response, Value};
-use flux_net::{ConnDriver, DriverEvent, Listener, NetConfig, SharedConn, SharedPayload, Token};
+use flux_net::{
+    ConnDriver, DriverEvent, Listener, NetConfig, SharedConn, SharedPayload, Token, IO_TIMEOUT,
+};
 use flux_runtime::{NodeOutcome, NodeRegistry, SourceOutcome};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The Flux program, as the paper would write it (~36 lines).
-pub const FLUX_SRC: &str = r#"
-    Listen () => (int token);
-    ReadRequest (int token)
-      => (int token, bool close, http_request *req);
-    RunScript (int token, bool close, http_request *req)
-      => (int token, bool close, http_response *resp);
-    ReadFromDisk (int token, bool close, http_request *req)
-      => (int token, bool close, http_response *resp);
-    Write (int token, bool close, http_response *resp)
-      => (int token, bool close);
-    Complete (int token, bool close) => ();
-    BadRequest (int token) => ();
-    FourOhFour (int token, bool close, http_request *req) => ();
-    FiveHundred (int token, bool close, http_request *req) => ();
-
-    typedef script IsScript;
-
-    source Listen => Page;
-    Page = ReadRequest -> Handler -> Write -> Complete;
-    Handler:[_, _, script] = RunScript;
-    Handler:[_, _, _] = ReadFromDisk;
-
-    handle error ReadRequest => BadRequest;
-    handle error ReadFromDisk => FourOhFour;
-    handle error RunScript => FiveHundred;
-
-    blocking ReadRequest;
-"#;
+/// The Flux program, as the paper would write it (~36 lines): the text
+/// of `programs/web_server.flux`.
+pub const FLUX_SRC: &str = include_str!("../../../programs/web_server.flux");
 
 /// Per-flow payload: the union of fields flowing between nodes, exactly
 /// like the paper's per-flow C struct.
@@ -175,8 +151,8 @@ pub fn build(
 
 /// Builds the compiled program, node registry and shared context.
 ///
-/// `net.io_timeout` bounds how long `Listen` blocks before yielding
-/// (`SourceOutcome::Skip`) so shutdown stays responsive.
+/// [`flux_net::IO_TIMEOUT`] bounds how long `Listen` blocks before
+/// yielding (`SourceOutcome::Skip`) so shutdown stays responsive.
 pub fn build_with(
     listener: Box<dyn Listener>,
     docroot: DocRoot,
@@ -198,7 +174,6 @@ fn build_spec(
     let program = flux_core::compile(FLUX_SRC).expect("web server Flux program compiles");
     let driver = Arc::new(ConnDriver::with_config(net));
     driver.spawn_acceptor(listener);
-    let io_timeout = net.io_timeout;
     let mut busy_response = Vec::new();
     Response::error(503)
         .write_to(&mut busy_response, false)
@@ -230,7 +205,7 @@ fn build_spec(
     reg.source("Listen", move || {
         let mut buf = events.lock();
         buf.clear();
-        if c.driver.next_events(&mut buf, LISTEN_BATCH, io_timeout) == 0 {
+        if c.driver.next_events(&mut buf, LISTEN_BATCH, IO_TIMEOUT) == 0 {
             return SourceOutcome::Skip;
         }
         let mut flows: Vec<WebFlow> = Vec::with_capacity(buf.len());
@@ -255,7 +230,7 @@ fn build_spec(
     });
 
     let c = ctx.clone();
-    reg.node_blocking("ReadRequest", move |f: &mut WebFlow| {
+    reg.node("ReadRequest", move |f: &mut WebFlow| {
         let Some(conn) = f.conn.clone().or_else(|| c.conn(f.token)) else {
             return NodeOutcome::Err(1); // connection already gone
         };

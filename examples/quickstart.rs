@@ -3,10 +3,10 @@
 //! 1. compile a Flux program, bind Rust node implementations, and run
 //!    it on all four runtimes — the paper's runtime-independence claim;
 //! 2. stand up a real server (the §4.2 web server) through the one
-//!    typed `ServerBuilder`, which owns the remaining knobs: the
-//!    runtime kind, the network configuration (`NetConfig`: readiness
-//!    backend, write-buffer bound, event-poll timeout) and the
-//!    stats/profiling toggles;
+//!    typed `ServerBuilder`, which takes three things: the runtime kind
+//!    (with its overload policy), the network configuration
+//!    (`NetConfig`: readiness backend, write-buffer bound, connection
+//!    cap, idle deadline) and the profiling toggle;
 //! 3. a *streaming* server through the same builder: the pub/sub
 //!    server subscribes clients to topics, aggregates each topic's
 //!    publishes over a sliding window, and multicasts the encoded
@@ -15,12 +15,12 @@
 //! 4. inspect the compiler's fusion analysis: the same dump `fluxc
 //!    fused` (alias `--dump-fused`) prints — each flow's straight-line
 //!    segments and the boundary reasons where a segment stops;
-//! 5. overload control through the same builder: `max_conns` governs
-//!    admission at the accept edge, `OverloadPolicy::bounded` caps the
-//!    shard queues so a flood sheds (the web server answers a prebuilt
-//!    503 via its `on_shed` handler), and `idle_timeout` reaps
-//!    connections that stop making application progress — all counted,
-//!    never silent.
+//! 5. overload control through the same builder: `NetConfig::max_conns`
+//!    governs admission at the accept edge, `RuntimeKind::overload`
+//!    with `OverloadPolicy::bounded` caps the shard queues so a flood
+//!    sheds (the web server answers a prebuilt 503 via its `on_shed`
+//!    handler), and `NetConfig::idle_timeout` reaps connections that
+//!    stop making application progress — all counted, never silent.
 //!
 //! ```sh
 //! cargo run --example quickstart
@@ -164,9 +164,9 @@ fn main() {
     println!("same program, four runtimes — no code changes.");
 
     // Act 2: a real server through the one typed ServerBuilder. The
-    // spec names the server; the builder owns runtime kind, NetConfig
-    // (readiness backend, per-connection write-buffer bound, event-poll
-    // timeout) and the stats/profile toggles.
+    // spec names the server; the builder takes the runtime kind, the
+    // NetConfig (readiness backend, per-connection write-buffer bound,
+    // connection cap, idle deadline) and the profiling toggle.
     use flux::net::{MemNet, NetConfig};
     use flux::servers::{web::WebSpec, ServerBuilder};
     use std::io::Write as _;
@@ -266,10 +266,12 @@ fn main() {
     let mut docroot = flux::http::DocRoot::new();
     docroot.insert("/hello.html", "still serving");
     let server = ServerBuilder::new(WebSpec::new(Box::new(listener), docroot))
-        .runtime(RuntimeKind::event_driven_sharded(2, 2))
-        .overload(OverloadPolicy::bounded(64))
-        .max_conns(1)
-        .idle_timeout(Some(std::time::Duration::from_secs(5)))
+        .runtime(RuntimeKind::event_driven_sharded(2, 2).overload(OverloadPolicy::bounded(64)))
+        .net(NetConfig {
+            max_conns: 1,
+            idle_timeout: Some(std::time::Duration::from_secs(5)),
+            ..NetConfig::default()
+        })
         .spawn();
 
     // The first connection takes the only admission slot...
