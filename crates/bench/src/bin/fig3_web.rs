@@ -5,7 +5,7 @@
 //! * `flux-event`      — the Flux web server on the event-driven runtime
 //!   (paper configuration: one dispatcher shard)
 //! * `flux-event-s2`, `flux-event-s4` — the same server with 2 and 4
-//!   dispatcher shards (session-affine routing + work stealing)
+//!   dispatcher shards (session-affine routing)
 //! * `flux-staged`     — the Flux web server on the SEDA-style staged
 //!   runtime (our §3.2.3 extension; compare with hand-written haboob)
 //! * `flux-thread`     — the naive one-thread-per-flow runtime

@@ -2,9 +2,9 @@
 //! FFI — the offline build has no `libc` crate).
 //!
 //! Pinning is on whenever the host has more than one core; there is no
-//! opt-out. Shard `N` pins to core `N mod host_cores`, so
-//! session-affine queues stop bouncing between caches under
-//! steal-heavy load. The net crate carries a sibling copy
+//! opt-out. Shard `N` pins to core `N mod host_cores`, so a shard's
+//! queue and the session state its events touch stay in one core's
+//! cache. The net crate carries a sibling copy
 //! of this ~40-line shim for its reactor thread; the two crates are
 //! deliberately independent (neither depends on the other), so the FFI
 //! glue is duplicated rather than shared.

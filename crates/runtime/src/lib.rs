@@ -35,10 +35,10 @@
 //!   they enter any queue — servers answer a cheap prebuilt 503/BUSY
 //!   there instead of queueing doomed work.
 //! * **Admitted events are never dropped.** Requeues
-//!   (`Step::WouldBlock`, one-node-per-turn fairness), I/O-pool
-//!   completions and work-steal transfers all move events that already
-//!   passed admission; none of those paths consults the cap, so a flow
-//!   that entered the graph always reaches an `End`.
+//!   (`Step::WouldBlock`, one-node-per-turn fairness) and I/O-pool
+//!   completions move events that already passed admission; neither
+//!   path consults the cap, so a flow that entered the graph always
+//!   reaches an `End`.
 //! * **Every shed is counted.** The conservation invariant `offered ==
 //!   admitted + shed` is exposed through
 //!   [`ServerStats::overload`](stats::OverloadStat) /

@@ -75,9 +75,6 @@ pub struct NodeRegistry<P> {
     pub(crate) sources: HashMap<String, SourceFn<P>>,
     pub(crate) predicates: HashMap<String, PredFn<P>>,
     pub(crate) session_fns: HashMap<String, SessionFn<P>>,
-    /// Sources whose session ids *pin* flows to the session's home
-    /// shard (see [`NodeRegistry::session_pinned`]).
-    pub(crate) pinned_sources: std::collections::HashSet<String>,
     /// Invoked with each payload the sharded runtime sheds at the
     /// source under a bounded `OverloadPolicy` (see
     /// [`NodeRegistry::on_shed`]).
@@ -97,7 +94,6 @@ impl<P> NodeRegistry<P> {
             sources: HashMap::new(),
             predicates: HashMap::new(),
             session_fns: HashMap::new(),
-            pinned_sources: std::collections::HashSet::new(),
             shed_handler: None,
         }
     }
@@ -173,7 +169,10 @@ impl<P> NodeRegistry<P> {
 
     /// Registers the session-id function for a source (paper §2.5.1):
     /// applied to each new flow's payload to scope `(session)`
-    /// constraints.
+    /// constraints. In the sharded event runtime the session id also
+    /// picks the flow's home shard, and every event of the flow runs
+    /// there, so state keyed by the session id is only ever touched by
+    /// one dispatcher at a time.
     pub fn session(
         &mut self,
         source: &str,
@@ -181,22 +180,6 @@ impl<P> NodeRegistry<P> {
     ) -> &mut Self {
         self.session_fns.insert(source.to_string(), Arc::new(f));
         self
-    }
-
-    /// Like [`NodeRegistry::session`], but additionally *pins* each
-    /// flow to its session's home shard in the sharded event runtime:
-    /// a pinned event that surfaces anywhere else — via work stealing —
-    /// is forwarded home instead of executing there. Keyed state indexed by the session id (e.g. a
-    /// pub/sub topic's aggregation window) therefore only ever runs on
-    /// one dispatcher at a time and stays effectively lock-free. Other
-    /// runtimes treat this exactly like [`NodeRegistry::session`].
-    pub fn session_pinned(
-        &mut self,
-        source: &str,
-        f: impl Fn(&P) -> u64 + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.pinned_sources.insert(source.to_string());
-        self.session(source, f)
     }
 
     pub(crate) fn node_entry(&self, name: &str) -> Option<&NodeEntry<P>> {

@@ -24,24 +24,18 @@
 //!   [`crate::stats::NetCounters`].
 //!
 //!   **Sharding design.** Each shard owns a local FIFO run queue of
-//!   [`FlowCursor`] events. New flows are routed by *session affinity*:
-//!   a cursor whose source declared a session function hashes its
-//!   session id to a fixed home shard, so session-scoped constraint
+//!   [`FlowCursor`] events, and an event only ever runs on its *home*
+//!   shard: a cursor whose source declared a session function hashes
+//!   its session id ([`shard_index`]), so session-scoped constraint
 //!   locks stay core-local; sessionless cursors hash their flow id,
-//!   which spreads load round-robin-ish. When a shard's queue drains it
-//!   *steals* the oldest half of a sibling's queue (preserving FIFO
-//!   latency ordering): the oldest event runs immediately, the rest
-//!   move to the thief's own queue in the same lock acquisition — so a
-//!   saturated shard sheds backlog without per-event lock traffic
-//!   (`ShardStat::stolen_batch` counts the bulk moves). An event runs
-//!   at most one node per queue turn, as in the paper's one event per
-//!   node input; it is then re-queued at the back of the executing
-//!   shard rather than re-routed home. A `Step::WouldBlock` retry is
-//!   re-routed to the cursor's home shard rather than the thief's
-//!   queue, so a blocked session flow stops ping-ponging between cores
-//!   while the lock holder (pinned to the same home shard) makes
-//!   progress. Per-shard queue-depth, steal and affinity counters land
-//!   in [`crate::stats::ShardStat`].
+//!   which spreads load evenly. New flows, I/O-pool completions and
+//!   `Step::WouldBlock` retries all go home. An event runs at most one
+//!   node per queue turn, as in the paper's one event per node input,
+//!   and is then re-queued at the back of its home shard. There is no
+//!   work stealing: an idle shard waits on its own queue, and balance
+//!   across shards comes from the routing hash alone. Per-shard
+//!   queue-depth, batch and affinity counters land in
+//!   [`crate::stats::ShardStat`].
 //!
 //!   **Shutdown.** A shard may exit only when every source loop has
 //!   exited *and* the global live-event count is zero; the count is
@@ -80,8 +74,8 @@ use std::time::Duration;
 /// `on_shed` handler *before* they enter any queue, so servers answer a
 /// cheap 503/BUSY instead of queueing doomed work. Shedding happens
 /// only at the source-submission boundary; events already admitted are
-/// never dropped mid-graph (requeues and stealing are exempt from the
-/// cap — see the module docs, "Overload invariants").
+/// never dropped mid-graph (requeues and I/O completions are exempt
+/// from the cap — see the crate docs, "Overload invariants").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverloadPolicy {
     /// Unbounded shard queues; no shedding. The default.
@@ -123,9 +117,10 @@ pub enum RuntimeKind {
     ThreadPerFlow,
     /// Fixed worker pool with a FIFO queue.
     ThreadPool { workers: usize },
-    /// `shards` dispatcher threads with session-affine routing and work
-    /// stealing; blocking nodes off-loaded to `io_workers` helpers.
-    /// `shards: 1` is the paper's single-dispatcher configuration.
+    /// `shards` dispatcher threads, each running only the events routed
+    /// to it by session (or flow id) hash; blocking nodes off-loaded to
+    /// `io_workers` helpers. `shards: 1` is the paper's
+    /// single-dispatcher configuration.
     EventDriven {
         shards: usize,
         io_workers: usize,
@@ -139,16 +134,8 @@ pub enum RuntimeKind {
 }
 
 impl RuntimeKind {
-    /// The paper's single-dispatcher event-driven runtime (`shards: 1`).
-    pub fn event_driven(io_workers: usize) -> Self {
-        RuntimeKind::EventDriven {
-            shards: 1,
-            io_workers,
-            overload: OverloadPolicy::Unbounded,
-        }
-    }
-
-    /// The multi-core event-driven runtime with a fixed dispatcher set.
+    /// The event-driven runtime with a fixed dispatcher set; `shards: 1`
+    /// is the paper's single-dispatcher configuration.
     pub fn event_driven_sharded(shards: usize, io_workers: usize) -> Self {
         RuntimeKind::EventDriven {
             shards,
@@ -363,9 +350,9 @@ struct ShardSet<P> {
     live: AtomicUsize,
     /// Per-shard queue depth at which *source* submissions shed
     /// (`usize::MAX` under [`OverloadPolicy::Unbounded`]). Only
-    /// [`ShardSet::route_home_batch`] consults it: requeues and steals
-    /// move events that were already admitted, and dropping those would
-    /// strand flows mid-graph.
+    /// [`ShardSet::route_home_batch`] consults it: requeues and I/O
+    /// completions move events that were already admitted, and dropping
+    /// those would strand flows mid-graph.
     max_depth: usize,
     /// Sink for shed payloads (the registry's `on_shed`): invoked on
     /// the source thread, before the payload enters any queue. `None`
@@ -406,33 +393,19 @@ impl<P> ShardSet<P> {
         shard_index(cursor.session.unwrap_or(cursor.flow_id), self.shards.len())
     }
 
-    /// Enqueues an event on its home shard (affinity routing: new
-    /// flows, I/O completions, `WouldBlock` retries) and wakes the
-    /// dispatcher. Session-carrying events count toward the home
-    /// shard's `affine` counter.
+    /// Re-enqueues an admitted event on its home shard (I/O-pool
+    /// completions, `WouldBlock` retries) and wakes the dispatcher.
+    /// Affinity was counted once, at submission.
     fn route_home(&self, ev: Event<P>) {
-        let home = self.home_of(&ev.cursor);
-        if ev.cursor.session.is_some() {
-            self.stats[home].affine.fetch_add(1, Ordering::Relaxed);
-        }
-        self.enqueue(home, ev);
-    }
-
-    /// [`ShardSet::route_home`] without the affinity accounting: a
-    /// thief handing a stolen pinned event back to its home shard is
-    /// moving an event that was already counted when it was first
-    /// routed, so counting it again would make `affine` exceed the
-    /// number of session events actually submitted.
-    fn forward_home(&self, ev: Event<P>) {
-        let home = self.home_of(&ev.cursor);
-        self.enqueue(home, ev);
+        self.enqueue(self.home_of(&ev.cursor), ev);
     }
 
     /// Routes a whole source batch by home shard: each shard's group is
     /// appended under one queue lock with at most one wake-up, instead
-    /// of a lock+notify per event. `scratch` is the caller's reusable
-    /// partition buffer (one vector per shard), so the steady state
-    /// allocates nothing.
+    /// of a lock+notify per event. Each session-carrying event counts
+    /// once toward its home shard's `affine` counter here. `scratch` is
+    /// the caller's reusable partition buffer (one vector per shard),
+    /// so the steady state allocates nothing.
     fn route_home_batch(&self, batch: &mut Vec<(FlowCursor, P)>, scratch: &mut Vec<Vec<Event<P>>>) {
         let n = self.shards.len();
         if scratch.len() < n {
@@ -498,11 +471,10 @@ impl<P> ShardSet<P> {
         let st = &self.stats[si];
         let mut q = shard.queue.lock();
         q.extend(group.drain(..));
-        let depth = q.len() as u64;
         // Gauge store inside the lock: serialized with the dispatcher's
         // stores, so the final store after a drain is the dispatcher's
         // 0, never a stale producer value.
-        st.enqueue(depth);
+        st.enqueue(q.len() as u64);
         let parked = shard.parked.load(Ordering::SeqCst);
         drop(q);
         if parked {
@@ -510,36 +482,21 @@ impl<P> ShardSet<P> {
         }
         st.batches.fetch_add(1, Ordering::Relaxed);
         st.batch_events.fetch_add(count, Ordering::Relaxed);
-        self.nudge_sibling(si, depth);
     }
 
-    /// Enqueues an event on shard `si` without affinity accounting
-    /// (fairness re-queues stay wherever the event is running).
+    /// Enqueues one admitted event on shard `si` and wakes its
+    /// dispatcher if it is parked.
     fn enqueue(&self, si: usize, ev: Event<P>) {
         let shard = &self.shards[si];
         let st = &self.stats[si];
         let mut q = shard.queue.lock();
         q.push_back(ev);
-        let depth = q.len() as u64;
         // In-lock gauge store — see `enqueue_batch`.
-        st.enqueue(depth);
+        st.enqueue(q.len() as u64);
         let parked = shard.parked.load(Ordering::SeqCst);
         drop(q);
         if parked {
             shard.cond.notify_one();
-        }
-        self.nudge_sibling(si, depth);
-    }
-
-    /// Backlog building on one shard: nudge a sibling so an idle thief
-    /// notices without waiting out its idle timeout. Unconditional —
-    /// unlike the own-shard notify, a sibling's `parked` flag is not
-    /// read under that sibling's queue lock here, so gating on it could
-    /// miss a shard that is between its empty-check and its park.
-    fn nudge_sibling(&self, si: usize, depth: u64) {
-        let n = self.shards.len();
-        if depth > 1 && n > 1 {
-            self.shards[(si + 1) % n].cond.notify_one();
         }
     }
 
@@ -557,9 +514,9 @@ impl<P> ShardSet<P> {
 }
 
 /// The sharded event-driven runtime. With `shards == 1` this is the
-/// paper's single-dispatcher configuration; with more shards, flow
-/// execution spreads over cores with session-affine routing and work
-/// stealing (see the module docs for the full design).
+/// paper's single-dispatcher configuration; with more shards, each
+/// event runs only on its home shard, chosen by session (or flow id)
+/// hash (see the module docs for the full design).
 fn start_event_driven<P: Send + 'static>(
     server: &Arc<FluxServer<P>>,
     shards: usize,
@@ -697,7 +654,7 @@ fn start_event_driven<P: Send + 'static>(
     threads
 }
 
-/// One dispatcher shard's main loop.
+/// One dispatcher shard's main loop: own queue first, then wait.
 fn run_shard<P: Send + 'static>(
     srv: &FluxServer<P>,
     set: &ShardSet<P>,
@@ -705,17 +662,9 @@ fn run_shard<P: Send + 'static>(
     io_tx: &Sender<Event<P>>,
 ) {
     let stats = &set.stats;
-    let n = set.shards.len();
     let mut blocked_streak = 0usize;
     loop {
-        // Own queue first, then steal from a sibling's queue, then
-        // wait. A steal takes the oldest *half* of the victim's queue
-        // (front-stealing shares the victim's one lock and preserves
-        // FIFO latency ordering under skew): the oldest event executes
-        // immediately and the rest move to the thief's own queue, so a
-        // saturated shard sheds backlog in one lock acquisition instead
-        // of one per event.
-        let mut next = {
+        let next = {
             let mut q = set.shards[si].queue.lock();
             let ev = q.pop_front();
             if ev.is_some() {
@@ -724,67 +673,20 @@ fn run_shard<P: Send + 'static>(
             }
             ev
         };
-        if next.is_none() && n > 1 {
-            for k in 1..n {
-                let j = (si + k) % n;
-                let mut qj = set.shards[j].queue.lock();
-                if let Some(ev) = qj.pop_front() {
-                    // Half the victim's queue, rounded up to include
-                    // the event executing now.
-                    let extra = (qj.len() + 1).div_ceil(2).saturating_sub(1);
-                    let batch: Vec<Event<P>> = qj.drain(..extra).collect();
-                    stats[j].depth.store(qj.len() as u64, Ordering::Relaxed);
-                    drop(qj);
-                    stats[si].stolen.fetch_add(1, Ordering::Relaxed);
-                    if !batch.is_empty() {
-                        stats[si]
-                            .stolen_batch
-                            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        let mut q = set.shards[si].queue.lock();
-                        // Prepend: events routed here between the two
-                        // lock acquisitions are younger than the stolen
-                        // batch, so the batch goes in front to preserve
-                        // FIFO latency ordering.
-                        for ev in batch.into_iter().rev() {
-                            q.push_front(ev);
-                        }
-                        let depth = q.len() as u64;
-                        stats[si].enqueue(depth);
-                        drop(q);
-                        // The thief is busy with `ev`: nudge a sibling
-                        // so another idle shard notices the transferred
-                        // backlog without waiting out its idle timeout
-                        // (same rationale as ShardSet::enqueue's nudge,
-                        // and unconditional for the same reason as
-                        // `nudge_sibling` — the sibling's parked flag
-                        // is not readable race-free from here). Skip
-                        // the victim `j` — it is saturated, not idle —
-                        // which with 2 shards leaves no one to nudge.
-                        let t = (si + 1) % n;
-                        let t = if t == j { (si + 2) % n } else { t };
-                        if t != si && t != j {
-                            set.shards[t].cond.notify_one();
-                        }
-                    }
-                    next = Some(ev);
-                    break;
-                }
-            }
-        }
         let Some(mut ev) = next else {
             if set.drained() {
                 return;
             }
             let mut q = set.shards[si].queue.lock();
             if q.is_empty() && !set.drained() {
-                // Wake-ups come from submissions to this shard, backlog
-                // nudges from busy siblings, and drain/shutdown
-                // broadcasts; the timeout is only a backstop, so idle
-                // shards cost ~100 wakeups/s, not a hot poll. The
-                // parked flag (set and cleared under the queue lock)
-                // tells enqueuers the notify is actually needed —
-                // while it is false the shard is provably awake and
-                // will re-examine its queue, so they skip the syscall.
+                // Wake-ups come from submissions to this shard and
+                // drain/shutdown broadcasts; the timeout is only a
+                // backstop, so idle shards cost ~100 wakeups/s, not a
+                // hot poll. The parked flag (set and cleared under the
+                // queue lock) tells enqueuers the notify is actually
+                // needed — while it is false the shard is provably
+                // awake and will re-examine its queue, so they skip the
+                // syscall.
                 set.shards[si].parked.store(true, Ordering::SeqCst);
                 set.shards[si]
                     .cond
@@ -793,15 +695,6 @@ fn run_shard<P: Send + 'static>(
             }
             continue;
         };
-        // Topic-keyed pinning: a pinned event executes only on its
-        // session's home shard. Stealing may surface it here instead —
-        // forward it home rather than running session-keyed state off
-        // its shard.
-        if ev.cursor.pinned && set.home_of(&ev.cursor) != si {
-            stats[si].pinned_rerouted.fetch_add(1, Ordering::Relaxed);
-            set.forward_home(ev);
-            continue;
-        }
         let mut ran_node = false;
         loop {
             if srv.at_blocking_exec(&ev.cursor) {
@@ -811,9 +704,8 @@ fn run_shard<P: Send + 'static>(
                 break;
             }
             // Fairness: one node execution per queue turn. An event that
-            // has run a node and stands at another is re-queued locally —
-            // local, not affinity routing, so a stolen event keeps running
-            // on the thief.
+            // has run a node and stands at another goes to the back of
+            // this shard's queue, which is its home shard's.
             let runs_node = srv.exec_cost(&ev.cursor) > 0;
             if runs_node && ran_node {
                 set.enqueue(si, ev);
@@ -840,9 +732,8 @@ fn run_shard<P: Send + 'static>(
                     if blocked_streak > depth.max(4) {
                         thread::sleep(Duration::from_micros(100));
                     }
-                    // Retry on the cursor's home shard: a blocked
-                    // session flow waits where its lock holder runs
-                    // instead of ping-ponging between thieves.
+                    // Retry on the cursor's home shard, where a session
+                    // flow's lock holder runs too.
                     set.route_home(ev);
                     break;
                 }

@@ -51,9 +51,6 @@ struct ResolvedFlow<P> {
     entry: VertexId,
     source_fn: Arc<dyn Fn() -> SourceOutcome<P> + Send + Sync>,
     session_fn: Option<Arc<dyn Fn(&P) -> u64 + Send + Sync>>,
-    /// Flows from this source are pinned to their session's home shard
-    /// (see `NodeRegistry::session_pinned`).
-    session_pinned: bool,
     source_name: String,
 }
 
@@ -69,10 +66,6 @@ pub struct FlowCursor {
     pub flow_id: FlowId,
     /// Session id, if the source has a session function.
     pub session: Option<u64>,
-    /// Pinned flows execute only on their session's home shard: the
-    /// sharded event dispatchers forward a pinned event home instead of
-    /// running it where stealing surfaced it.
-    pub pinned: bool,
     /// Flow start time (latency measurement, path timing).
     pub started: Instant,
     held: Vec<HeldLock>,
@@ -205,7 +198,6 @@ impl<P: Send + 'static> FluxServer<P> {
                 entry: flow.flat.entry,
                 source_fn: registry.sources[&source_name].clone(),
                 session_fn: registry.session_fns.get(&source_name).cloned(),
-                session_pinned: registry.pinned_sources.contains(&source_name),
                 source_name,
             });
         }
@@ -314,14 +306,12 @@ impl<P: Send + 'static> FluxServer<P> {
         if let Some(prof) = &self.profiler {
             prof.record_arrival(fi, now);
         }
-        let session = self.flows[fi].session_fn.as_ref().map(|f| f(payload));
         FlowCursor {
             flow_idx: fi,
             vertex: self.flows[fi].entry,
             path_sum: 0,
             flow_id: self.next_flow_id.fetch_add(1, Ordering::Relaxed),
-            pinned: session.is_some() && self.flows[fi].session_pinned,
-            session,
+            session: self.flows[fi].session_fn.as_ref().map(|f| f(payload)),
             started: now,
             held: Vec::new(),
             acquire_progress: 0,

@@ -113,15 +113,15 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
 }
 
 /// Per-shard counters for the sharded event-driven runtime: queue depth
-/// (current and high-water), executed events and work-stealing traffic.
+/// (current and high-water), executed events and batched submissions.
 ///
 /// The hottest counters — `executed` (written by the owning dispatcher
-/// per event), `stolen` (written by thieves) and `batch_events`
-/// (written by submitters) — are each padded to their own cache line
-/// ([`CachePadded`]): they are incremented from *different* threads on
-/// the per-event path, and sharing a line would turn every increment
-/// into cross-core invalidation traffic. `CachePadded` derefs to the
-/// atomic, so readers are unchanged.
+/// per event) and `batch_events` (written by submitters) — are each
+/// padded to their own cache line ([`CachePadded`]): they are
+/// incremented from *different* threads on the per-event path, and
+/// sharing a line would turn every increment into cross-core
+/// invalidation traffic. `CachePadded` derefs to the atomic, so readers
+/// are unchanged.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct ShardStat {
@@ -129,19 +129,14 @@ pub struct ShardStat {
     pub depth: AtomicU64,
     /// High-water mark of `depth`.
     pub max_depth: AtomicU64,
-    /// Events this shard dequeued from its own queue.
+    /// Events this shard dequeued from its own queue (queue turns).
     pub executed: CachePadded<AtomicU64>,
-    /// Steals this shard performed: each takes the oldest event from a
-    /// sibling's queue for immediate execution (plus a bulk transfer
-    /// counted in [`ShardStat::stolen_batch`]).
-    pub stolen: CachePadded<AtomicU64>,
-    /// Extra events bulk-transferred onto this shard's own queue by
-    /// steal batching — thieves take half the victim's queue per steal
-    /// instead of one event, cutting lock traffic under heavy skew.
-    /// These events are later counted in `executed` when dequeued.
-    pub stolen_batch: AtomicU64,
-    /// Events routed to this shard because of session affinity (the
-    /// cursor carried a session id).
+    /// Always 0: an event only runs on its home shard, so no shard
+    /// takes work from another. Kept only while the repository
+    /// benchmark reads it; it goes with ROADMAP item 1(e).
+    pub stolen: AtomicU64,
+    /// Session-carrying source submissions routed to this shard (each
+    /// counted once, when the source hands it over).
     pub affine: AtomicU64,
     /// Batched appends this shard received (`route_home_batch` groups a
     /// source's burst by home shard; each group lands under one queue
@@ -151,11 +146,6 @@ pub struct ShardStat {
     /// batches` is the mean batch size — the amortization factor of the
     /// per-event lock+notify cost.
     pub batch_events: CachePadded<AtomicU64>,
-    /// Pinned events (`NodeRegistry::session_pinned`) this shard
-    /// declined to execute and forwarded to their session's home shard
-    /// instead — the enforcement counter of topic-keyed affinity under
-    /// work stealing. Zero when no source pins its sessions.
-    pub pinned_rerouted: AtomicU64,
     /// Source-batch events refused because this shard's queue stood at
     /// the configured depth cap (see
     /// [`crate::runtimes::OverloadPolicy::Bounded`]): every one was
@@ -196,37 +186,21 @@ pub trait NetCounters: Send + Sync + std::fmt::Debug {
     /// Writes that failed (connection removed).
     fn writes_failed(&self) -> u64;
     /// Refcounted fan-out payloads submitted without copying (the
-    /// driver's shared-payload path). Zero for drivers predating it.
-    fn writes_shared(&self) -> u64 {
-        0
-    }
+    /// driver's shared-payload path).
+    fn writes_shared(&self) -> u64;
     /// Connections evicted because a submission would overflow their
     /// output-buffer bound (slow-consumer policy).
-    fn slow_consumer_evicted(&self) -> u64 {
-        0
-    }
-    /// Connections the accept governor admitted. Zero for drivers
-    /// predating overload control.
-    fn accepts_admitted(&self) -> u64 {
-        0
-    }
-    /// Accepts refused (connection cap) or delayed (rate bucket) by the
-    /// accept governor. Zero for drivers predating overload control.
-    fn accepts_governed(&self) -> u64 {
-        0
-    }
-    /// Connections retired by the idle/slow-loris sweep. Zero for
-    /// drivers predating overload control.
-    fn idle_reaped(&self) -> u64 {
-        0
-    }
+    fn slow_consumer_evicted(&self) -> u64;
+    /// Connections the accept governor admitted.
+    fn accepts_admitted(&self) -> u64;
+    /// Accepts the accept governor refused at the connection cap.
+    fn accepts_governed(&self) -> u64;
+    /// Connections retired by the idle/slow-loris sweep.
+    fn idle_reaped(&self) -> u64;
     /// Write submissions that queued behind bytes the peer had not yet
     /// taken — per-connection backpressure visible *before* the
-    /// eviction cliff at the output-buffer cap. Zero for drivers
-    /// predating overload control.
-    fn writes_deferred(&self) -> u64 {
-        0
-    }
+    /// eviction cliff at the output-buffer cap.
+    fn writes_deferred(&self) -> u64;
 }
 
 /// Overload-control state of the most recent sharded event-runtime run
@@ -398,34 +372,6 @@ impl ServerStats {
         self.net.lock().clone()
     }
 
-    /// Total events moved by work stealing across all shards: the
-    /// directly-executed steals plus the events bulk-transferred by
-    /// steal batching.
-    pub fn total_steals(&self) -> u64 {
-        self.shard_stats()
-            .map(|s| {
-                s.iter()
-                    .map(|st| {
-                        st.stolen.load(Ordering::Relaxed) + st.stolen_batch.load(Ordering::Relaxed)
-                    })
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Total pinned events forwarded back to their session's home shard
-    /// across all shards of the most recent sharded event-runtime run
-    /// (see [`ShardStat::pinned_rerouted`]).
-    pub fn total_pinned_rerouted(&self) -> u64 {
-        self.shard_stats()
-            .map(|s| {
-                s.iter()
-                    .map(|st| st.pinned_rerouted.load(Ordering::Relaxed))
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-
     /// Total events shed at the source boundary across all shards of
     /// the most recent sharded event-runtime run (see
     /// [`ShardStat::shed`]).
@@ -446,7 +392,7 @@ impl ServerStats {
     /// One-line summary for logs and bench records, composing the
     /// sub-block summaries: flow outcomes, pinning, and — when a sharded
     /// run installed its counter block — the shard count and dispatcher
-    /// turn/steal totals.
+    /// turn total.
     pub fn describe(&self) -> String {
         let mut out = format!(
             "flows {} (completed {}, errored {}, handled {}, nomatch {}) | {}",
@@ -460,17 +406,9 @@ impl ServerStats {
         if let Some(shards) = self.shard_stats() {
             let turns: u64 = shards
                 .iter()
-                .map(|st| st.executed.load(Ordering::Relaxed) + st.stolen.load(Ordering::Relaxed))
+                .map(|st| st.executed.load(Ordering::Relaxed))
                 .sum();
-            out.push_str(&format!(
-                " | {} shard(s) | turns {turns}, stolen {}",
-                shards.len(),
-                self.total_steals(),
-            ));
-            let rerouted = self.total_pinned_rerouted();
-            if rerouted > 0 {
-                out.push_str(&format!(", pinned rerouted {rerouted}"));
-            }
+            out.push_str(&format!(" | {} shard(s) | turns {turns}", shards.len()));
         }
         if self.overload.enabled.load(Ordering::Relaxed) {
             out.push_str(&format!(

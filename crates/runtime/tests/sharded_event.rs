@@ -1,6 +1,7 @@
 //! Integration tests for the sharded event-driven runtime: session
-//! affinity, work stealing, per-shard stats, the idle-dispatcher wake
-//! protocol, and clean shutdown with non-empty shard queues.
+//! affinity (every event runs on its home shard), balance without work
+//! stealing, per-shard stats, the idle-dispatcher wake protocol, and
+//! clean shutdown with non-empty shard queues.
 
 use flux_runtime::{
     shard_index, start, FluxServer, NodeOutcome, NodeRegistry, RuntimeKind, SourceOutcome,
@@ -39,6 +40,15 @@ fn session_server(total: u64, sessions: Arc<Vec<u64>>) -> Arc<FluxServer<u64>> {
     Arc::new(FluxServer::new(program, reg).unwrap())
 }
 
+/// The shard index of the dispatcher thread we are running on, parsed
+/// from its `flux-shard-<n>` name; `None` off the dispatcher threads.
+fn current_shard() -> Option<usize> {
+    std::thread::current()
+        .name()
+        .and_then(|n| n.strip_prefix("flux-shard-"))
+        .and_then(|n| n.parse().ok())
+}
+
 /// Session ids that all hash to shard 0 under `shards` shards.
 fn sessions_on_shard_zero(shards: usize, count: usize) -> Vec<u64> {
     (0u64..)
@@ -69,9 +79,8 @@ fn routing_hash_is_deterministic_and_spreads() {
 }
 
 /// Same-session cursors are always submitted to their home shard: when
-/// every session hashes to shard 0, no other shard ever receives an
-/// affine (session-carrying) submission — events reach other cores only
-/// by stealing.
+/// every session hashes to shard 0, shard 0 counts each session
+/// submission exactly once and no other shard counts any.
 #[test]
 fn same_session_cursors_land_on_home_shard() {
     const SHARDS: usize = 4;
@@ -82,9 +91,10 @@ fn same_session_cursors_land_on_home_shard() {
     assert_eq!(server.stats.finished(), 600);
     let stats = server.stats.shard_stats().expect("sharded runtime ran");
     assert_eq!(stats.len(), SHARDS);
-    assert!(
-        stats[0].affine.load(Ordering::Relaxed) >= 600,
-        "all session submissions routed to home shard 0"
+    assert_eq!(
+        stats[0].affine.load(Ordering::Relaxed),
+        600,
+        "every session submission routed to home shard 0, counted once"
     );
     for (i, st) in stats.iter().enumerate().skip(1) {
         assert_eq!(
@@ -95,108 +105,48 @@ fn same_session_cursors_land_on_home_shard() {
     }
 }
 
-/// When one shard is saturated (every session homes there), the other
-/// shards steal and the backlog still completes.
+/// Without stealing, balance comes from routing alone: two shards
+/// running 1000 sessionless flows (spread by the flow-id hash) each
+/// execute at least 30% of the turns, and neither takes work from the
+/// other.
 #[test]
-fn work_stealing_makes_progress_from_saturated_shard() {
-    const SHARDS: usize = 4;
-    let sessions = Arc::new(sessions_on_shard_zero(SHARDS, 8));
+fn sessionless_flows_spread_over_both_shards() {
+    const FLOWS: u64 = 1000;
     let program = flux_core::compile(
-        "
-        Gen () => (int sid);
-        Spin (int sid) => ();
-        Flow = Spin;
-        source Gen => Flow;
-        ",
+        "Gen () => (int v); A (int v) => (int v); B (int v) => ();
+         Flow = A -> B; source Gen => Flow;",
     )
     .unwrap();
-    let total = 400u64;
     let produced = AtomicU64::new(0);
     let mut reg: NodeRegistry<u64> = NodeRegistry::new();
-    let s2 = sessions.clone();
     reg.source("Gen", move || {
         let i = produced.fetch_add(1, Ordering::SeqCst);
-        if i >= total {
+        if i >= FLOWS {
             SourceOutcome::Shutdown
         } else {
-            SourceOutcome::New(s2[(i % s2.len() as u64) as usize])
+            SourceOutcome::New(i)
         }
     });
-    reg.session("Gen", |sid: &u64| *sid);
-    reg.node("Spin", |_| {
-        let t0 = std::time::Instant::now();
-        while t0.elapsed() < Duration::from_micros(200) {
-            std::hint::spin_loop();
-        }
-        NodeOutcome::Ok
-    });
+    reg.node("A", |_| NodeOutcome::Ok);
+    reg.node("B", |_| NodeOutcome::Ok);
     let server = Arc::new(FluxServer::new(program, reg).unwrap());
-    let handle = start(server.clone(), RuntimeKind::event_driven_sharded(SHARDS, 1));
+    let handle = start(server.clone(), RuntimeKind::event_driven_sharded(2, 1));
     handle.join();
-    assert_eq!(server.stats.finished(), total);
-    assert!(
-        server.stats.total_steals() > 0,
-        "idle shards must steal from the saturated one"
-    );
-}
-
-/// Steal batching: a thief takes half the victim's queue per steal, so
-/// under a saturated home shard the bulk-transfer counter moves and
-/// every event still completes exactly once.
-#[test]
-fn steals_take_half_the_victims_queue() {
-    const SHARDS: usize = 4;
-    let sessions = Arc::new(sessions_on_shard_zero(SHARDS, 8));
-    let program = flux_core::compile(
-        "
-        Gen () => (int sid);
-        Spin (int sid) => ();
-        Flow = Spin;
-        source Gen => Flow;
-        ",
-    )
-    .unwrap();
-    // A burst far larger than the per-steal unit: with every session
-    // homed on shard 0, thieves must move work in bulk to drain it.
-    let total = 2_000u64;
-    let produced = AtomicU64::new(0);
-    let mut reg: NodeRegistry<u64> = NodeRegistry::new();
-    let s2 = sessions.clone();
-    reg.source("Gen", move || {
-        let i = produced.fetch_add(1, Ordering::SeqCst);
-        if i >= total {
-            SourceOutcome::Shutdown
-        } else {
-            SourceOutcome::New(s2[(i % s2.len() as u64) as usize])
-        }
-    });
-    reg.session("Gen", |sid: &u64| *sid);
-    reg.node("Spin", |_| {
-        let t0 = std::time::Instant::now();
-        while t0.elapsed() < Duration::from_micros(100) {
-            std::hint::spin_loop();
-        }
-        NodeOutcome::Ok
-    });
-    let server = Arc::new(FluxServer::new(program, reg).unwrap());
-    let handle = start(server.clone(), RuntimeKind::event_driven_sharded(SHARDS, 1));
-    handle.join();
-    assert_eq!(server.stats.finished(), total, "no event lost or doubled");
+    assert_eq!(server.stats.finished(), FLOWS);
     let stats = server.stats.shard_stats().unwrap();
-    let steals: u64 = stats.iter().map(|s| s.stolen.load(Ordering::Relaxed)).sum();
-    let batched: u64 = stats
+    let turns: Vec<u64> = stats
         .iter()
-        .map(|s| s.stolen_batch.load(Ordering::Relaxed))
-        .sum();
-    assert!(steals > 0, "thieves must steal from the saturated shard");
-    assert!(
-        batched > 0,
-        "with a deep victim queue, steals must bulk-transfer extra events \
-         (steals {steals}, batched {batched})"
-    );
-    // Conservation: everything dequeued somewhere, queues empty.
+        .map(|s| s.executed.load(Ordering::Relaxed))
+        .collect();
+    let total: u64 = turns.iter().sum();
+    assert_eq!(total, 2 * FLOWS, "one turn per node");
     for (i, st) in stats.iter().enumerate() {
-        assert_eq!(st.depth.load(Ordering::Relaxed), 0, "shard {i} drained");
+        assert!(
+            turns[i] * 10 >= total * 3,
+            "shard {i} executed {} of {total} turns",
+            turns[i]
+        );
+        assert_eq!(st.stolen.load(Ordering::Relaxed), 0, "shard {i} stole");
     }
 }
 
@@ -254,67 +204,6 @@ fn batched_submission_preserves_fifo_on_single_shard() {
         stats[0].batches.load(Ordering::Relaxed) < total,
         "bursts amortize: fewer appends than events"
     );
-}
-
-/// Batched routing composes with work stealing (the stolen-batch FIFO
-/// prepend from PR 3): with every session homed on one shard and the
-/// source submitting bursts, thieves bulk-transfer backlog and every
-/// event still completes exactly once, leaving all queues empty.
-#[test]
-fn batched_routing_survives_stealing() {
-    const SHARDS: usize = 4;
-    let sessions = Arc::new(sessions_on_shard_zero(SHARDS, 8));
-    let program = flux_core::compile(
-        "
-        Gen () => (int sid);
-        Spin (int sid) => ();
-        Flow = Spin;
-        source Gen => Flow;
-        ",
-    )
-    .unwrap();
-    let total = 2_000u64;
-    let produced = AtomicU64::new(0);
-    let mut reg: NodeRegistry<u64> = NodeRegistry::new();
-    let s2 = sessions.clone();
-    reg.source("Gen", move || {
-        let start = produced.load(Ordering::SeqCst);
-        if start >= total {
-            return SourceOutcome::Shutdown;
-        }
-        let k = (start % 5 + 1).min(total - start);
-        produced.fetch_add(k, Ordering::SeqCst);
-        SourceOutcome::Batch(
-            (start..start + k)
-                .map(|i| s2[(i % s2.len() as u64) as usize])
-                .collect(),
-        )
-    });
-    reg.session("Gen", |sid: &u64| *sid);
-    reg.node("Spin", |_| {
-        let t0 = std::time::Instant::now();
-        while t0.elapsed() < Duration::from_micros(100) {
-            std::hint::spin_loop();
-        }
-        NodeOutcome::Ok
-    });
-    let server = Arc::new(FluxServer::new(program, reg).unwrap());
-    let handle = start(server.clone(), RuntimeKind::event_driven_sharded(SHARDS, 1));
-    handle.join();
-    assert_eq!(server.stats.finished(), total, "no event lost or doubled");
-    let stats = server.stats.shard_stats().unwrap();
-    let batched: u64 = stats
-        .iter()
-        .map(|s| s.batch_events.load(Ordering::Relaxed))
-        .sum();
-    assert!(batched >= total, "all submissions took the batched path");
-    assert!(
-        server.stats.total_steals() > 0,
-        "thieves must steal from the saturated home shard"
-    );
-    for (i, st) in stats.iter().enumerate() {
-        assert_eq!(st.depth.load(Ordering::Relaxed), 0, "shard {i} drained");
-    }
 }
 
 /// The idle-dispatcher wake protocol: flows spaced 500 µs apart each
@@ -435,13 +324,13 @@ fn shard_stats_track_depth_and_drain_to_zero() {
     }
     let executed: u64 = stats
         .iter()
-        .map(|s| s.executed.load(Ordering::Relaxed) + s.stolen.load(Ordering::Relaxed))
+        .map(|s| s.executed.load(Ordering::Relaxed))
         .sum();
     assert!(executed >= 2_000, "every event dequeued somewhere");
 }
 
 /// The dispatcher runs at most one node per queue turn: on one shard
-/// (nothing to steal, no locks to retry) a three-node chain costs
+/// (no locks to retry) a three-node chain costs
 /// exactly three turns per flow. Running a flow to completion in one
 /// turn would read one turn per flow here.
 #[test]
@@ -524,11 +413,79 @@ mod properties {
             prop_assert_eq!(server.stats.finished(), total);
             let stats = server.stats.shard_stats().unwrap();
             prop_assert_eq!(stats.len(), shards);
-            // Conservation: every submitted event is dequeued exactly
-            // once (own-queue pops + steals cover all submissions).
+            // Every queue drained, and no shard took another's work.
             for (i, st) in stats.iter().enumerate() {
                 prop_assert_eq!(st.depth.load(Ordering::Relaxed), 0, "shard {} drained", i);
+                prop_assert_eq!(st.stolen.load(Ordering::Relaxed), 0, "shard {} stole", i);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Every event of a session *executes* on
+        /// `shard_index(sid, shards)`, read from the dispatcher's
+        /// `flux-shard-<n>` thread name, over random session mixes and
+        /// source bursts. Keyed state indexed by the session id (the
+        /// pub/sub server's topic windows) relies on this.
+        #[test]
+        fn session_events_execute_on_their_home_shard(
+            shards in 2usize..5,
+            sessions in proptest::collection::vec(any::<u64>(), 1..12),
+            burst in 1u64..32,
+        ) {
+            const TOTAL: u64 = 400;
+            let program = flux_core::compile(SESSION_SRC).unwrap();
+            let produced = AtomicU64::new(0);
+            let mut reg: NodeRegistry<u64> = NodeRegistry::new();
+            let mix = sessions.clone();
+            reg.source("Gen", move || {
+                let start = produced.load(Ordering::SeqCst);
+                if start >= TOTAL {
+                    return SourceOutcome::Shutdown;
+                }
+                let k = burst.min(TOTAL - start);
+                produced.fetch_add(k, Ordering::SeqCst);
+                let flows: Vec<u64> = (start..start + k)
+                    .map(|i| mix[(i % mix.len() as u64) as usize])
+                    .collect();
+                if flows.len() == 1 {
+                    SourceOutcome::New(flows[0])
+                } else {
+                    SourceOutcome::Batch(flows)
+                }
+            });
+            reg.session("Gen", |sid: &u64| *sid);
+            let violations = Arc::new(AtomicU64::new(0));
+            let executed = Arc::new(AtomicU64::new(0));
+            for node in ["Work", "Out"] {
+                let violations = violations.clone();
+                let executed = executed.clone();
+                reg.node(node, move |sid: &mut u64| {
+                    // Spin so a home shard holding most sessions builds
+                    // a backlog while its siblings sit idle.
+                    let t0 = std::time::Instant::now();
+                    while t0.elapsed() < Duration::from_micros(20) {
+                        std::hint::spin_loop();
+                    }
+                    executed.fetch_add(1, Ordering::Relaxed);
+                    if current_shard() != Some(shard_index(*sid, shards)) {
+                        violations.fetch_add(1, Ordering::Relaxed);
+                    }
+                    NodeOutcome::Ok
+                });
+            }
+            let server = Arc::new(FluxServer::new(program, reg).unwrap());
+            let handle = start(server.clone(), RuntimeKind::event_driven_sharded(shards, 1));
+            handle.join();
+            prop_assert_eq!(server.stats.finished(), TOTAL, "no event lost or doubled");
+            prop_assert_eq!(executed.load(Ordering::Relaxed), 2 * TOTAL);
+            prop_assert_eq!(
+                violations.load(Ordering::Relaxed),
+                0,
+                "session events executed off their home shard"
+            );
         }
     }
 }

@@ -18,10 +18,10 @@
 //!
 //! The pub/sub module stresses what the request/response servers never
 //! do: one inbound publish fans out to N subscribers through a single
-//! refcounted payload ([`flux_net::SharedPayload`]), and flows are
-//! pinned to their *topic's* home shard rather than their
-//! connection's ([`flux_runtime::NodeRegistry::session_pinned`]); see
-//! its module docs for the wire protocol and window semantics.
+//! refcounted payload ([`flux_net::SharedPayload`]), and flows run on
+//! their *topic's* home shard rather than their connection's (the
+//! session key is the topic: [`flux_runtime::NodeRegistry::session`]);
+//! see its module docs for the wire protocol and window semantics.
 //!
 //! Construction is uniform across servers, examples, benches and
 //! tests:

@@ -7,10 +7,9 @@
 //! outbound writes. It exercises the two pieces of infrastructure built
 //! for it — [`flux_net::SharedPayload`] (one encoded buffer submitted
 //! to every subscriber, returned to the pool by whichever connection
-//! drains last) and topic-keyed session pinning
-//! ([`NodeRegistry::session_pinned`]): the session key is a hash of the
-//! *topic*, not the connection, so a topic's window state always
-//! executes on its home dispatcher shard.
+//! drains last) and topic-keyed sessions ([`NodeRegistry::session`]):
+//! the session key is a hash of the *topic*, not the connection, so a
+//! topic's window state always executes on its home dispatcher shard.
 //!
 //! # Protocol
 //!
@@ -44,7 +43,7 @@
 //! [`PubSubSpec::window`] published values (default 64) with
 //! incremental frequency counts; top-k (default 3) is recomputed per
 //! round over the ≤window distinct values. The whole state lives in
-//! one striped map entry whose flows are pinned to the topic's home
+//! one striped map entry whose flows all run on the topic's home
 //! shard, so the common path takes an uncontended stripe lock.
 //!
 //! # Fan-out
@@ -201,8 +200,8 @@ impl TopicState {
     }
 }
 
-/// How many lock stripes the topic map spreads over. Pinning already
-/// keeps each topic's flows on one shard; the stripes only decorrelate
+/// How many lock stripes the topic map spreads over. The session key
+/// already keeps each topic's flows on one shard; the stripes only decorrelate
 /// *different* topics that share a shard.
 const TOPIC_STRIPES: usize = 16;
 
@@ -468,11 +467,10 @@ fn build_spec(
         }
     });
 
-    // Topic-keyed session affinity: hash the *topic*, and tell the
-    // runtime the key pins execution — every flow touching a topic runs
-    // on the topic's home shard, so the stripe lock below is
-    // uncontended on the steady-state path.
-    reg.session_pinned("Listen", |f: &PubSubFlow| f.session_key());
+    // Topic-keyed session affinity: hash the *topic*, so every flow
+    // touching a topic runs on the topic's home shard and the stripe
+    // lock below is uncontended on the steady-state path.
+    reg.session("Listen", |f: &PubSubFlow| f.session_key());
 
     reg.predicate("IsSub", |f: &PubSubFlow| {
         matches!(f.cmd, PubSubCmd::Sub { .. })
