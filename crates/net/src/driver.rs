@@ -4,7 +4,7 @@
 //! one flow; instead (as in the paper's web and BitTorrent servers, whose
 //! source nodes select over existing clients) the *source* multiplexes:
 //! it emits one unit of work per ready connection. The driver supplies
-//! that readiness stream from three producers feeding one channel:
+//! that readiness stream from two producers feeding one channel:
 //!
 //! * an **acceptor thread** per listener, queueing
 //!   [`DriverEvent::Incoming`]. It waits in [`Listener::accept`] — for
@@ -13,18 +13,14 @@
 //!   (`EMFILE`, `ECONNABORTED`, …) are retried with a short backoff
 //!   instead of killing the listener, with retries counted in
 //!   [`DriverCounters`];
-//! * the in-memory transport's **watch callbacks** (zero threads: the
-//!   writer's thread fires the callback at write time). Callbacks are
-//!   *coalesced*: each appends to a shared buffer and only the
-//!   empty→non-empty transition sends a channel marker
-//!   ([`Delivery::Coalesced`]), so a burst of N mem writes costs one
-//!   channel op, mirroring the reactor's batch delivery
-//!   ([`DriverCounters::watch_coalesced`] counts the saved sends);
 //! * the shared **readiness reactor** ([`crate::reactor::Reactor`]) for
-//!   every transport that exposes a raw file descriptor (TCP). One
-//!   reactor thread serves *all* registered sockets over the configured
-//!   [`crate::poller::Poller`] backend (`poll(2)`, or `epoll(7)` — the
-//!   Linux default; see [`NetConfig`]).
+//!   every connection, whatever its transport ([`Conn::readiness`]).
+//!   One reactor thread serves *all* registered sockets over the
+//!   configured [`crate::poller::Poller`] backend (`poll(2)`, or
+//!   `epoll(7)` — the Linux default; see [`NetConfig`]), and every
+//!   in-memory endpoint over the ready list its writers push onto, in
+//!   the same rounds and through the same arming, liveness, batching,
+//!   re-arm and write-drain code.
 //!
 //! **The hot path is slab-indexed and batched.** A [`Token`] encodes a
 //! `(slot, generation)` pair ([`token_slot`]/[`token_gen`]): the
@@ -52,14 +48,17 @@
 //!
 //! **The write path.** [`ConnDriver::submit_write`] queues response
 //! bytes on the connection's output buffer without blocking: transports
-//! that complete synchronously (the in-memory pipe, or TCP with socket
-//! buffer room) emit [`DriverEvent::WriteDone`] immediately; a partial
-//! TCP write arms a `POLLOUT` drain on the reactor, which batches
-//! non-blocking writes until the buffer empties (`WriteDone`) or the
-//! connection breaks (`WriteFailed`, after which the connection is
-//! removed). `Write` nodes therefore never occupy an I/O worker thread
-//! or hold a session lock across a send. [`ConnDriver::submit_write_buf`]
-//! is the pooled variant: the payload `Vec` (checked out with
+//! that complete synchronously (the unshaped in-memory pipe, or TCP
+//! with socket buffer room) emit [`DriverEvent::WriteDone`]
+//! immediately; a partial TCP write arms a `POLLOUT` drain on the
+//! reactor, which batches non-blocking writes until the buffer empties
+//! (`WriteDone`) or the connection breaks (`WriteFailed`, after which
+//! the connection is removed). A shaped in-memory link buffers what its
+//! token bucket cannot pass yet and is drained by the same reactor,
+//! which parks the watch until the shaper's next tokens. `Write` nodes
+//! therefore never occupy an I/O worker thread or hold a session lock
+//! across a send. [`ConnDriver::submit_write_buf`] is the pooled
+//! variant: the payload `Vec` (checked out with
 //! [`ConnDriver::take_write_buf`]) is recycled through a bounded
 //! [`crate::pool::BytePool`] as soon as the transport has taken or
 //! buffered the bytes, so steady-state response serialization performs
@@ -74,10 +73,10 @@
 //! (replacing the blocking path's socket-buffer backpressure) so a peer
 //! that never reads cannot grow server memory without limit.
 //!
-//! [`ConnDriver::stop`] is a real shutdown: it joins the reactor,
-//! acceptor and fallback-watch threads (all of which poll the stop flag
-//! on bounded timeouts), so no driver thread can outlive the server and
-//! fire into a dropped channel.
+//! [`ConnDriver::stop`] is a real shutdown: it joins the reactor and
+//! acceptor threads (both of which poll the stop flag on bounded
+//! timeouts), so no driver thread can outlive the server and fire into
+//! a dropped channel.
 
 use crate::pool::{BatchPool, BytePool, SharedPayload};
 use crate::traits::{Conn, Listener, WriteProgress};
@@ -131,7 +130,6 @@ pub struct NetConfig {
     /// the poll backend on Linux. The only substitution is an epoll
     /// that fails to initialise coming up as poll, counted in
     /// [`DriverCounters::poller_fallbacks`].
-    #[cfg(unix)]
     pub backend: crate::poller::PollerBackend,
     /// Per-connection output-buffer bound for the non-blocking write
     /// path. The blocking write path had natural backpressure (the
@@ -160,7 +158,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            #[cfg(unix)]
             backend: crate::poller::PollerBackend::default(),
             max_pending_out: 64 * 1024 * 1024,
             max_conns: 0,
@@ -183,18 +180,11 @@ pub enum DriverEvent {
 }
 
 /// What travels on the driver's event channel: the reactor ships one
-/// recycled batch per `wait` round; mem-transport watch callbacks
-/// accumulate into the driver's shared coalescing buffer and send one
-/// `Coalesced` marker per empty→non-empty transition; everything else
-/// (accepts, write completions) sends single events.
+/// recycled batch per round; everything else (accepts, write
+/// completions) sends single events.
 pub(crate) enum Delivery {
     One(DriverEvent),
     Batch(Vec<DriverEvent>),
-    /// Marker: the watch coalescing buffer went non-empty. The events
-    /// themselves are in [`ConnDriver::watch_batch`]; `unpack` drains
-    /// it wholesale, so a burst of watch callbacks costs one channel
-    /// send + one unpack instead of one channel op per event.
-    Coalesced,
 }
 
 /// A shared handle to a registered connection. Nodes lock it for the
@@ -225,10 +215,6 @@ pub struct DriverCounters {
     /// slow-consumer policy: drop the subscriber, never buffer without
     /// bound.
     pub slow_consumer_evicted: AtomicU64,
-    /// Watch-callback events that piggybacked on an already-pending
-    /// `Coalesced` marker instead of sending their own channel op —
-    /// the mem-transport batching amortization factor.
-    pub watch_coalesced: AtomicU64,
     /// Connections admitted by the acceptor (registered and announced
     /// as `Incoming`). With the overload books, `accepts_admitted +
     /// accepts_governed` equals the accepts the listener completed.
@@ -284,7 +270,6 @@ struct SlotState {
     /// Lets the idle reaper sever the socket with `shutdown(2)`
     /// *without* taking the conn lock — a slow-loris peer's parked
     /// blocking read holds that lock indefinitely.
-    #[cfg(unix)]
     fd: Option<std::os::fd::RawFd>,
 }
 
@@ -292,9 +277,7 @@ type ConnSlot = Mutex<SlotState>;
 
 /// `shutdown(2)` both directions — severs a socket without closing the
 /// fd, so a thread parked in a blocking read on it returns EOF.
-#[cfg(unix)]
 const SHUT_RDWR: std::os::raw::c_int = 2;
-#[cfg(unix)]
 extern "C" {
     fn shutdown(sockfd: std::os::raw::c_int, how: std::os::raw::c_int) -> std::os::raw::c_int;
 }
@@ -316,11 +299,6 @@ pub struct ConnDriver {
     free_slots: Mutex<Vec<u32>>,
     conn_count: AtomicUsize,
     counters: Arc<DriverCounters>,
-    /// Coalescing buffer for mem-transport watch callbacks (see
-    /// [`Delivery::Coalesced`]). A separate `Arc` — not `Arc<Self>` —
-    /// so a watch closure held by a connection never forms a
-    /// driver → slot → conn → closure → driver reference cycle.
-    watch_batch: Arc<Mutex<Vec<DriverEvent>>>,
     /// Recycled payload buffers for [`ConnDriver::submit_write_buf`]
     /// and [`ConnDriver::seal_write_buf`] (shared, so sealed payloads
     /// can return their buffer from any releasing thread).
@@ -338,18 +316,16 @@ pub struct ConnDriver {
     epoch: Instant,
     /// Next idle sweep due, in epoch-millis: the CAS here dedupes the
     /// sweep between its two drivers (the reactor's per-round tick and
-    /// the acceptor loop, which covers fd-less transports).
+    /// the acceptor loop, which runs it before any connection has been
+    /// armed and the reactor thread has started).
     reap_next_due: AtomicU64,
     stopping: AtomicBool,
-    /// Acceptor and fallback-watch threads, joined by [`ConnDriver::stop`].
+    /// Acceptor threads, joined by [`ConnDriver::stop`].
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Work queue of the lazily spawned `flux-net-drain` thread (fd-less
-    /// transports with buffered writes, i.e. the shaped mem transport).
-    drain_tx: Mutex<Option<Sender<(Token, SharedConn)>>>,
-    /// The readiness multiplexer for fd-backed transports (poll or
-    /// epoll, per [`NetConfig::backend`]). Its thread is spawned lazily
-    /// on the first fd registration.
-    #[cfg(unix)]
+    /// The readiness multiplexer for every connection (sockets over
+    /// poll or epoll, per [`NetConfig::backend`]; in-memory endpoints
+    /// over its ready list). Its thread is spawned lazily on the first
+    /// registration.
     reactor: Arc<crate::reactor::Reactor>,
 }
 
@@ -371,16 +347,13 @@ impl ConnDriver {
     pub fn with_config(config: &NetConfig) -> Self {
         let (tx, rx) = unbounded();
         let event_batches = Arc::new(BatchPool::new(8));
-        #[cfg(unix)]
         let reactor =
             crate::reactor::Reactor::new(tx.clone(), event_batches.clone(), config.backend);
         let counters = Arc::new(DriverCounters::default());
-        #[cfg(unix)]
         if reactor.backend_fell_back() {
             counters.poller_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
         ConnDriver {
-            #[cfg(unix)]
             reactor,
             tx,
             rx,
@@ -389,7 +362,6 @@ impl ConnDriver {
             free_slots: Mutex::new(Vec::new()),
             conn_count: AtomicUsize::new(0),
             counters,
-            watch_batch: Arc::new(Mutex::new(Vec::new())),
             write_bufs: Arc::new(BytePool::default()),
             event_batches,
             max_pending_out: config.max_pending_out,
@@ -399,28 +371,18 @@ impl ConnDriver {
             reap_next_due: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
-            drain_tx: Mutex::new(None),
         }
     }
 
     /// The readiness backend actually in use (`"poll"` or `"epoll"`,
     /// after the epoll → poll fallback — see
-    /// [`DriverCounters::poller_fallbacks`]); `"none"` on non-unix
-    /// hosts.
+    /// [`DriverCounters::poller_fallbacks`]).
     pub fn poller_backend(&self) -> &'static str {
-        #[cfg(unix)]
-        {
-            self.reactor.backend_name()
-        }
-        #[cfg(not(unix))]
-        {
-            "none"
-        }
+        self.reactor.backend_name()
     }
 
     /// True when the reactor thread pinned itself to a core (multi-core
     /// hosts; see [`crate::affinity`]).
-    #[cfg(unix)]
     pub fn reactor_pinned(&self) -> bool {
         self.reactor.pinned()
     }
@@ -449,8 +411,7 @@ impl ConnDriver {
             }
         };
         let now = self.now_ms();
-        #[cfg(unix)]
-        let fd = conn.raw_fd();
+        let fd = conn.readiness().fd();
         let gen = {
             let mut st = slot.lock();
             debug_assert!(st.conn.is_none(), "free slot must be empty");
@@ -459,10 +420,7 @@ impl ConnDriver {
             st.submissions = 0;
             st.close_after = false;
             st.progress = now;
-            #[cfg(unix)]
-            {
-                st.fd = fd;
-            }
+            st.fd = fd;
             st.gen
         };
         self.conn_count.fetch_add(1, Ordering::Relaxed);
@@ -509,7 +467,6 @@ impl ConnDriver {
                 self.send_one(DriverEvent::WriteFailed(token));
             }
         }
-        #[cfg(unix)]
         self.reactor.deregister(token);
         self.free_slots.lock().push(token_slot(token) as u32);
         Some(conn)
@@ -595,11 +552,7 @@ impl ConnDriver {
                 {
                     continue;
                 }
-                #[cfg(unix)]
-                let fd = st.fd;
-                #[cfg(not(unix))]
-                let fd = ();
-                (make_token(idx as u32, st.gen), fd)
+                (make_token(idx as u32, st.gen), st.fd)
             };
             // The slot lock is re-taken (and the generation re-checked)
             // inside `remove`, so a racing removal/reuse is benign.
@@ -609,14 +562,11 @@ impl ConnDriver {
                 // worker parked in a blocking read on this connection
                 // — the slow-loris case — observes EOF and returns
                 // instead of occupying the pool forever.
-                #[cfg(unix)]
                 if let Some(fd) = fd {
                     unsafe {
                         shutdown(fd, SHUT_RDWR);
                     }
                 }
-                #[cfg(not(unix))]
-                let _ = fd;
                 drop(conn);
                 reaped += 1;
             }
@@ -834,14 +784,13 @@ impl ConnDriver {
                     }
                     Some(first) => {
                         if first {
-                            self.arm_drain(&mut conn, &shared, token);
+                            self.arm_drain(&**conn, &shared, token);
                         }
                         drop(conn);
                         // A concurrent `remove` between the bookkeeping
                         // and the watch registration above could not see
                         // the watch; re-validate and clean up ourselves.
                         if self.get(token).is_none() {
-                            #[cfg(unix)]
                             self.reactor.deregister(token);
                             self.finish_writes(token, 0, false);
                         }
@@ -857,64 +806,52 @@ impl ConnDriver {
         }
     }
 
-    /// Arms the drain path for a connection whose output buffer just
-    /// became non-empty: a `POLLOUT` reactor watch for fd-backed
-    /// transports, a helper thread otherwise (the shaped in-memory
-    /// transport, whose "transmission time" sleep must not run on a
-    /// dispatcher shard). Called with the connection lock held.
-    fn arm_drain(
-        self: &Arc<Self>,
-        conn: &mut parking_lot::MutexGuard<'_, Box<dyn Conn>>,
-        shared: &SharedConn,
-        token: Token,
-    ) {
-        #[cfg(unix)]
-        if let Some(fd) = conn.raw_fd() {
-            let this = Arc::downgrade(self);
-            let drain_conn = shared.clone();
-            self.reactor.register_write(
-                fd,
-                token,
-                Box::new(move |call| {
-                    use crate::reactor::{DrainCall, DrainResult};
-                    let Some(driver) = this.upgrade() else {
-                        return DrainResult::Failed;
-                    };
-                    if matches!(call, DrainCall::Abort) {
+    /// Arms the reactor's write drain for a connection whose output
+    /// buffer just became non-empty: `POLLOUT` for a socket, the link
+    /// shaper's next tokens for a shaped in-memory pipe (whose
+    /// "transmission time" must not pass on a dispatcher shard). Called
+    /// with the connection lock held.
+    fn arm_drain(self: &Arc<Self>, conn: &dyn Conn, shared: &SharedConn, token: Token) {
+        let this = Arc::downgrade(self);
+        let drain_conn = shared.clone();
+        self.reactor.register_write(
+            conn.readiness(),
+            token,
+            Box::new(move |call| {
+                use crate::reactor::{DrainCall, DrainResult};
+                let Some(driver) = this.upgrade() else {
+                    return DrainResult::Failed;
+                };
+                if matches!(call, DrainCall::Abort) {
+                    driver.finish_writes(token, 0, false);
+                    return DrainResult::Failed;
+                }
+                // Never park the reactor thread on a connection lock (a
+                // flow may hold it across a blocking read): report Busy
+                // so the reactor re-offers the drain after a short park
+                // instead of spinning on the level-triggered POLLOUT.
+                let Some(mut conn) = drain_conn.try_lock() else {
+                    return DrainResult::Busy;
+                };
+                match conn.drain_out() {
+                    Ok(WriteProgress::Complete) => {
+                        driver.finish_writes(token, 0, true);
+                        DrainResult::Complete
+                    }
+                    Ok(WriteProgress::Pending) => {
+                        driver
+                            .counters
+                            .write_would_block
+                            .fetch_add(1, Ordering::Relaxed);
+                        DrainResult::Pending
+                    }
+                    Err(_) => {
                         driver.finish_writes(token, 0, false);
-                        return DrainResult::Failed;
+                        DrainResult::Failed
                     }
-                    // Never park the reactor thread on a connection
-                    // lock (a flow may hold it across a blocking
-                    // read): report Busy so the reactor re-offers the
-                    // drain after a short park instead of spinning on
-                    // the level-triggered POLLOUT.
-                    let Some(mut conn) = drain_conn.try_lock() else {
-                        return DrainResult::Busy;
-                    };
-                    match conn.drain_out() {
-                        Ok(WriteProgress::Complete) => {
-                            driver.finish_writes(token, 0, true);
-                            DrainResult::Complete
-                        }
-                        Ok(WriteProgress::Pending) => {
-                            driver
-                                .counters
-                                .write_would_block
-                                .fetch_add(1, Ordering::Relaxed);
-                            DrainResult::Pending
-                        }
-                        Err(_) => {
-                            driver.finish_writes(token, 0, false);
-                            DrainResult::Failed
-                        }
-                    }
-                }),
-            );
-            return;
-        }
-        let _ = conn;
-        self.queue_helper_drain(shared.clone(), token);
+                }
+            }),
+        );
     }
 
     /// Retires `extra` submissions plus every submission tracked for
@@ -958,165 +895,22 @@ impl ConnDriver {
         }
     }
 
-    /// Drain path for transports with a pending buffer but no raw fd
-    /// (the shaped in-memory transport): one persistent
-    /// `flux-net-drain` thread services a queue of connections,
-    /// absorbing the shaper's transmission-time sleeps — the write-side
-    /// analogue of the paper's select-simulation thread. Draining is
-    /// round-robin chunk by chunk (a connection with more buffered
-    /// bytes re-queues itself), which matches the serial link the
-    /// shaper models while keeping any one connection from starving the
-    /// rest.
-    fn queue_helper_drain(self: &Arc<Self>, shared: SharedConn, token: Token) {
-        let tx = {
-            let mut guard = self.drain_tx.lock();
-            if guard.is_none() {
-                let (tx, rx) = unbounded::<(Token, SharedConn)>();
-                *guard = Some(tx);
-                let this = self.clone();
-                self.spawn_tracked("flux-net-drain", move || this.drain_loop(rx));
-            }
-            guard.as_ref().expect("just installed").clone()
-        };
-        let _ = tx.send((token, shared));
-    }
-
-    /// The persistent drain thread's main loop.
-    fn drain_loop(self: Arc<Self>, rx: Receiver<(Token, SharedConn)>) {
-        loop {
-            if self.stopping.load(Ordering::Relaxed) {
-                return;
-            }
-            let (token, shared) = match rx.recv_timeout(Duration::from_millis(100)) {
-                Ok(item) => item,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
-            };
-            if self.get(token).is_none() {
-                // Removed while queued: submissions already failed.
-                continue;
-            }
-            // The lock is held across drain_out *and* the completion
-            // bookkeeping: a submission enqueued concurrently either
-            // lands before the drain (its bytes go out now) or after
-            // the finish (it creates a fresh write state and re-queues
-            // the token) — never in between, where it would be retired
-            // with its bytes still buffered.
-            let mut conn = shared.lock();
-            match conn.drain_out() {
-                Ok(WriteProgress::Complete) => self.finish_writes(token, 0, true),
-                Ok(WriteProgress::Pending) => {
-                    // One chunk transmitted; take the next turn after
-                    // every other waiting connection.
-                    drop(conn);
-                    let guard = self.drain_tx.lock();
-                    if let Some(tx) = guard.as_ref() {
-                        let _ = tx.send((token, shared));
-                    }
-                    continue;
-                }
-                Err(_) => self.finish_writes(token, 0, false),
-            }
-        }
-    }
-
-    /// Arms a one-shot readability watch: when the connection has data
-    /// (or EOF), a [`DriverEvent::Readable`] is queued. In-memory
-    /// transports install a watch callback; fd-backed transports (TCP)
-    /// are registered with the shared reactor thread. Only a
-    /// transport with neither capability falls back to a helper thread.
+    /// Arms a one-shot readability watch on the reactor: when the
+    /// connection has data (or EOF), a [`DriverEvent::Readable`] is
+    /// queued.
     pub fn arm(self: &Arc<Self>, token: Token) {
         let Some(shared) = self.get(token) else {
             return;
         };
-        let tx = self.tx.clone();
-        let watched = {
-            let conn = shared.lock();
-            // Coalescing: callbacks append to the shared watch buffer
-            // and send one `Coalesced` marker per empty→non-empty
-            // transition. The buffer lock serializes racing callbacks,
-            // so the transition check is exact: a callback that sees a
-            // non-empty buffer is guaranteed its event rides on a
-            // marker that is still in flight (the consumer drains the
-            // buffer wholesale when it unpacks the marker). The closure
-            // captures the buffer/counter Arcs, never the driver —
-            // avoiding a driver → slot → conn → closure → driver cycle.
-            conn.set_read_watch(Box::new({
-                let tx = tx.clone();
-                let batch = self.watch_batch.clone();
-                let counters = self.counters.clone();
-                move || {
-                    let was_empty = {
-                        let mut b = batch.lock();
-                        let was_empty = b.is_empty();
-                        b.push(DriverEvent::Readable(token));
-                        was_empty
-                    };
-                    if was_empty {
-                        let _ = tx.send(Delivery::Coalesced);
-                    } else {
-                        counters.watch_coalesced.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }))
-        };
-        if watched {
-            return;
+        let src = shared.lock().readiness();
+        self.reactor.register(src, token);
+        // A concurrent `remove` between our `get` and the registration
+        // could not see the watch (and `register` would have resurrected
+        // the liveness entry); re-validate so a removed token never
+        // stays armed.
+        if self.get(token).is_none() {
+            self.reactor.deregister(token);
         }
-        #[cfg(unix)]
-        {
-            let fd = shared.lock().raw_fd();
-            if let Some(fd) = fd {
-                self.reactor.register(fd, token);
-                // A concurrent `remove` between our `get` and the
-                // registration could not see the watch (and `register`
-                // would have resurrected the liveness entry); re-validate
-                // so a removed token never stays armed.
-                if self.get(token).is_none() {
-                    self.reactor.deregister(token);
-                }
-                return;
-            }
-        }
-        self.arm_with_helper_thread(shared, token, tx);
-    }
-
-    /// Last-resort watch for transports with neither watch callbacks nor
-    /// a raw fd: one helper thread performs the wait (the paper's
-    /// select-simulation thread). No in-tree transport takes this path.
-    fn arm_with_helper_thread(
-        self: &Arc<Self>,
-        shared: SharedConn,
-        token: Token,
-        tx: Sender<Delivery>,
-    ) {
-        let this = self.clone();
-        let clone = {
-            let conn = shared.lock();
-            conn.try_clone()
-        };
-        self.spawn_tracked("flux-net-watch", move || {
-            let Ok(conn) = clone else {
-                let _ = tx.send(Delivery::One(DriverEvent::Readable(token)));
-                return;
-            };
-            loop {
-                if this.stopping.load(Ordering::Relaxed) {
-                    return;
-                }
-                match conn.wait_readable(Some(Duration::from_millis(100))) {
-                    Ok(true) => {
-                        let _ = tx.send(Delivery::One(DriverEvent::Readable(token)));
-                        return;
-                    }
-                    Ok(false) => continue,
-                    Err(_) => {
-                        let _ = tx.send(Delivery::One(DriverEvent::Readable(token)));
-                        return;
-                    }
-                }
-            }
-        });
     }
 
     /// Spawns a driver-owned thread whose handle [`ConnDriver::stop`]
@@ -1161,20 +955,17 @@ impl ConnDriver {
         use std::io::ErrorKind;
         let this = self.clone();
         listener.set_accept_timeout(Some(Duration::from_millis(50)));
-        #[cfg(unix)]
-        {
-            // The reactor drives the idle sweep from its wait loop (one
-            // cheap check per round, ≤250 ms apart thanks to the
-            // backstop timeout); `maybe_reap` CAS-dedupes against the
-            // acceptor loop's own calls so the sweep runs once per
-            // interval no matter how many drivers poke it.
-            let weak = Arc::downgrade(self);
-            self.reactor.set_tick(Box::new(move || {
-                if let Some(driver) = weak.upgrade() {
-                    driver.maybe_reap();
-                }
-            }));
-        }
+        // The reactor drives the idle sweep from its wait loop (one
+        // cheap check per round, ≤250 ms apart thanks to the backstop
+        // timeout); `maybe_reap` CAS-dedupes against the acceptor
+        // loop's own calls so the sweep runs once per interval no
+        // matter how many drivers poke it.
+        let weak = Arc::downgrade(self);
+        self.reactor.set_tick(Box::new(move || {
+            if let Some(driver) = weak.upgrade() {
+                driver.maybe_reap();
+            }
+        }));
         self.spawn_tracked("flux-net-accept", move || {
             // Deterministic jitter seed: the listener allocation address
             // is stable for this loop's lifetime and distinct per
@@ -1280,12 +1071,6 @@ impl ConnDriver {
                 pending.extend(batch.drain(..));
                 self.event_batches.put(batch);
             }
-            Delivery::Coalesced => {
-                // Drain everything the watch callbacks accumulated
-                // since the marker was sent — including events that
-                // piggybacked after it.
-                pending.extend(self.watch_batch.lock().drain(..));
-            }
         }
     }
 
@@ -1320,8 +1105,8 @@ impl ConnDriver {
         self.send_one(ev);
     }
 
-    /// Stops and **joins** the acceptor, reactor and watcher threads.
-    /// All of them poll the stop flag on bounded timeouts (50–250 ms),
+    /// Stops and **joins** the acceptor and reactor threads. Both poll
+    /// the stop flag on bounded timeouts (50–250 ms),
     /// so the join completes promptly; after `stop` returns, no driver
     /// thread survives to fire into a dropped channel.
     ///
@@ -1333,7 +1118,6 @@ impl ConnDriver {
     /// token stays registered after `stop` returns.
     pub fn stop(&self) {
         self.stopping.store(true, Ordering::Relaxed);
-        #[cfg(unix)]
         self.reactor.stop();
         let handles = std::mem::take(&mut *self.threads.lock());
         let me = std::thread::current().id();
@@ -1358,9 +1142,7 @@ impl ConnDriver {
         }
     }
 
-    /// The number of readiness events delivered by the reactor
-    /// (fd-backed transports only; watch-based events are not counted).
-    #[cfg(unix)]
+    /// The number of readiness events delivered by the reactor.
     pub fn reactor_events(&self) -> u64 {
         self.reactor.events_delivered()
     }
@@ -1417,11 +1199,11 @@ mod tests {
         driver.stop();
     }
 
-    /// A burst of mem-transport watch callbacks with an idle consumer
-    /// coalesces into one channel marker: every event is still
-    /// delivered, and all but the first are counted as coalesced.
+    /// In-memory readiness comes from the reactor, as a socket's
+    /// does: sixteen armed connections written back to back are all
+    /// delivered, each once, and counted as reactor events.
     #[test]
-    fn mem_watch_burst_coalesces_into_one_marker() {
+    fn one_reactor_thread_serves_many_mem_conns() {
         const CONNS: usize = 16;
         let net = MemNet::new();
         let listener = net.listen("srv").unwrap();
@@ -1439,9 +1221,6 @@ mod tests {
             driver.arm(token);
             tokens.push(token);
         }
-        // Consumer idle: every write fires its watch callback from this
-        // thread, back to back — only the first transition should reach
-        // the channel.
         for c in &mut clients {
             c.write_all(b"x").unwrap();
         }
@@ -1460,11 +1239,7 @@ mod tests {
         readable.sort_unstable();
         tokens.sort_unstable();
         assert_eq!(readable, tokens, "every armed conn delivered exactly once");
-        assert_eq!(
-            driver.counters().watch_coalesced.load(Ordering::Relaxed),
-            CONNS as u64 - 1,
-            "all but the transition send piggybacked"
-        );
+        assert_eq!(driver.reactor_events(), CONNS as u64);
         driver.stop();
     }
 
@@ -1675,11 +1450,10 @@ mod tests {
             driver.next_event(Duration::from_secs(2)),
             Some(DriverEvent::Readable(token))
         );
-        #[cfg(unix)]
         assert_eq!(
             driver.reactor_events(),
             1,
-            "TCP readiness must come from the reactor, not helper threads"
+            "TCP readiness comes from the reactor"
         );
         driver.stop();
     }
@@ -1688,7 +1462,6 @@ mod tests {
     /// thread — the acceptance criterion for retiring the per-connection
     /// helper threads.
     #[test]
-    #[cfg(unix)]
     fn one_reactor_thread_serves_many_tcp_conns() {
         let acceptor = crate::tcp::TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr();
@@ -1781,8 +1554,8 @@ mod tests {
     }
 
     /// On a shaped (rate-limited) in-memory link, `submit_write` must
-    /// return immediately — the shaper's transmission-time sleep runs on
-    /// the drain helper, never the submitting thread.
+    /// return immediately — the reactor's drain sends the bytes as the
+    /// shaper's tokens accrue, never at more than the link's rate.
     #[test]
     fn shaped_mem_write_does_not_block_the_submitter() {
         let net = MemNet::new();
@@ -1809,6 +1582,11 @@ mod tests {
             driver.next_event(Duration::from_secs(10)),
             Some(DriverEvent::WriteDone(token))
         );
+        assert!(
+            t0.elapsed() > Duration::from_millis(250),
+            "the drain must keep to the link rate (took {:?})",
+            t0.elapsed()
+        );
         let mut got = 0usize;
         let mut buf = vec![0u8; 64 * 1024];
         while got < payload.len() {
@@ -1823,7 +1601,6 @@ mod tests {
     /// fails (`WriteFailed`) and removes the connection instead of
     /// growing server memory without limit.
     #[test]
-    #[cfg(unix)]
     fn overflowing_pending_out_fails_the_write() {
         let (driver, _client, token) = tcp_pair_with(&NetConfig {
             max_pending_out: 256 * 1024,
@@ -1842,7 +1619,6 @@ mod tests {
     /// `remove` fails still-pending submissions so every `submit_write`
     /// gets its completion event.
     #[test]
-    #[cfg(unix)]
     fn remove_fails_pending_submissions() {
         let (driver, _client, token) = tcp_pair();
         // Large enough to stay partially buffered (client never reads).
@@ -1909,12 +1685,10 @@ mod tests {
 
     /// Accepts one TCP connection through the driver and returns
     /// `(driver, client, token)`.
-    #[cfg(unix)]
     fn tcp_pair() -> (Arc<ConnDriver>, crate::tcp::TcpConn, Token) {
         tcp_pair_with(&NetConfig::default())
     }
 
-    #[cfg(unix)]
     fn tcp_pair_with(config: &NetConfig) -> (Arc<ConnDriver>, crate::tcp::TcpConn, Token) {
         let acceptor = crate::tcp::TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr();
@@ -1931,7 +1705,6 @@ mod tests {
     /// A write larger than the kernel socket buffers completes via the
     /// reactor's POLLOUT drain once the (initially slow) client reads.
     #[test]
-    #[cfg(unix)]
     fn partial_tcp_write_completes_via_pollout() {
         let (driver, mut client, token) = tcp_pair();
         // Big enough to overrun loopback socket buffers by a wide margin.
@@ -1970,7 +1743,6 @@ mod tests {
     /// Two writes submitted while the socket is full drain in FIFO
     /// order, with one WriteDone per submission.
     #[test]
-    #[cfg(unix)]
     fn queued_writes_drain_fifo() {
         let (driver, mut client, token) = tcp_pair();
         let first: Vec<u8> = vec![b'a'; 8 * 1024 * 1024];
@@ -2003,7 +1775,6 @@ mod tests {
     /// drains, then closes it — the client sees the full payload
     /// followed by EOF.
     #[test]
-    #[cfg(unix)]
     fn remove_when_flushed_defers_close_until_drained() {
         let (driver, mut client, token) = tcp_pair();
         let payload: Vec<u8> = vec![b'z'; 8 * 1024 * 1024];
@@ -2039,7 +1810,8 @@ mod tests {
     /// The two-part response path ([`ConnDriver::submit_response`]):
     /// head and shared body over real TCP with a send buffer small
     /// enough that every response is a partial write, and over the
-    /// shaped in-memory link (the `flux-net-drain` thread path).
+    /// shaped in-memory link, which the same reactor drains as the
+    /// shaper's tokens accrue.
     mod response_parts {
         use super::*;
         use crate::tcp::TcpConn;
@@ -2074,8 +1846,8 @@ mod tests {
         }
 
         /// Waits for the drain's last reference to `payload` to go: the
-        /// reactor and the drain thread drop their handle to a removed
-        /// connection (and with it its output buffer) on their own time.
+        /// reactor drops its handle to a removed connection (and with it
+        /// its output buffer) on its own time.
         fn released(payload: &SharedPayload) -> bool {
             let deadline = Instant::now() + Duration::from_secs(5);
             while payload.ref_count() > 1 && Instant::now() < deadline {
@@ -2263,7 +2035,7 @@ mod tests {
 
         /// A server-side connection on a 16 MB/s in-memory link: the
         /// 1 MiB bodies overrun the shaper's burst, so every response is
-        /// buffered for the drain thread.
+        /// buffered for the reactor's drain.
         fn shaped_mem_pair() -> (Arc<ConnDriver>, Token, crate::mem::MemConn) {
             let net = MemNet::new();
             net.set_link_capacity(Some(16_000_000.0));
@@ -2283,11 +2055,7 @@ mod tests {
             let (driver, token, mut client) = shaped_mem_pair();
             let (head, body) = (head(1), body(1));
             submit(&driver, token, &head, &body);
-            assert_eq!(
-                body.ref_count(),
-                2,
-                "buffered for the drain thread by reference"
-            );
+            assert_eq!(body.ref_count(), 2, "buffered for the drain by reference");
             assert!(read_exactly(&mut client, head.len()) == head[..]);
             assert!(read_exactly(&mut client, body.len()) == body[..]);
             expect_done(&driver, token, 1);
@@ -2338,7 +2106,6 @@ mod tests {
     /// fd) and immediately accept a new one that reuses it. The stale
     /// token must never fire.
     #[test]
-    #[cfg(unix)]
     fn removed_token_never_fires_after_fd_reuse() {
         let acceptor = crate::tcp::TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr();

@@ -6,7 +6,9 @@
 //!
 //! * **mem** — a hermetic in-memory transport (duplex pipes, a listener
 //!   registry, datagram sockets) with optional aggregate link shaping,
-//!   so benchmarks are reproducible and can exhibit network saturation;
+//!   so tests are reproducible and can exhibit network saturation; its
+//!   connections are armed, delivered and drained by the same reactor
+//!   as sockets;
 //! * **tcp** — real TCP/UDP over `std::net`; the acceptor waits for
 //!   connections in `poll(2)` and output goes out with
 //!   `sendmsg(MSG_DONTWAIT)` — a gather write over a response's head
@@ -23,10 +25,11 @@
 //!   (backend choice, output-buffer bound, event-poll timeout) —
 //!   servers reach it via `flux_servers::ServerBuilder`;
 //! * **reactor** — the single multiplexer thread behind the driver:
-//!   every registered TCP socket carries read/write *interest*, output
-//!   buffers drain on writability instead of parking an I/O worker in
-//!   `send(2)`, and the fd-reuse (generation) and shutdown invariants
-//!   are enforced here once, above the backend;
+//!   every registered connection — a socket, or an in-memory endpoint
+//!   that reports on the reactor's ready list — carries read/write
+//!   *interest*, output buffers drain on writability instead of parking
+//!   an I/O worker in `send(2)`, and the fd-reuse (generation) and
+//!   shutdown invariants are enforced here once, above the backend;
 //! * **poller** — the syscall-facing core, behind the [`Poller`] trait
 //!   (`add`/`modify`/`delete`/`wait` over interest-tagged fds): a
 //!   portable `poll(2)` backend (interest maintained incrementally, so
@@ -122,10 +125,12 @@
 //!   the existing bound still evicts the slow consumer when the buffer
 //!   limit is hit.
 
+#[cfg(not(unix))]
+compile_error!("flux-net needs a unix host: its reactor waits in poll(2) or epoll(7)");
+
 pub mod affinity;
 pub mod driver;
 pub mod mem;
-#[cfg(unix)]
 pub mod poller;
 pub mod pool;
 pub mod reactor;
@@ -140,11 +145,9 @@ pub use driver::{
 pub use mem::{MemConn, MemDatagram, MemListener, MemNet};
 #[cfg(target_os = "linux")]
 pub use poller::EpollPoller;
-#[cfg(unix)]
 pub use poller::{create_poller, Interest, PollPoller, Poller, PollerBackend, PollerEvent};
 pub use pool::{BytePool, OutBuf, SharedPayload};
-#[cfg(unix)]
 pub use reactor::Reactor;
 pub use shaper::Shaper;
 pub use tcp::{TcpAcceptor, TcpConn, UdpDatagram};
-pub use traits::{read_exact_timeout, Conn, Datagram, Listener, WriteProgress};
+pub use traits::{read_exact_timeout, Conn, Datagram, Listener, Readiness, WriteProgress};

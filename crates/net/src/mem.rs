@@ -1,23 +1,39 @@
 //! Hermetic in-memory transport: duplex pipes, a listener registry and
-//! optional link shaping. Benchmarks run on this transport so results do
-//! not depend on kernel socket buffers or loopback quirks.
+//! optional link shaping. Tests and the paper-figure binaries run on
+//! this transport so results do not depend on kernel socket buffers or
+//! loopback quirks.
+//!
+//! Readiness goes through the driver's reactor, as a socket's does: an
+//! armed endpoint ([`MemEndpoint`]) pushes its token onto the reactor's
+//! ready list when a write or a close makes it readable, and a shaped
+//! link's buffered output is drained by the reactor's write path, which
+//! waits for the shaper's next tokens instead of sleeping in the bucket.
 
+use crate::driver::Token;
 use crate::pool::{OutBuf, SharedPayload};
+use crate::reactor::Waker;
 use crate::shaper::Shaper;
-use crate::traits::{Conn, Datagram, Listener};
+use crate::traits::{Conn, Datagram, Listener, Readiness, WriteProgress};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Bytes one drain sends per chunk of tokens, and the tokens a drain
+/// that ran the bucket dry waits for.
+const DRAIN_CHUNK: usize = 16 * 1024;
 
 /// One direction of a duplex in-memory connection.
 #[derive(Default)]
 struct PipeState {
     data: VecDeque<u8>,
     closed: bool,
-    watch: Option<Box<dyn FnOnce() + Send>>,
+    /// The armed reader's token and the reactor to report it to:
+    /// one-shot, taken by the write or close that makes the pipe
+    /// readable.
+    armed: Option<(Arc<Waker>, Token)>,
 }
 
 #[derive(Default)]
@@ -36,12 +52,7 @@ impl Pipe {
             ));
         }
         s.data.extend(buf);
-        let watch = s.watch.take();
-        drop(s);
-        self.cond.notify_all();
-        if let Some(w) = watch {
-            w();
-        }
+        self.became_readable(s);
         Ok(buf.len())
     }
 
@@ -69,42 +80,55 @@ impl Pipe {
         }
     }
 
-    fn wait_readable(&self, timeout: Option<Duration>) -> io::Result<bool> {
-        let mut s = self.state.lock();
-        loop {
-            if !s.data.is_empty() || s.closed {
-                return Ok(true);
-            }
-            match timeout {
-                None => self.cond.wait(&mut s),
-                Some(d) => {
-                    if self.cond.wait_for(&mut s, d).timed_out() && s.data.is_empty() && !s.closed {
-                        return Ok(false);
-                    }
-                }
-            }
-        }
-    }
-
-    fn set_watch(&self, watch: Box<dyn FnOnce() + Send>) {
-        let mut s = self.state.lock();
-        if !s.data.is_empty() || s.closed {
-            drop(s);
-            watch();
-        } else {
-            s.watch = Some(watch);
-        }
-    }
-
     fn close(&self) {
         let mut s = self.state.lock();
         s.closed = true;
-        let watch = s.watch.take();
+        self.became_readable(s);
+    }
+
+    /// Wakes blocked readers and reports the armed token, if any, after
+    /// releasing the state lock.
+    fn became_readable(&self, mut s: MutexGuard<'_, PipeState>) {
+        let armed = s.armed.take();
         drop(s);
         self.cond.notify_all();
-        if let Some(w) = watch {
-            w();
+        if let Some((waker, token)) = armed {
+            waker.ready(token);
         }
+    }
+}
+
+/// What the reactor holds to watch one in-memory endpoint: the pipe it
+/// reads from and the link shaper its writes pass.
+#[derive(Clone)]
+pub struct MemEndpoint {
+    rx: Arc<Pipe>,
+    shaper: Option<Arc<Shaper>>,
+}
+
+impl MemEndpoint {
+    /// Arms one-shot read readiness for `token`. Returns `true`, arming
+    /// nothing, when the endpoint is readable (or closed) already.
+    pub(crate) fn arm(&self, waker: &Arc<Waker>, token: Token) -> bool {
+        let mut s = self.rx.state.lock();
+        if !s.data.is_empty() || s.closed {
+            return true;
+        }
+        s.armed = Some((waker.clone(), token));
+        false
+    }
+
+    /// Drops the armed token, if any (the connection was deregistered).
+    pub(crate) fn disarm(&self) {
+        self.rx.state.lock().armed = None;
+    }
+
+    /// How long a drain that found no tokens waits before the link can
+    /// take its next chunk (zero on an unshaped link).
+    pub(crate) fn write_ready_in(&self) -> Duration {
+        self.shaper
+            .as_ref()
+            .map_or(Duration::ZERO, |s| s.ready_in(DRAIN_CHUNK))
     }
 }
 
@@ -115,10 +139,10 @@ pub struct MemConn {
     read_timeout: Option<Duration>,
     shaper: Option<Arc<Shaper>>,
     /// Output segment queue for enqueued writes on *shaped* links,
-    /// drained by the driver's drain thread (see [`Conn::enqueue_write`]
-    /// below). Shared fan-out payloads buffer a reference, not a copy.
+    /// drained by the reactor as the shaper's tokens accrue (see
+    /// [`Conn::enqueue_write`] below). Shared fan-out payloads buffer a
+    /// reference, not a copy.
     out: OutBuf,
-    local: String,
     peer: String,
 }
 
@@ -139,7 +163,6 @@ impl MemConn {
                 read_timeout: None,
                 shaper: shaper.clone(),
                 out: OutBuf::new(),
-                local: "mem:client".into(),
                 peer: "mem:server".into(),
             },
             MemConn {
@@ -148,7 +171,6 @@ impl MemConn {
                 read_timeout: None,
                 shaper,
                 out: OutBuf::new(),
-                local: "mem:server".into(),
                 peer: "mem:client".into(),
             },
         )
@@ -187,110 +209,92 @@ impl Conn for MemConn {
         Ok(())
     }
 
-    fn wait_readable(&self, timeout: Option<Duration>) -> io::Result<bool> {
-        self.rx.wait_readable(timeout)
+    fn readiness(&self) -> Readiness {
+        Readiness::Mem(MemEndpoint {
+            rx: self.rx.clone(),
+            shaper: self.shaper.clone(),
+        })
     }
 
-    fn set_read_watch(&self, watch: Box<dyn FnOnce() + Send>) -> bool {
-        self.rx.set_watch(watch);
-        true
-    }
-
-    fn enqueue_write(&mut self, bytes: &[u8]) -> io::Result<crate::traits::WriteProgress> {
+    fn enqueue_write(&mut self, bytes: &[u8]) -> io::Result<WriteProgress> {
         if let Some(shaper) = self.shaper.clone() {
-            // A shaped link *blocks* in the token bucket to model
-            // transmission time. Burst-sized traffic whose tokens are
-            // available passes synchronously; anything past the bucket
-            // is buffered for the driver's drain thread, which can
-            // afford the sleep (the submitting dispatcher shard cannot).
+            // A shaped link models transmission time with its token
+            // bucket. Burst-sized traffic whose tokens are available
+            // passes synchronously; anything past the bucket is
+            // buffered for the reactor's drain, which sends it as the
+            // tokens accrue (the submitting dispatcher shard must not
+            // wait for them).
             if !self.out.is_empty() || !shaper.try_consume(bytes.len()) {
                 self.out.push_owned(bytes, 0);
-                return Ok(crate::traits::WriteProgress::Pending);
+                return Ok(WriteProgress::Pending);
             }
             // Tokens already consumed: write to the pipe directly so
             // the shaper is not charged twice.
             self.tx.write(bytes)?;
-            return Ok(crate::traits::WriteProgress::Complete);
+            return Ok(WriteProgress::Complete);
         }
         // The unshaped pipe never exerts backpressure: enqueues complete
         // synchronously and no drain watch is needed.
         io::Write::write_all(self, bytes)?;
-        Ok(crate::traits::WriteProgress::Complete)
+        Ok(WriteProgress::Complete)
     }
 
-    fn enqueue_write_shared(
-        &mut self,
-        payload: &SharedPayload,
-    ) -> io::Result<crate::traits::WriteProgress> {
+    fn enqueue_write_shared(&mut self, payload: &SharedPayload) -> io::Result<WriteProgress> {
         if let Some(shaper) = self.shaper.clone() {
             if !self.out.is_empty() || !shaper.try_consume(payload.len()) {
                 // Blocked: buffer a reference, not a per-subscriber copy.
                 self.out.push_shared(payload, 0);
-                return Ok(crate::traits::WriteProgress::Pending);
+                return Ok(WriteProgress::Pending);
             }
             self.tx.write(payload)?;
-            return Ok(crate::traits::WriteProgress::Complete);
+            return Ok(WriteProgress::Complete);
         }
         self.tx.write(payload)?;
-        Ok(crate::traits::WriteProgress::Complete)
+        Ok(WriteProgress::Complete)
     }
 
     fn enqueue_write_parts(
         &mut self,
         head: &[u8],
         body: &SharedPayload,
-    ) -> io::Result<crate::traits::WriteProgress> {
+    ) -> io::Result<WriteProgress> {
         if let Some(shaper) = self.shaper.clone() {
             if !self.out.is_empty() || !shaper.try_consume(head.len() + body.len()) {
-                // Blocked: the whole message waits for the drain thread,
-                // the body as a reference.
+                // Blocked: the whole message waits for the drain, the
+                // body as a reference.
                 self.out.push_parts(head, body, 0);
-                return Ok(crate::traits::WriteProgress::Pending);
+                return Ok(WriteProgress::Pending);
             }
         }
         self.tx.write(head)?;
         self.tx.write(body)?;
-        Ok(crate::traits::WriteProgress::Complete)
+        Ok(WriteProgress::Complete)
     }
 
     fn pending_out(&self) -> usize {
         self.out.len()
     }
 
-    fn drain_out(&mut self) -> io::Result<crate::traits::WriteProgress> {
-        // Runs on the driver's flux-net-drain thread, which may sleep in
-        // the shaper. One bounded chunk per call keeps the connection
-        // lock's hold time to a single chunk's transmission, so flows
-        // and fresh enqueues interleave with a long drain.
-        const DRAIN_CHUNK: usize = 16 * 1024;
-        let Some(front) = self.out.front() else {
-            return Ok(crate::traits::WriteProgress::Complete);
-        };
-        let n = front.len().min(DRAIN_CHUNK);
-        if let Some(s) = &self.shaper {
-            // The buffered bytes never passed `try_consume`, so the
-            // drain pays their transmission time here (blocking).
-            s.consume(n);
+    fn drain_out(&mut self) -> io::Result<WriteProgress> {
+        // Runs on the reactor thread, so it never waits in the shaper:
+        // it sends what the bucket holds, chunk by chunk, and reports
+        // `Pending` when the bucket runs dry; the reactor then parks
+        // the watch until the shaper's next chunk of tokens.
+        while let Some(front) = self.out.front() {
+            let want = front.len().min(DRAIN_CHUNK);
+            let n = match &self.shaper {
+                // The buffered bytes never passed `try_consume`, so the
+                // drain pays their transmission time here.
+                Some(s) => s.take_up_to(want),
+                None => want,
+            };
+            if n == 0 {
+                return Ok(WriteProgress::Pending);
+            }
+            self.tx.write(&front[..n])?;
+            self.out.advance(n);
         }
-        self.tx.write(&front[..n])?;
-        self.out.advance(n);
-        Ok(if self.out.is_empty() {
-            crate::traits::WriteProgress::Complete
-        } else {
-            crate::traits::WriteProgress::Pending
-        })
-    }
-
-    fn try_clone(&self) -> io::Result<Box<dyn Conn>> {
-        Ok(Box::new(MemConn {
-            rx: self.rx.clone(),
-            tx: self.tx.clone(),
-            read_timeout: self.read_timeout,
-            shaper: self.shaper.clone(),
-            out: OutBuf::new(),
-            local: self.local.clone(),
-            peer: self.peer.clone(),
-        }))
+        Ok(WriteProgress::Complete)
     }
 
     fn shutdown_write(&mut self) -> io::Result<()> {
@@ -301,11 +305,8 @@ impl Conn for MemConn {
 
 impl Drop for MemConn {
     fn drop(&mut self) {
-        // Only close when this is the last handle to the tx pipe other
-        // than the peer's rx reference (2 = peer rx + our tx).
-        if Arc::strong_count(&self.tx) <= 2 {
-            self.tx.close();
-        }
+        // Each pipe has one writer, this endpoint: its drop is the EOF.
+        self.tx.close();
     }
 }
 
@@ -531,38 +532,60 @@ mod tests {
         drop(a);
     }
 
-    #[test]
-    fn watch_fires_on_write() {
-        let (mut a, b) = MemConn::pair();
-        let (tx, rx) = bounded(1);
-        assert!(b.set_read_watch(Box::new(move || {
-            let _ = tx.send(());
-        })));
-        assert!(rx.try_recv().is_err(), "not readable yet");
-        a.write_all(b"!").unwrap();
-        rx.recv_timeout(Duration::from_secs(1)).unwrap();
+    /// A fresh waker, as the reactor's thread would install it (no
+    /// self-pipe: the tests read its ready list directly).
+    fn waker() -> Arc<Waker> {
+        Arc::new(Waker::default())
     }
 
     #[test]
-    fn watch_fires_immediately_when_data_pending() {
+    fn arm_reports_on_write() {
         let (mut a, b) = MemConn::pair();
+        let Readiness::Mem(ep) = b.readiness() else {
+            panic!("an in-memory endpoint")
+        };
+        let w = waker();
+        assert!(!ep.arm(&w, 7), "not readable yet");
+        assert!(w.take_ready().is_empty());
         a.write_all(b"!").unwrap();
-        let (tx, rx) = bounded(1);
-        b.set_read_watch(Box::new(move || {
-            let _ = tx.send(());
-        }));
-        rx.recv_timeout(Duration::from_secs(1)).unwrap();
+        assert_eq!(w.take_ready(), vec![7]);
+        a.write_all(b"!").unwrap();
+        assert!(w.take_ready().is_empty(), "one-shot until re-armed");
     }
 
     #[test]
-    fn watch_fires_on_close() {
+    fn arm_reports_readable_at_once_when_data_pending() {
+        let (mut a, b) = MemConn::pair();
+        a.write_all(b"!").unwrap();
+        let Readiness::Mem(ep) = b.readiness() else {
+            panic!("an in-memory endpoint")
+        };
+        let w = waker();
+        assert!(ep.arm(&w, 7), "readable already: nothing armed");
+        assert!(w.take_ready().is_empty());
+    }
+
+    #[test]
+    fn arm_reports_on_close_but_not_after_disarm() {
         let (a, b) = MemConn::pair();
-        let (tx, rx) = bounded(1);
-        b.set_read_watch(Box::new(move || {
-            let _ = tx.send(());
-        }));
+        let Readiness::Mem(ep) = b.readiness() else {
+            panic!("an in-memory endpoint")
+        };
+        let w = waker();
+        assert!(!ep.arm(&w, 7));
+        ep.disarm();
+        let (c, d) = MemConn::pair();
+        let Readiness::Mem(ep2) = d.readiness() else {
+            panic!("an in-memory endpoint")
+        };
+        assert!(!ep2.arm(&w, 8));
         drop(a);
-        rx.recv_timeout(Duration::from_secs(1)).unwrap();
+        drop(c);
+        assert_eq!(
+            w.take_ready(),
+            vec![8],
+            "the disarmed endpoint stays silent"
+        );
     }
 
     #[test]
@@ -659,18 +682,5 @@ mod tests {
             dt > Duration::from_millis(180),
             "shaping must slow writes, took {dt:?}"
         );
-    }
-
-    #[test]
-    fn clone_shares_stream() {
-        let (mut a, b) = MemConn::pair();
-        let mut b2 = b.try_clone().unwrap();
-        a.write_all(b"xy").unwrap();
-        let mut buf = [0u8; 1];
-        let mut bb = b;
-        bb.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"x");
-        b2.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"y");
     }
 }

@@ -41,8 +41,6 @@
 //! runs. A kqueue backend (macOS/BSD) would slot in behind the same
 //! four methods.
 
-#![cfg(unix)]
-
 use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;

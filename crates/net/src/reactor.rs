@@ -1,6 +1,10 @@
-//! The readiness reactor: one thread multiplexes every registered file
-//! descriptor, for **both** directions, over a pluggable [`Poller`]
-//! backend (`poll(2)` or `epoll(7)` — see [`crate::poller`]).
+//! The readiness reactor: one thread multiplexes every registered
+//! connection, for **both** directions. Sockets wait in a pluggable
+//! [`Poller`] backend (`poll(2)` or `epoll(7)` — see [`crate::poller`]);
+//! in-memory endpoints ([`crate::mem::MemEndpoint`]) report on a ready
+//! list that their writers push onto, and the reactor handles those
+//! tokens in the same round, through the same code, as the backend's
+//! events.
 //!
 //! The paper's event-driven runtime simulated asynchronous I/O with a
 //! helper thread wrapped around `select`; the seed reproduction took the
@@ -12,15 +16,16 @@
 //! interest-based — each token carries a read/write interest pair:
 //!
 //! * **Read interest** is one-shot, mirroring the driver's `arm`
-//!   contract: a readable (or EOF'd) socket emits
+//!   contract: a readable (or EOF'd) connection emits
 //!   [`DriverEvent::Readable`](crate::driver::DriverEvent) and the read
 //!   bit is cleared until the next `arm`.
 //! * **Write interest** carries a *drain closure* supplied by the
 //!   driver. On writability the reactor calls it to flush that
 //!   connection's output buffer (batched: the drain writes until
-//!   `WouldBlock`); the bit stays armed until the buffer empties, then
-//!   the driver's completion bookkeeping emits `WriteDone`. Response
-//!   transmission therefore never occupies an I/O worker thread.
+//!   `WouldBlock`, or until a shaped link's token bucket runs dry); the
+//!   bit stays armed until the buffer empties, then the driver's
+//!   completion bookkeeping emits `WriteDone`. Response transmission
+//!   therefore never occupies an I/O worker thread.
 //!
 //! **Hot-path layout.** Tokens encode `(slot, generation)`
 //! ([`crate::token_slot`]), so every reactor-side table is a plain
@@ -29,47 +34,49 @@
 //! current registration's generation (0 = dead). Delivering an event
 //! therefore costs two vector indexes and one atomic load — no hashing
 //! and no lock on the reactor thread. All `Readable` events from one
-//! backend `wait` round are shipped to the driver as a single recycled
-//! batch vector, so a burst of N ready sockets costs one channel
-//! transfer.
+//! round are shipped to the driver as a single recycled batch vector,
+//! so a burst of N ready connections costs one channel transfer.
 //!
 //! **Division of labour.** The backend owns only the mechanism of
-//! waiting on fds; every invariant that used to live in the poll loop
-//! is enforced *here*, once, above the [`Poller`] trait — so both
-//! backends (and a future kqueue one) inherit it:
+//! waiting on fds; every invariant is enforced *here*, once, above the
+//! [`Poller`] trait — so both backends, and the in-memory transport,
+//! inherit it:
 //!
-//! * **fd-reuse safety.** Deregistration *synchronously* zeroes the
+//! * **No stale delivery.** Deregistration *synchronously* zeroes the
 //!   slot's liveness cell: [`Reactor::deregister`] clears the token's
 //!   generation before the caller can drop (and the kernel can reuse)
 //!   the file descriptor, and the reactor thread compares the cell
 //!   against the watch's recorded generation before delivering any
 //!   event or running any drain. A stale watch delivers nothing; it is
-//!   purged the first time the thread looks at it.
-//! * **One-shot re-arm.** After the backend reports an fd, the watch is
-//!   disarmed until the reactor re-issues `modify` — which it does
-//!   exactly once per reported fd, with the post-delivery interest.
-//! * **Busy parking.** A drain that finds the connection lock contended
-//!   parks the watch's write side for a few milliseconds instead of
-//!   spinning on level-triggered writability: a write-only watch is
-//!   simply not re-armed until the park expires (the unpark pass issues
-//!   the modify), while armed read interest stays live throughout — a
-//!   park never delays read delivery. Events that arrive during a park
-//!   still run the drain, so a broken connection retires immediately
-//!   rather than bouncing unmaskable ERR/HUP readiness.
+//!   purged the first time the thread looks at it. An in-memory token
+//!   pushed after its connection was removed meets the same check.
+//! * **One-shot re-arm.** After a watch is reported, it is disarmed
+//!   until the reactor re-arms it — exactly once per report, with the
+//!   post-delivery interest: a backend `modify` for a socket, the
+//!   pipe's armed token for an in-memory endpoint.
+//! * **Parking.** A drain that cannot proceed parks the watch's write
+//!   side until a deadline: 5 ms when it finds the connection lock
+//!   contended (`Busy`), the shaper's next chunk of tokens when a
+//!   shaped in-memory link runs its bucket dry. A parked socket watch
+//!   is simply not re-armed for write until the park expires (the
+//!   unpark pass issues the modify), while armed read interest stays
+//!   live throughout — a park never delays read delivery. Events that
+//!   arrive during a park still run the drain, so a broken connection
+//!   retires immediately rather than bouncing unmaskable ERR/HUP
+//!   readiness.
 //!
 //! The reactor wakes for control-plane changes (register/deregister/
-//! stop) through a self-pipe registered with the same backend, so
-//! registrations made while it is parked in `wait` take effect
-//! immediately. [`Reactor::stop`] joins the thread, which exits
-//! promptly on the self-pipe wakeup, so no reactor thread can outlive
-//! the driver that spawned it. On multi-core hosts the thread pins
-//! itself to the last core.
-
-#![cfg(unix)]
+//! stop) and for in-memory readiness through a self-pipe registered
+//! with the same backend (`Waker`), so work queued while it is parked
+//! in `wait` takes effect immediately. [`Reactor::stop`] joins the
+//! thread, which exits promptly on the self-pipe wakeup, so no reactor
+//! thread can outlive the driver that spawned it. On multi-core hosts
+//! the thread pins itself to the last core.
 
 use crate::driver::{token_slot, Delivery, DriverEvent, Token};
 use crate::poller::{create_poller, Interest, Poller, PollerBackend, PollerEvent};
 use crate::pool::BatchPool;
+use crate::traits::Readiness;
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use std::io::{Read, Write};
@@ -80,7 +87,7 @@ use std::time::{Duration, Instant};
 
 /// How the reactor invokes a write-drain closure.
 pub(crate) enum DrainCall {
-    /// The socket reported writable: flush as much as it accepts.
+    /// The connection reported writable: flush as much as it accepts.
     Drain,
     /// The watch is being discarded (backend failure): fail the write so
     /// the driver emits `WriteFailed` instead of leaving it in limbo.
@@ -92,7 +99,8 @@ pub(crate) enum DrainCall {
 pub(crate) enum DrainResult {
     /// Output buffer empty: clear write interest.
     Complete,
-    /// More bytes remain: keep write interest armed.
+    /// More bytes remain: keep write interest armed (a socket waits for
+    /// `POLLOUT`, a shaped link parks until its next tokens).
     Pending,
     /// The connection lock is contended (a flow holds it across a
     /// blocking read): park write interest briefly so the
@@ -109,6 +117,10 @@ pub(crate) enum DrainResult {
 /// un-reusable) until the watch itself is discarded.
 pub(crate) type DrainFn = Box<dyn FnMut(DrainCall) -> DrainResult + Send>;
 
+/// How long a drain that found the connection lock contended waits
+/// before it is re-offered.
+const BUSY_PARK: Duration = Duration::from_millis(5);
+
 /// A registration epoch for a control op: the liveness cell and the
 /// generation it held when the op was queued.
 struct Epoch {
@@ -117,10 +129,10 @@ struct Epoch {
 }
 
 enum Control {
-    /// Arm a one-shot readability watch on `fd` for `token`.
-    ReadInterest(RawFd, Token, Epoch),
-    /// Arm a write-drain watch on `fd` for `token`.
-    WriteInterest(RawFd, Token, Epoch, DrainFn),
+    /// Arm one-shot read readiness for `token`.
+    ReadInterest(Readiness, Token, Epoch),
+    /// Arm a write drain for `token`.
+    WriteInterest(Readiness, Token, Epoch, DrainFn),
     /// Drop any watch for `token` (connection removed).
     Deregister(Token),
 }
@@ -140,10 +152,56 @@ struct LiveEntry {
     gen: Arc<AtomicU64>,
 }
 
+/// Interrupts the reactor's backend `wait`: a byte on the self-pipe,
+/// which the backend watches like any socket. In-memory endpoints hold
+/// it to report readiness ([`Waker::ready`]); it is its own `Arc`, not
+/// the reactor's, so an endpoint that outlives the driver keeps nothing
+/// else alive.
+#[derive(Default)]
+pub(crate) struct Waker {
+    /// Write end of the self-pipe, installed when the thread starts.
+    pipe: Mutex<Option<std::io::PipeWriter>>,
+    /// True while a wake byte is in flight. Deduplicates wake-ups so at
+    /// most one byte is written per reactor round no matter how many
+    /// producers race ahead of the reactor (the round's 64-byte drain
+    /// keeps the running total near zero) — the blocking pipe write
+    /// therefore can never fill the pipe and stall, not even when the
+    /// reactor thread itself deregisters a connection from inside an
+    /// Abort drain (it is the pipe's only reader).
+    pending: AtomicBool,
+    /// Tokens of armed in-memory endpoints that became readable.
+    ready: Mutex<Vec<Token>>,
+}
+
+impl Waker {
+    fn wake(&self) {
+        if self.pending.swap(true, Ordering::SeqCst) {
+            // A byte is already in flight: the reactor will re-read
+            // control and the ready list after its next `wait`, which
+            // covers everything queued after that byte was written.
+            return;
+        }
+        if let Some(w) = self.pipe.lock().as_mut() {
+            let _ = w.write(&[1]);
+        }
+    }
+
+    /// Reports an armed in-memory endpoint readable (or closed).
+    pub(crate) fn ready(&self, token: Token) {
+        self.ready.lock().push(token);
+        self.wake();
+    }
+
+    #[cfg(test)]
+    pub(crate) fn take_ready(&self) -> Vec<Token> {
+        std::mem::take(&mut *self.ready.lock())
+    }
+}
+
 /// One token's entry in the reactor thread's watch table.
 struct Watch {
     token: Token,
-    fd: RawFd,
+    src: Readiness,
     /// The generation this watch was registered under.
     gen: u64,
     /// The slot's liveness cell; `cell != gen` means stale.
@@ -151,15 +209,15 @@ struct Watch {
     /// Read/write interest currently armed.
     interest: Interest,
     drain: Option<DrainFn>,
-    /// While set (and in the future), write interest is masked from the
-    /// backend — a [`DrainResult::Busy`] backoff.
+    /// While set (and in the future), write interest is masked — a
+    /// [`DrainResult::Busy`] backoff, or a shaped link waiting for
+    /// tokens.
     parked_until: Option<Instant>,
 }
 
 impl Watch {
-    /// The interest actually handed to the backend: write is masked
-    /// while the watch is Busy-parked (the fd stays registered so
-    /// errors surface).
+    /// The interest actually armed: write is masked while the watch is
+    /// parked (a socket stays registered so errors surface).
     fn effective(&self) -> Interest {
         Interest {
             read: self.interest.read,
@@ -172,7 +230,8 @@ impl Watch {
     }
 }
 
-/// One thread, many sockets: the backend-agnostic readiness multiplexer.
+/// One thread, many connections: the transport-agnostic readiness
+/// multiplexer.
 pub struct Reactor {
     shared: Mutex<Shared>,
     /// Liveness slab, indexed by token slot (see [`LiveEntry`]).
@@ -181,17 +240,7 @@ pub struct Reactor {
     /// whose cell no longer holds its generation.
     live: Mutex<Vec<Option<LiveEntry>>>,
     next_gen: AtomicU64,
-    /// Write end of the self-pipe; a byte here interrupts `wait`.
-    wake: Mutex<Option<std::io::PipeWriter>>,
-    /// True while a wake byte is in flight. Deduplicates `wake_up`
-    /// calls so at most one byte is written per reactor round no
-    /// matter how many control ops race ahead of the reactor (the
-    /// round's 64-byte drain keeps the running total near zero) — the
-    /// blocking write in `wake_up` therefore can never fill the pipe
-    /// and stall, not even when the reactor thread itself deregisters
-    /// a connection from inside an Abort drain (it is the pipe's only
-    /// reader).
-    wake_pending: AtomicBool,
+    waker: Arc<Waker>,
     /// The reactor thread, joined by [`Reactor::stop`].
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// The backend, created eagerly (so fallback is resolved and
@@ -232,8 +281,7 @@ impl Reactor {
             }),
             live: Mutex::new(Vec::new()),
             next_gen: AtomicU64::new(1),
-            wake: Mutex::new(None),
-            wake_pending: AtomicBool::new(false),
+            waker: Arc::default(),
             thread: Mutex::new(None),
             poller: Mutex::new(Some(poller)),
             backend_name,
@@ -329,36 +377,34 @@ impl Reactor {
         Some(Epoch { gen, cell })
     }
 
-    /// Arms a one-shot readability watch. The reactor thread is spawned
+    /// Arms one-shot read readiness. The reactor thread is spawned
     /// lazily on the first registration. A stale caller (its slot
     /// already re-registered by a newer token) is refused silently.
-    pub(crate) fn register(self: &Arc<Self>, fd: RawFd, token: Token) {
+    pub(crate) fn register(self: &Arc<Self>, src: Readiness, token: Token) {
         let Some(epoch) = self.live_gen(token) else {
             return;
         };
-        let mut shared = self.shared.lock();
-        shared.control.push(Control::ReadInterest(fd, token, epoch));
-        self.ensure_thread(&mut shared);
-        drop(shared);
-        self.wake_up();
+        self.queue(Control::ReadInterest(src, token, epoch));
     }
 
-    /// Arms a write-drain watch: `drain` is called from the reactor
-    /// thread whenever the socket reports writable, until it returns
+    /// Arms a write drain: `drain` is called from the reactor thread
+    /// whenever the connection is writable, until it returns
     /// [`DrainResult::Complete`] or [`DrainResult::Failed`]. A stale
     /// caller is refused silently; its submissions were (or will be)
     /// failed by the driver's `remove`, which is what made it stale.
-    pub(crate) fn register_write(self: &Arc<Self>, fd: RawFd, token: Token, drain: DrainFn) {
+    pub(crate) fn register_write(self: &Arc<Self>, src: Readiness, token: Token, drain: DrainFn) {
         let Some(epoch) = self.live_gen(token) else {
             return;
         };
+        self.queue(Control::WriteInterest(src, token, epoch, drain));
+    }
+
+    fn queue(self: &Arc<Self>, ctl: Control) {
         let mut shared = self.shared.lock();
-        shared
-            .control
-            .push(Control::WriteInterest(fd, token, epoch, drain));
+        shared.control.push(ctl);
         self.ensure_thread(&mut shared);
         drop(shared);
-        self.wake_up();
+        self.waker.wake();
     }
 
     /// Drops any watch for `token`. The liveness cell is zeroed
@@ -392,30 +438,18 @@ impl Reactor {
         }
         shared.control.push(Control::Deregister(token));
         drop(shared);
-        self.wake_up();
+        self.waker.wake();
     }
 
     /// Asks the reactor thread to exit and joins it (the self-pipe
     /// wakeup bounds the wait to one poll round).
     pub(crate) fn stop(&self) {
         self.stopping.store(true, Ordering::SeqCst);
-        self.wake_up();
+        self.waker.wake();
         if let Some(handle) = self.thread.lock().take() {
             if handle.thread().id() != std::thread::current().id() {
                 let _ = handle.join();
             }
-        }
-    }
-
-    fn wake_up(&self) {
-        if self.wake_pending.swap(true, Ordering::SeqCst) {
-            // A byte is already in flight: the reactor will re-read
-            // control at the top of its next round, which also covers
-            // everything queued after that byte was written.
-            return;
-        }
-        if let Some(w) = self.wake.lock().as_mut() {
-            let _ = w.write(&[1]);
         }
     }
 
@@ -425,7 +459,7 @@ impl Reactor {
         }
         shared.thread_started = true;
         let (pipe_rx, pipe_tx) = std::io::pipe().expect("reactor self-pipe");
-        *self.wake.lock() = Some(pipe_tx);
+        *self.waker.pipe.lock() = Some(pipe_tx);
         let poller = self.poller.lock().take().expect("poller created once");
         let this = self.clone();
         let handle = std::thread::Builder::new()
@@ -435,7 +469,7 @@ impl Reactor {
         *self.thread.lock() = Some(handle);
     }
 
-    fn run(self: Arc<Self>, mut pipe_rx: std::io::PipeReader, mut poller: Box<dyn Poller>) {
+    fn run(self: Arc<Self>, mut pipe_rx: std::io::PipeReader, poller: Box<dyn Poller>) {
         if crate::affinity::should_pin() {
             // Pin opposite the dispatcher shards (which fill cores from
             // 0 upward), so the reactor keeps a core to itself for as
@@ -445,124 +479,22 @@ impl Reactor {
                 self.pinned.store(true, Ordering::Relaxed);
             }
         }
+        let mut t = Table {
+            poller,
+            watches: Vec::new(),
+            fd_to_slot: Vec::new(),
+            parked: Vec::new(),
+            ready: Vec::new(),
+        };
         let wake_fd = pipe_rx.as_raw_fd();
-        let _ = poller.add(wake_fd, Interest::READ);
-        // Watch table indexed by token slot, fd map indexed by raw fd
-        // (usize::MAX = unmapped). Kept in lockstep: one fd per live
-        // watch.
-        let mut watches: Vec<Option<Watch>> = Vec::new();
-        let mut fd_to_slot: Vec<usize> = Vec::new();
-        // Tokens currently Busy-parked, scanned for expiry each round
-        // (kept separate so an epoll wakeup stays O(ready + parked),
-        // not O(watched)).
-        let mut parked: Vec<Token> = Vec::new();
+        let _ = t.poller.add(wake_fd, Interest::READ);
         let mut events: Vec<PollerEvent> = Vec::new();
+        // This round's in-memory reports, swapped out of `t.ready` so
+        // that re-arms made while handling them land in the next round.
+        let mut due: Vec<(Token, Interest)> = Vec::new();
         // The round's outgoing Readable batch; recycled through the
         // driver's pool so the steady state allocates nothing.
         let mut round: Vec<DriverEvent> = self.batch_pool.take();
-
-        fn fd_slot(fd_to_slot: &[usize], fd: RawFd) -> Option<usize> {
-            match fd_to_slot.get(fd as usize) {
-                Some(&s) if s != usize::MAX => Some(s),
-                _ => None,
-            }
-        }
-
-        fn map_fd(fd_to_slot: &mut Vec<usize>, fd: RawFd, slot: usize) {
-            let idx = fd as usize;
-            if fd_to_slot.len() <= idx {
-                fd_to_slot.resize(idx + 1, usize::MAX);
-            }
-            fd_to_slot[idx] = slot;
-        }
-
-        /// Removes a token's watch from every structure, including the
-        /// backend registration, returning the watch for any
-        /// notification the caller still owes. Exact-token matching: a
-        /// slot that moved on to a newer token is left untouched.
-        fn discard(
-            watches: &mut [Option<Watch>],
-            fd_to_slot: &mut [usize],
-            poller: &mut dyn Poller,
-            token: Token,
-        ) -> Option<Watch> {
-            let slot = token_slot(token);
-            let entry = watches.get_mut(slot)?;
-            if entry.as_ref()?.token != token {
-                return None;
-            }
-            let w = entry.take().expect("checked above");
-            if fd_to_slot.get(w.fd as usize) == Some(&slot) {
-                fd_to_slot[w.fd as usize] = usize::MAX;
-                let _ = poller.delete(w.fd);
-            }
-            Some(w)
-        }
-
-        /// Fails a watch whose backend registration was refused (an fd
-        /// the backend cannot multiplex, e.g. a regular file under
-        /// epoll): the flow observes the error on its next read,
-        /// pending writes abort, and the watch is discarded — the same
-        /// treatment as a failed wait, so the one-completion-per-submit
-        /// contract holds on every backend.
-        fn fail_watch(
-            this: &Reactor,
-            watches: &mut [Option<Watch>],
-            fd_to_slot: &mut [usize],
-            poller: &mut dyn Poller,
-            token: Token,
-        ) {
-            let Some(mut w) = discard(watches, fd_to_slot, poller, token) else {
-                return;
-            };
-            if !w.is_live() {
-                return;
-            }
-            if w.interest.read {
-                let _ = this.tx.send(Delivery::One(DriverEvent::Readable(token)));
-            }
-            if let Some(drain) = w.drain.as_mut() {
-                let _ = drain(DrainCall::Abort);
-            }
-        }
-
-        /// Fetches (or creates) `token`'s watch entry for the given
-        /// epoch, replacing a stale entry from a prior registration
-        /// wholesale and keeping the fd map in lockstep.
-        fn upsert_watch<'a>(
-            watches: &'a mut Vec<Option<Watch>>,
-            fd_to_slot: &mut Vec<usize>,
-            fd: RawFd,
-            token: Token,
-            epoch: &Epoch,
-        ) -> &'a mut Watch {
-            let slot = token_slot(token);
-            if watches.len() <= slot {
-                watches.resize_with(slot + 1, || None);
-            }
-            let fresh = match &watches[slot] {
-                Some(w) => w.token != token || w.gen != epoch.gen || w.fd != fd,
-                None => true,
-            };
-            if fresh {
-                if let Some(w) = &watches[slot] {
-                    if fd_to_slot.get(w.fd as usize) == Some(&slot) {
-                        fd_to_slot[w.fd as usize] = usize::MAX;
-                    }
-                }
-                watches[slot] = Some(Watch {
-                    token,
-                    fd,
-                    gen: epoch.gen,
-                    live: epoch.cell.clone(),
-                    interest: Interest::none(),
-                    drain: None,
-                    parked_until: None,
-                });
-            }
-            map_fd(fd_to_slot, fd, slot);
-            watches[slot].as_mut().expect("just ensured")
-        }
 
         // Control entries are swapped out of `self.shared` and
         // processed from this buffer with the lock RELEASED: backend
@@ -574,45 +506,40 @@ impl Reactor {
         // capacity behind for the producers.
         let mut pending: Vec<Control> = Vec::new();
         loop {
-            // Allow the next wake byte BEFORE taking the control batch:
-            // a producer that pushes after the swap below either sees
-            // the flag cleared and writes a byte, or loses the flag
-            // race to a producer whose byte is younger than this reset
-            // — either way the next `wait` wakes and re-reads control,
-            // so no registration waits out the backstop timeout.
-            self.wake_pending.store(false, Ordering::SeqCst);
+            // Allow the next wake byte BEFORE taking the control batch
+            // (and before the ready-list check below): a producer that
+            // pushes afterwards either sees the flag cleared and writes
+            // a byte, or loses the flag race to a producer whose byte
+            // is younger than this reset — either way the next `wait`
+            // wakes, so no registration or in-memory report waits out
+            // the backstop timeout.
+            self.waker.pending.store(false, Ordering::SeqCst);
             std::mem::swap(&mut pending, &mut self.shared.lock().control);
             for ctl in pending.drain(..) {
-                match ctl {
-                    Control::ReadInterest(fd, token, epoch) => {
-                        if epoch.cell.load(Ordering::SeqCst) != epoch.gen {
-                            continue; // raced with deregister
-                        }
-                        let w = upsert_watch(&mut watches, &mut fd_to_slot, fd, token, &epoch);
-                        w.interest.read = true;
-                        let eff = w.effective();
-                        if poller.modify(fd, eff).is_err() {
-                            fail_watch(&self, &mut watches, &mut fd_to_slot, &mut *poller, token);
-                        }
-                    }
-                    Control::WriteInterest(fd, token, epoch, drain) => {
-                        if epoch.cell.load(Ordering::SeqCst) != epoch.gen {
-                            continue;
-                        }
-                        let w = upsert_watch(&mut watches, &mut fd_to_slot, fd, token, &epoch);
-                        w.interest.write = true;
-                        w.drain = Some(drain);
-                        // A fresh drain supersedes any Busy backoff.
-                        w.parked_until = None;
-                        let eff = w.effective();
-                        if poller.modify(fd, eff).is_err() {
-                            fail_watch(&self, &mut watches, &mut fd_to_slot, &mut *poller, token);
-                        }
+                let (src, token, epoch, drain) = match ctl {
+                    Control::ReadInterest(src, token, epoch) => (src, token, epoch, None),
+                    Control::WriteInterest(src, token, epoch, drain) => {
+                        (src, token, epoch, Some(drain))
                     }
                     Control::Deregister(token) => {
-                        let _ = discard(&mut watches, &mut fd_to_slot, &mut *poller, token);
+                        let _ = t.discard(token);
+                        continue;
+                    }
+                };
+                if epoch.cell.load(Ordering::SeqCst) != epoch.gen {
+                    continue; // raced with deregister
+                }
+                let w = t.upsert(src, token, &epoch);
+                match drain {
+                    None => w.interest.read = true,
+                    Some(drain) => {
+                        w.interest.write = true;
+                        w.drain = Some(drain);
+                        // A fresh drain supersedes any park.
+                        w.parked_until = None;
                     }
                 }
+                t.arm(&self, token);
             }
             if self.stopping.load(Ordering::SeqCst) {
                 return;
@@ -627,62 +554,37 @@ impl Reactor {
                 tick();
             }
 
-            // Un-park expired Busy backoffs (re-arming their write
-            // interest) and find the nearest still-pending expiry.
-            let now = Instant::now();
-            let mut nearest_park: Option<Instant> = None;
-            let mut unpark_failed: Vec<Token> = Vec::new();
-            parked.retain(|&token| {
-                let Some(w) = watches
-                    .get_mut(token_slot(token))
-                    .and_then(|e| e.as_mut())
-                    .filter(|w| w.token == token)
-                else {
-                    return false;
-                };
-                match w.parked_until {
-                    Some(until) if until <= now => {
-                        w.parked_until = None;
-                        if poller.modify(w.fd, w.effective()).is_err() {
-                            unpark_failed.push(token);
-                        }
-                        false
-                    }
-                    Some(until) => {
-                        nearest_park = Some(nearest_park.map_or(until, |t: Instant| t.min(until)));
-                        true
-                    }
-                    None => false,
-                }
-            });
-            for token in unpark_failed {
-                fail_watch(&self, &mut watches, &mut fd_to_slot, &mut *poller, token);
-            }
-
             // Bounded timeout: a backstop for a missed wake-up byte,
-            // shortened to the nearest Busy-park expiry so deferred
-            // drains resume promptly.
-            let timeout = match nearest_park {
-                Some(t) => t
-                    .saturating_duration_since(now)
-                    .clamp(Duration::from_millis(1), Duration::from_millis(250)),
-                None => Duration::from_millis(250),
+            // shortened to the nearest park expiry so deferred drains
+            // resume promptly, and zero when in-memory reports wait.
+            let now = Instant::now();
+            let nearest_park = t.unpark_expired(&self, now);
+            let timeout = if !t.ready.is_empty() || !self.waker.ready.lock().is_empty() {
+                Duration::ZERO
+            } else {
+                match nearest_park {
+                    Some(at) => at
+                        .saturating_duration_since(now)
+                        .clamp(Duration::from_millis(1), Duration::from_millis(250)),
+                    None => Duration::from_millis(250),
+                }
             };
-            if let Err(err) = poller.wait(&mut events, timeout) {
+            if let Err(err) = t.poller.wait(&mut events, timeout) {
                 if err.kind() == std::io::ErrorKind::Interrupted {
                     continue;
                 }
                 // Unexpected backend failure: fail every watch, so
                 // flows observe the error on read, pending writes
                 // abort, and the table retires.
-                let tokens: Vec<Token> = watches
+                let tokens: Vec<Token> = t
+                    .watches
                     .iter()
                     .filter_map(|e| e.as_ref().map(|w| w.token))
                     .collect();
                 for token in tokens {
-                    fail_watch(&self, &mut watches, &mut fd_to_slot, &mut *poller, token);
+                    t.fail_watch(&self, token);
                 }
-                parked.clear();
+                t.parked.clear();
                 continue;
             }
 
@@ -691,88 +593,45 @@ impl Reactor {
                     // Drain the self-pipe; control is re-read next loop.
                     let mut buf = [0u8; 64];
                     let _ = pipe_rx.read(&mut buf);
-                    let _ = poller.modify(wake_fd, Interest::READ);
+                    let _ = t.poller.modify(wake_fd, Interest::READ);
                     continue;
                 }
-                let Some(slot) = fd_slot(&fd_to_slot, ev.fd) else {
+                let watched = t
+                    .fd_slot(ev.fd)
+                    .filter(|&slot| matches!(t.watches.get(slot), Some(Some(_))));
+                let Some(slot) = watched else {
                     // No watch claims this fd: drop the registration.
-                    let _ = poller.delete(ev.fd);
+                    if let Some(s) = t.fd_to_slot.get_mut(ev.fd as usize) {
+                        *s = usize::MAX;
+                    }
+                    let _ = t.poller.delete(ev.fd);
                     continue;
                 };
-                let Some(watch) = watches.get_mut(slot).and_then(|e| e.as_mut()) else {
-                    fd_to_slot[ev.fd as usize] = usize::MAX;
-                    let _ = poller.delete(ev.fd);
-                    continue;
+                let ready = Interest {
+                    read: ev.readable,
+                    write: ev.writable,
                 };
-                let token = watch.token;
-                if !watch.is_live() {
-                    // Deregistered (possibly with the fd already reused
-                    // by a new connection): deliver nothing.
-                    let _ = discard(&mut watches, &mut fd_to_slot, &mut *poller, token);
-                    continue;
-                }
-                if watch.interest.read && ev.readable {
-                    // One-shot: the driver re-arms after the flow reads.
-                    // Appended to the round batch — one channel send
-                    // (and one shard-queue append downstream) covers
-                    // every readable socket of this wait round.
-                    watch.interest.read = false;
-                    self.events_delivered.fetch_add(1, Ordering::Relaxed);
-                    round.push(DriverEvent::Readable(token));
-                }
-                if watch.interest.write && ev.writable {
-                    // Busy-parked watches still reach here: ERR/HUP
-                    // cannot be masked on either backend. Running the
-                    // drain anyway means a broken connection fails its
-                    // write and retires the watch instead of bouncing
-                    // unmaskable hangup events for the whole park
-                    // window; a still-contended lock just re-parks.
-                    let was_parked = watch.parked_until.is_some();
-                    let result = watch
-                        .drain
-                        .as_mut()
-                        .map(|d| d(DrainCall::Drain))
-                        .unwrap_or(DrainResult::Failed);
-                    match result {
-                        DrainResult::Pending => {
-                            watch.parked_until = None;
-                        }
-                        DrainResult::Busy => {
-                            watch.parked_until = Some(Instant::now() + Duration::from_millis(5));
-                            if !was_parked {
-                                parked.push(token);
-                            }
-                        }
-                        DrainResult::Complete | DrainResult::Failed => {
-                            watch.interest.write = false;
-                            watch.drain = None;
-                            watch.parked_until = None;
-                        }
-                    }
-                }
-                // The post-delivery re-arm: every reported fd ends its
-                // round with exactly one modify (or delete, when no
-                // interest remains) — the one-shot contract both
-                // backends rely on. A Busy park masks only the write
-                // side: armed read interest is re-armed immediately
-                // (`effective()` keeps write out), so a park never
-                // delays read delivery, and an ERR/HUP folded into
-                // readability is consumed by the one-shot Readable
-                // rather than spinning the backoff. A parked write-only
-                // watch is left disarmed — re-arming it would let the
-                // unmaskable hangup conditions spin the reactor through
-                // the park — and the unpark pass issues its modify when
-                // the park expires.
-                if !watch.interest.read && !watch.interest.write {
-                    let _ = discard(&mut watches, &mut fd_to_slot, &mut *poller, token);
-                } else if watch.parked_until.is_none() || watch.interest.read {
-                    let eff = watch.effective();
-                    let fd = watch.fd;
-                    if poller.modify(fd, eff).is_err() {
-                        fail_watch(&self, &mut watches, &mut fd_to_slot, &mut *poller, token);
-                    }
+                t.on_ready(&self, slot, ready, &mut round);
+            }
+
+            // In-memory reports: the endpoints' tokens, and the write
+            // drains this thread scheduled. A token whose slot moved on
+            // to a newer connection is ignored.
+            std::mem::swap(&mut due, &mut t.ready);
+            due.extend(
+                self.waker
+                    .ready
+                    .lock()
+                    .drain(..)
+                    .map(|token| (token, Interest::READ)),
+            );
+            for (token, ready) in due.drain(..) {
+                let slot = token_slot(token);
+                if matches!(t.watches.get(slot), Some(Some(w)) if w.token == token) {
+                    t.on_ready(&self, slot, ready, &mut round);
                 }
             }
+
             if !round.is_empty() {
                 let batch = std::mem::replace(&mut round, self.batch_pool.take());
                 let _ = self.tx.send(Delivery::Batch(batch));
@@ -781,12 +640,273 @@ impl Reactor {
     }
 }
 
+/// The reactor thread's own state. The watch table is indexed by token
+/// slot, the fd map by raw fd (`usize::MAX` = unmapped); they are kept
+/// in lockstep: one fd per live socket watch.
+struct Table {
+    poller: Box<dyn Poller>,
+    watches: Vec<Option<Watch>>,
+    fd_to_slot: Vec<usize>,
+    /// Tokens currently parked, scanned for expiry each round (kept
+    /// separate so a wakeup stays O(ready + parked), not O(watched)).
+    parked: Vec<Token>,
+    /// In-memory readiness the thread found itself, handled after the
+    /// next `wait` (which then does not block): an endpoint readable at
+    /// arm time, or a write drain that is due.
+    ready: Vec<(Token, Interest)>,
+}
+
+impl Drop for Table {
+    /// The thread is exiting: an in-memory endpoint still armed would
+    /// report to a reactor that is gone, so its pipe forgets the token.
+    fn drop(&mut self) {
+        for w in self.watches.iter().flatten() {
+            if let Readiness::Mem(ep) = &w.src {
+                ep.disarm();
+            }
+        }
+    }
+}
+
+impl Table {
+    fn fd_slot(&self, fd: RawFd) -> Option<usize> {
+        match self.fd_to_slot.get(fd as usize) {
+            Some(&s) if s != usize::MAX => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Removes a token's watch from every structure, including the
+    /// backend registration or the pipe's armed token, returning the
+    /// watch for any notification the caller still owes. Exact-token
+    /// matching: a slot that moved on to a newer token is left
+    /// untouched.
+    fn discard(&mut self, token: Token) -> Option<Watch> {
+        let slot = token_slot(token);
+        let entry = self.watches.get_mut(slot)?;
+        if entry.as_ref()?.token != token {
+            return None;
+        }
+        let w = entry.take().expect("checked above");
+        match &w.src {
+            Readiness::Fd(fd) => {
+                if self.fd_to_slot.get(*fd as usize) == Some(&slot) {
+                    self.fd_to_slot[*fd as usize] = usize::MAX;
+                    let _ = self.poller.delete(*fd);
+                }
+            }
+            Readiness::Mem(ep) => ep.disarm(),
+        }
+        Some(w)
+    }
+
+    /// Fails a watch whose backend registration was refused (an fd
+    /// the backend cannot multiplex, e.g. a regular file under
+    /// epoll): the flow observes the error on its next read,
+    /// pending writes abort, and the watch is discarded — the same
+    /// treatment as a failed wait, so the one-completion-per-submit
+    /// contract holds on every backend.
+    fn fail_watch(&mut self, reactor: &Reactor, token: Token) {
+        let Some(mut w) = self.discard(token) else {
+            return;
+        };
+        if !w.is_live() {
+            return;
+        }
+        if w.interest.read {
+            let _ = reactor.tx.send(Delivery::One(DriverEvent::Readable(token)));
+        }
+        if let Some(drain) = w.drain.as_mut() {
+            let _ = drain(DrainCall::Abort);
+        }
+    }
+
+    /// Fetches (or creates) `token`'s watch entry for the given
+    /// epoch, replacing a stale entry from a prior registration
+    /// wholesale and keeping the fd map in lockstep.
+    fn upsert(&mut self, src: Readiness, token: Token, epoch: &Epoch) -> &mut Watch {
+        let slot = token_slot(token);
+        if self.watches.len() <= slot {
+            self.watches.resize_with(slot + 1, || None);
+        }
+        let fresh = match &self.watches[slot] {
+            Some(w) => w.token != token || w.gen != epoch.gen,
+            None => true,
+        };
+        if fresh {
+            if let Some(fd) = self.watches[slot].as_ref().and_then(|w| w.src.fd()) {
+                if self.fd_to_slot.get(fd as usize) == Some(&slot) {
+                    self.fd_to_slot[fd as usize] = usize::MAX;
+                }
+            }
+            if let Some(fd) = src.fd() {
+                let idx = fd as usize;
+                if self.fd_to_slot.len() <= idx {
+                    self.fd_to_slot.resize(idx + 1, usize::MAX);
+                }
+                self.fd_to_slot[idx] = slot;
+            }
+            self.watches[slot] = Some(Watch {
+                token,
+                src,
+                gen: epoch.gen,
+                live: epoch.cell.clone(),
+                interest: Interest::none(),
+                drain: None,
+                parked_until: None,
+            });
+        }
+        self.watches[slot].as_mut().expect("just ensured")
+    }
+
+    /// Arms `token`'s effective interest on its source — the one-shot
+    /// (re-)arm. A socket gets one backend `modify`; an in-memory
+    /// endpoint gets its pipe armed for read (or a report now, if it is
+    /// readable already), and an unparked write drain is due at once.
+    /// An empty effective interest (a parked write-only watch) arms
+    /// nothing: both backends stay silent until the unpark re-arms it.
+    fn arm(&mut self, reactor: &Reactor, token: Token) {
+        let slot = token_slot(token);
+        let Some(w) = self.watches.get(slot).and_then(|e| e.as_ref()) else {
+            return;
+        };
+        let eff = w.effective();
+        if w.token != token || eff == Interest::none() {
+            return;
+        }
+        let armed = match &w.src {
+            Readiness::Fd(fd) => self.poller.modify(*fd, eff).is_ok(),
+            Readiness::Mem(ep) => {
+                if eff.read && ep.arm(&reactor.waker, token) {
+                    self.ready.push((token, Interest::READ));
+                }
+                if eff.write {
+                    self.ready.push((token, Interest::WRITE));
+                }
+                true
+            }
+        };
+        if !armed {
+            self.fail_watch(reactor, token);
+        }
+    }
+
+    /// Un-parks expired parks (re-arming their write interest) and
+    /// returns the nearest still-pending expiry.
+    fn unpark_expired(&mut self, reactor: &Reactor, now: Instant) -> Option<Instant> {
+        let mut nearest: Option<Instant> = None;
+        let mut expired: Vec<Token> = Vec::new();
+        let watches = &mut self.watches;
+        self.parked.retain(|&token| {
+            let Some(w) = watches
+                .get_mut(token_slot(token))
+                .and_then(|e| e.as_mut())
+                .filter(|w| w.token == token)
+            else {
+                return false;
+            };
+            match w.parked_until {
+                Some(until) if until <= now => {
+                    w.parked_until = None;
+                    expired.push(token);
+                    false
+                }
+                Some(until) => {
+                    nearest = Some(nearest.map_or(until, |t| t.min(until)));
+                    true
+                }
+                None => false,
+            }
+        });
+        for token in expired {
+            self.arm(reactor, token);
+        }
+        nearest
+    }
+
+    /// Handles one readiness report for the watch in `slot`: delivers a
+    /// `Readable`, runs the drain, and re-arms (or discards) the watch.
+    fn on_ready(
+        &mut self,
+        reactor: &Reactor,
+        slot: usize,
+        ready: Interest,
+        round: &mut Vec<DriverEvent>,
+    ) {
+        let Some(watch) = self.watches.get_mut(slot).and_then(|e| e.as_mut()) else {
+            return;
+        };
+        let token = watch.token;
+        if !watch.is_live() {
+            // Deregistered (possibly with the fd already reused by a
+            // new connection): deliver nothing.
+            let _ = self.discard(token);
+            return;
+        }
+        if watch.interest.read && ready.read {
+            // One-shot: the driver re-arms after the flow reads.
+            // Appended to the round batch — one channel send (and one
+            // shard-queue append downstream) covers every readable
+            // connection of this round.
+            watch.interest.read = false;
+            reactor.events_delivered.fetch_add(1, Ordering::Relaxed);
+            round.push(DriverEvent::Readable(token));
+        }
+        if watch.interest.write && ready.write {
+            // Parked watches still reach here: ERR/HUP cannot be
+            // masked on either backend. Running the drain anyway means
+            // a broken connection fails its write and retires the
+            // watch instead of bouncing unmaskable hangup events for
+            // the whole park window; a still-contended lock just
+            // re-parks.
+            let was_parked = watch.parked_until.is_some();
+            let result = watch
+                .drain
+                .as_mut()
+                .map(|d| d(DrainCall::Drain))
+                .unwrap_or(DrainResult::Failed);
+            let park = match result {
+                // A socket waits for `POLLOUT`; a shaped link for the
+                // tokens its next chunk needs.
+                DrainResult::Pending => match &watch.src {
+                    Readiness::Fd(_) => None,
+                    Readiness::Mem(ep) => Some(ep.write_ready_in()),
+                },
+                DrainResult::Busy => Some(BUSY_PARK),
+                DrainResult::Complete | DrainResult::Failed => {
+                    watch.interest.write = false;
+                    watch.drain = None;
+                    None
+                }
+            };
+            watch.parked_until = park.map(|d| Instant::now() + d);
+            if park.is_some() && !was_parked {
+                self.parked.push(token);
+            }
+        }
+        // The post-delivery re-arm: every report ends with exactly one
+        // re-arm (or a discard, when no interest remains). A park
+        // masks only the write side: armed read interest is re-armed
+        // immediately, so a park never delays read delivery, and an
+        // ERR/HUP folded into readability is consumed by the one-shot
+        // Readable rather than spinning the backoff. A parked
+        // write-only watch is left disarmed — re-arming it would let
+        // the unmaskable hangup conditions spin the reactor through the
+        // park — and the unpark pass re-arms it when the park expires.
+        if !watch.interest.read && !watch.interest.write {
+            let _ = self.discard(token);
+        } else {
+            self.arm(reactor, token);
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::DriverEvent;
+    use crate::mem::MemConn;
     use crate::tcp::{TcpAcceptor, TcpConn};
-    use crate::traits::Listener;
+    use crate::traits::{Conn, Listener};
     use crossbeam::channel::{unbounded, Receiver};
     use std::collections::VecDeque;
     use std::time::Duration;
@@ -822,9 +942,6 @@ mod tests {
                             return Ok(ev);
                         }
                     }
-                    // Only the driver's watch closures send markers;
-                    // these tests drive the reactor directly.
-                    Ok(Delivery::Coalesced) => unreachable!("reactor never coalesces"),
                     Err(_) => return Err(()),
                 }
             }
@@ -840,7 +957,6 @@ mod tests {
                     self.pending.extend(b);
                     self.pending.pop_front().ok_or(())
                 }
-                Ok(Delivery::Coalesced) => unreachable!("reactor never coalesces"),
                 Err(_) => Err(()),
             }
         }
@@ -869,8 +985,8 @@ mod tests {
             let s2 = acceptor.accept().unwrap();
 
             let (reactor, mut rx) = test_reactor(backend);
-            reactor.register(s1.raw_fd().unwrap(), 1);
-            reactor.register(s2.raw_fd().unwrap(), 2);
+            reactor.register(s1.readiness(), 1);
+            reactor.register(s2.readiness(), 2);
             assert!(
                 rx.recv_timeout(Duration::from_millis(50)).is_err(),
                 "nothing readable yet"
@@ -900,7 +1016,7 @@ mod tests {
             let server = acceptor.accept().unwrap();
 
             let (reactor, mut rx) = test_reactor(backend);
-            reactor.register(server.raw_fd().unwrap(), 7);
+            reactor.register(server.readiness(), 7);
             reactor.deregister(7);
             std::thread::sleep(Duration::from_millis(20));
             client.write_all(b"x").unwrap();
@@ -928,7 +1044,7 @@ mod tests {
                 let new_token = 1001 + round * 2;
                 let old_client = TcpConn::connect(&addr).unwrap();
                 let old_server = acceptor.accept().unwrap();
-                reactor.register(old_server.raw_fd().unwrap(), old_token);
+                reactor.register(old_server.readiness(), old_token);
                 // Tear the socket down immediately: the watch may still be
                 // in the reactor's table (its Deregister is only queued)
                 // when the fd closes and gets reused below. No data ever
@@ -939,7 +1055,7 @@ mod tests {
                 drop(old_client);
                 let mut new_client = TcpConn::connect(&addr).unwrap();
                 let new_server = acceptor.accept().unwrap();
-                reactor.register(new_server.raw_fd().unwrap(), new_token);
+                reactor.register(new_server.readiness(), new_token);
                 new_client.write_all(b"fresh").unwrap();
                 match rx.recv_timeout(Duration::from_secs(2)) {
                     Ok(DriverEvent::Readable(t)) => {
@@ -965,7 +1081,7 @@ mod tests {
             let _client = TcpConn::connect(&addr).unwrap();
             let server = acceptor.accept().unwrap();
             let (reactor, _rx) = test_reactor(backend);
-            reactor.register(server.raw_fd().unwrap(), 1);
+            reactor.register(server.readiness(), 1);
             reactor.stop();
             assert!(
                 reactor.thread.lock().is_none(),
@@ -997,8 +1113,7 @@ mod tests {
             }
             DrainResult::Failed
         });
-        use std::os::fd::AsRawFd as _;
-        reactor.register_write(file.as_raw_fd(), 9, drain);
+        reactor.register_write(Readiness::Fd(file.as_raw_fd()), 9, drain);
         assert!(
             done_rx.recv_timeout(Duration::from_secs(2)).is_ok(),
             "abort drain never completed: reactor self-deadlocked on the control lock"
@@ -1024,13 +1139,13 @@ mod tests {
             let token_b = (2u64 << 32) | 42;
             let _a_client = TcpConn::connect(&addr).unwrap();
             let a_server = acceptor.accept().unwrap();
-            reactor.register(a_server.raw_fd().unwrap(), token_a);
+            reactor.register(a_server.readiness(), token_a);
             reactor.deregister(token_a); // driver removes A, then frees the slot
             let mut b_client = TcpConn::connect(&addr).unwrap();
             let b_server = acceptor.accept().unwrap();
-            reactor.register(b_server.raw_fd().unwrap(), token_b);
+            reactor.register(b_server.readiness(), token_b);
             // The stale A caller resumes after B went live: refused.
-            reactor.register(a_server.raw_fd().unwrap(), token_a);
+            reactor.register(a_server.readiness(), token_a);
             std::thread::sleep(Duration::from_millis(30));
             b_client.write_all(b"x").unwrap();
             assert_eq!(
@@ -1064,51 +1179,70 @@ mod tests {
         }
     }
 
-    /// A burst of readable sockets arrives as one batch: the reactor
-    /// ships every Readable of a wait round in a single delivery.
+    /// A burst of ready connections arrives as one batch: the reactor
+    /// ships every Readable of a round in a single delivery. Every
+    /// connection is readable, and all sixteen registrations are
+    /// queued, before the reactor thread's first round, so that round
+    /// sees all of them on every schedule — sockets and in-memory
+    /// endpoints alike.
     #[test]
     fn burst_of_readables_is_batched() {
         let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr();
-        let (tx, rx) = unbounded();
-        let reactor = Reactor::new(tx, Arc::new(BatchPool::new(4)), PollerBackend::default());
-        let mut clients = Vec::new();
-        let mut servers = Vec::new();
-        for i in 0..16u64 {
-            let mut c = TcpConn::connect(&addr).unwrap();
-            let s = acceptor.accept().unwrap();
-            // Data first, registration after: every socket is already
-            // readable when the reactor first polls it.
-            c.write_all(b"!").unwrap();
-            clients.push(c);
-            servers.push(s);
-            let _ = i;
-        }
-        for (i, s) in servers.iter().enumerate() {
-            reactor.register(s.raw_fd().unwrap(), i as Token);
-        }
-        let mut got = 0usize;
-        let mut deliveries = 0usize;
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while got < 16 && Instant::now() < deadline {
-            match rx.recv_timeout(Duration::from_millis(200)) {
-                Ok(Delivery::Batch(b)) => {
-                    got += b.len();
-                    deliveries += 1;
+        let tcp_pair = || -> (Box<dyn Conn>, Box<dyn Conn>) {
+            let client = TcpConn::connect(&addr).unwrap();
+            (Box::new(client), acceptor.accept().unwrap())
+        };
+        let mem_pair = || -> (Box<dyn Conn>, Box<dyn Conn>) {
+            let (client, server) = MemConn::pair();
+            (Box::new(client), Box::new(server))
+        };
+        let transports: [(&str, &dyn Fn() -> (Box<dyn Conn>, Box<dyn Conn>)); 2] =
+            [("tcp", &tcp_pair), ("mem", &mem_pair)];
+        for (name, pair) in transports {
+            let (tx, rx) = unbounded();
+            let reactor = Reactor::new(tx, Arc::new(BatchPool::new(4)), PollerBackend::default());
+            let mut clients = Vec::new();
+            let mut servers = Vec::new();
+            for _ in 0..16 {
+                let (mut c, s) = pair();
+                c.write_all(b"!").unwrap();
+                if let Some(fd) = s.readiness().fd() {
+                    crate::poller::wait_readable(fd, Some(Duration::from_secs(2))).unwrap();
                 }
-                Ok(Delivery::One(_)) => {
-                    got += 1;
-                    deliveries += 1;
-                }
-                Ok(Delivery::Coalesced) => unreachable!("reactor never coalesces"),
-                Err(_) => break,
+                clients.push(c);
+                servers.push(s);
             }
+            {
+                // Queue every registration, then start the thread: its
+                // first round takes the whole control batch at once.
+                let mut shared = reactor.shared.lock();
+                for (i, s) in servers.iter().enumerate() {
+                    let token = i as Token;
+                    let epoch = reactor.live_gen(token).unwrap();
+                    shared
+                        .control
+                        .push(Control::ReadInterest(s.readiness(), token, epoch));
+                }
+                reactor.ensure_thread(&mut shared);
+            }
+            let mut got = 0usize;
+            let mut deliveries = 0usize;
+            while got < 16 {
+                match rx.recv_timeout(Duration::from_secs(2)) {
+                    Ok(Delivery::Batch(b)) => got += b.len(),
+                    Ok(Delivery::One(_)) => got += 1,
+                    Err(_) => break,
+                }
+                deliveries += 1;
+            }
+            assert_eq!(got, 16, "all {name} connections reported");
+            assert!(
+                deliveries < 16,
+                "a {name} burst must coalesce into batches \
+                 (got {deliveries} deliveries for 16 events)"
+            );
+            reactor.stop();
         }
-        assert_eq!(got, 16, "all sockets reported");
-        assert!(
-            deliveries < 16,
-            "a burst must coalesce into batches (got {deliveries} deliveries for 16 events)"
-        );
-        reactor.stop();
     }
 }

@@ -68,8 +68,8 @@ impl Shaper {
     /// Consumes `bytes` tokens only if all are available right now;
     /// returns `false` (consuming nothing) otherwise. The non-blocking
     /// fast path for enqueued writes: burst-sized traffic passes
-    /// synchronously, anything past the bucket is left to a drain
-    /// thread that can afford to block in [`Shaper::consume`].
+    /// synchronously, anything past the bucket is buffered for the
+    /// reactor's write drain ([`Shaper::take_up_to`]).
     pub fn try_consume(&self, bytes: usize) -> bool {
         let mut s = self.state.lock();
         self.refill(&mut s);
@@ -79,6 +79,26 @@ impl Shaper {
         } else {
             false
         }
+    }
+
+    /// Consumes as many whole tokens as are available now, up to `max`,
+    /// and returns how many: the reactor's non-blocking drain sends
+    /// exactly that many buffered bytes.
+    pub fn take_up_to(&self, max: usize) -> usize {
+        let mut s = self.state.lock();
+        self.refill(&mut s);
+        let n = (s.tokens.max(0.0) as usize).min(max);
+        s.tokens -= n as f64;
+        n
+    }
+
+    /// How long until `bytes` tokens (at most a burst) are available:
+    /// the deadline a drain that ran the bucket dry waits for.
+    pub fn ready_in(&self, bytes: usize) -> Duration {
+        let mut s = self.state.lock();
+        self.refill(&mut s);
+        let short = (bytes as f64).min(self.burst_bytes) - s.tokens;
+        Duration::from_secs_f64(short.max(0.0) / self.rate_bytes_per_s)
     }
 
     /// The configured sustained rate.
@@ -110,6 +130,20 @@ mod tests {
         let dt = t0.elapsed().as_secs_f64();
         assert!(dt > 0.15, "took {dt}s, expected ~0.2s");
         assert!(dt < 0.5, "took {dt}s, expected ~0.2s");
+    }
+
+    #[test]
+    fn take_up_to_takes_what_the_bucket_holds() {
+        let s = Shaper::new(1_000_000.0);
+        assert_eq!(s.take_up_to(10_000), 10_000, "within the burst");
+        let rest = s.take_up_to(usize::MAX);
+        assert!((50_000..=64 * 1024).contains(&rest), "the rest: {rest}");
+        assert!(s.take_up_to(usize::MAX) < 1_000, "the bucket is dry");
+        let wait = s.ready_in(16 * 1024);
+        assert!(
+            wait > Duration::from_millis(10) && wait <= Duration::from_millis(17),
+            "16 KiB at 1 MB/s: {wait:?}"
+        );
     }
 
     #[test]

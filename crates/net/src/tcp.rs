@@ -10,17 +10,19 @@
 //! shared body, or several queued segments on a `POLLOUT` drain, leave
 //! in one system call and are copied nowhere on the way. The socket's
 //! `O_NONBLOCK` flag — which lives on the open file description and is
-//! therefore shared with every `try_clone`d handle — is never touched,
-//! so a blocking `read` on a clone cannot see a spurious `WouldBlock`.
+//! therefore shared with every duplicate of the descriptor — is never
+//! touched, so a blocking `read` on a duplicate cannot see a spurious
+//! `WouldBlock`.
 //! Accepted and connected sockets carry `TCP_NODELAY`: responses are
 //! written whole, and a small write must not wait out the peer's
 //! delayed ACK.
 
 use crate::pool::{OutBuf, SharedPayload};
-use crate::traits::{Conn, Datagram, Listener, WriteProgress};
+use crate::traits::{Conn, Datagram, Listener, Readiness, WriteProgress};
 use parking_lot::Mutex;
 use std::io::{self, IoSlice};
 use std::net::{TcpListener, TcpStream, UdpSocket};
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 /// A TCP connection implementing [`Conn`].
@@ -270,28 +272,8 @@ impl Conn for TcpConn {
         self.stream.set_read_timeout(d)
     }
 
-    fn wait_readable(&self, timeout: Option<Duration>) -> io::Result<bool> {
-        // `peek` blocks until at least one byte is available or the peer
-        // closes (returns 0); the read timeout bounds the wait. The
-        // caller-configured timeout is restored afterwards so the wait
-        // does not clobber subsequent reads.
-        let previous = self.stream.read_timeout()?;
-        self.stream.set_read_timeout(timeout)?;
-        let mut byte = [0u8; 1];
-        let result = match self.stream.peek(&mut byte) {
-            Ok(_) => Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(false),
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => Ok(false),
-            Err(e) => Err(e),
-        };
-        self.stream.set_read_timeout(previous)?;
-        result
-    }
-
-    #[cfg(unix)]
-    fn raw_fd(&self) -> Option<std::os::fd::RawFd> {
-        use std::os::fd::AsRawFd;
-        Some(self.stream.as_raw_fd())
+    fn readiness(&self) -> Readiness {
+        Readiness::Fd(self.stream.as_raw_fd())
     }
 
     fn enqueue_write(&mut self, bytes: &[u8]) -> io::Result<WriteProgress> {
@@ -324,10 +306,6 @@ impl Conn for TcpConn {
         self.drain_nonblocking()
     }
 
-    fn try_clone(&self) -> io::Result<Box<dyn Conn>> {
-        Ok(Box::new(TcpConn::new(self.stream.try_clone()?)))
-    }
-
     fn shutdown_write(&mut self) -> io::Result<()> {
         self.stream.shutdown(std::net::Shutdown::Write)
     }
@@ -356,18 +334,8 @@ impl TcpAcceptor {
     /// Waits until the listener has a connection to accept, or `left`
     /// has passed, or a signal interrupts the wait; the caller tries
     /// `accept` again in every case.
-    #[cfg(unix)]
     fn wait_acceptable(&self, left: Option<Duration>) -> io::Result<()> {
-        use std::os::fd::AsRawFd;
         crate::poller::wait_readable(self.listener.as_raw_fd(), left)
-    }
-
-    /// Without `poll(2)` the wait is a short sleep between tries.
-    #[cfg(not(unix))]
-    fn wait_acceptable(&self, left: Option<Duration>) -> io::Result<()> {
-        let slice = Duration::from_millis(2);
-        std::thread::sleep(left.map_or(slice, |l| l.min(slice)));
-        Ok(())
     }
 
     /// Raises the kernel listen backlog above the std default (128).
@@ -380,9 +348,7 @@ impl TcpAcceptor {
     /// so reconnects fail fast (governor) or get served, never hang.
     /// On Linux, `listen(2)` on an already-listening socket just
     /// updates the backlog.
-    #[cfg(unix)]
     pub fn set_backlog(&self, backlog: u32) -> io::Result<()> {
-        use std::os::fd::AsRawFd;
         extern "C" {
             fn listen(sockfd: std::ffi::c_int, backlog: std::ffi::c_int) -> std::ffi::c_int;
         }
@@ -550,8 +516,8 @@ mod tests {
     }
 
     /// `O_NONBLOCK` belongs to the open file description, which a
-    /// `try_clone`d handle shares: a writer that flipped it around each
-    /// send would make a blocking `read` on the clone fail with
+    /// duplicated descriptor shares: a writer that flipped it around
+    /// each send would make a blocking `read` on the clone fail with
     /// `WouldBlock` whenever the read began mid-flip. The peer trickles
     /// bytes so the reader keeps re-entering `read` while the writer
     /// sends without pause.
@@ -560,10 +526,10 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let mut peer = TcpStream::connect(acceptor.local_addr()).unwrap();
-        let mut writer = acceptor.accept().unwrap();
-        let mut reader = writer.try_clone().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut reader, _) = listener.accept().unwrap();
+        let mut writer = TcpConn::new(reader.try_clone().unwrap());
         let stop = Arc::new(AtomicBool::new(false));
 
         let reading = thread::spawn(move || {
@@ -603,24 +569,6 @@ mod tests {
         assert!(read_result.is_ok(), "blocking read failed: {read_result:?}");
         drop(writer);
         discarding.join().unwrap();
-    }
-
-    #[test]
-    fn tcp_wait_readable() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let t = thread::spawn(move || {
-            let mut c = TcpConn::connect(&addr).unwrap();
-            thread::sleep(Duration::from_millis(30));
-            c.write_all(b"!").unwrap();
-            thread::sleep(Duration::from_millis(50));
-        });
-        let server = acceptor.accept().unwrap();
-        assert!(!server
-            .wait_readable(Some(Duration::from_millis(5)))
-            .unwrap());
-        assert!(server.wait_readable(Some(Duration::from_secs(2))).unwrap());
-        t.join().unwrap();
     }
 
     #[test]

@@ -5,9 +5,33 @@
 //! interop) and on a hermetic in-memory transport (tests, benchmarks)
 //! with optional link shaping.
 
+use crate::mem::MemEndpoint;
 use crate::pool::SharedPayload;
 use std::io;
+use std::os::fd::RawFd;
 use std::time::Duration;
+
+/// How one connection reports readiness to the driver's reactor. Both
+/// kinds are armed, delivered and re-armed by the same reactor round.
+#[derive(Clone)]
+pub enum Readiness {
+    /// A socket: the OS poller (`poll(2)`/`epoll(7)`) watches its fd.
+    Fd(RawFd),
+    /// An in-memory endpoint: once armed, the write (or close) that
+    /// makes it readable pushes the connection's token onto the
+    /// reactor's ready list.
+    Mem(MemEndpoint),
+}
+
+impl Readiness {
+    /// The file descriptor, for a socket.
+    pub fn fd(&self) -> Option<RawFd> {
+        match self {
+            Readiness::Fd(fd) => Some(*fd),
+            Readiness::Mem(_) => None,
+        }
+    }
+}
 
 /// Progress of a buffered (reactor-drained) write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,7 +40,8 @@ pub enum WriteProgress {
     Complete,
     /// Bytes remain in the connection's output buffer. The owner must
     /// call [`Conn::drain_out`] again when the transport is writable
-    /// (the driver arms a `POLLOUT` watch on the reactor for this).
+    /// (the driver arms a write watch on the reactor for this: `POLLOUT`
+    /// for a socket, the link shaper's next tokens for a shaped pipe).
     Pending,
 }
 
@@ -29,38 +54,19 @@ pub trait Conn: io::Read + io::Write + Send {
     /// Sets the read timeout (None blocks forever).
     fn set_read_timeout(&mut self, d: Option<Duration>) -> io::Result<()>;
 
-    /// Blocks until the connection has readable data or has been closed
-    /// by the peer; returns `Ok(true)` in both cases (a subsequent read
-    /// returns data or EOF), `Ok(false)` on timeout.
-    fn wait_readable(&self, timeout: Option<Duration>) -> io::Result<bool>;
-
-    /// Registers a one-shot callback fired as soon as the connection is
-    /// readable (or closed). Returns `false` when the transport cannot
-    /// watch without a thread (TCP); callers then fall back to
-    /// [`Conn::wait_readable`] on a helper thread — exactly the paper's
-    /// select-simulation thread.
-    fn set_read_watch(&self, watch: Box<dyn FnOnce() + Send>) -> bool {
-        let _ = watch;
-        false
-    }
-
-    /// The raw OS file descriptor backing this connection, when one
-    /// exists. Transports that return `Some` are multiplexed by the
-    /// driver's reactor thread instead of per-connection helper
-    /// threads; in-memory transports return `None` and use watches.
-    #[cfg(unix)]
-    fn raw_fd(&self) -> Option<std::os::fd::RawFd> {
-        None
-    }
+    /// Where the driver's reactor learns that this connection is ready.
+    fn readiness(&self) -> Readiness;
 
     /// Queues `bytes` for transmission without blocking the caller.
     ///
     /// Transports that can stall (TCP with a full socket buffer) append
     /// to a per-connection output buffer and return
     /// [`WriteProgress::Pending`] after a partial write; the reactor
-    /// then drains the rest via [`Conn::drain_out`] on `POLLOUT`.
-    /// Transports that cannot stall (the in-memory pipe) complete the
-    /// enqueue synchronously. The default implementation performs a
+    /// then drains the rest via [`Conn::drain_out`] on `POLLOUT`; a
+    /// shaped in-memory link buffers what its token bucket cannot pass
+    /// yet, and the reactor drains it as tokens accrue. Transports that
+    /// cannot stall (the unshaped in-memory pipe) complete the enqueue
+    /// synchronously. The default implementation performs a
     /// blocking `write_all`, which is correct for any transport but
     /// forfeits the non-blocking guarantee.
     fn enqueue_write(&mut self, bytes: &[u8]) -> io::Result<WriteProgress> {
@@ -106,16 +112,11 @@ pub trait Conn: io::Read + io::Write + Send {
     }
 
     /// Writes as much of the output buffer as the transport accepts
-    /// without blocking. Returns [`WriteProgress::Complete`] when the
+    /// without blocking (the reactor calls it on writability). Returns [`WriteProgress::Complete`] when the
     /// buffer is empty.
     fn drain_out(&mut self) -> io::Result<WriteProgress> {
         Ok(WriteProgress::Complete)
     }
-
-    /// Creates an independent handle to the same connection (for
-    /// concurrent reader/writer threads). The output buffer is **not**
-    /// shared: buffered bytes stay with the handle that enqueued them.
-    fn try_clone(&self) -> io::Result<Box<dyn Conn>>;
 
     /// Closes the write side, signalling EOF to the peer.
     fn shutdown_write(&mut self) -> io::Result<()>;

@@ -1,55 +1,45 @@
-//! Backend conformance suite: the reactor/driver invariants proven in
-//! PRs 1–2 (fd-reuse generation race, deferred-close drain, slow-reader
-//! POLLOUT drain, write failure on removal) must hold **identically**
-//! over every [`flux_net::Poller`] backend. Each scenario runs once per
-//! backend through the same harness; a backend that passes here can be
-//! swapped in via `NetConfig::backend` without any server noticing.
+//! Transport conformance suite: the reactor/driver invariants (the
+//! fd-reuse generation race, deferred-close drain, slow-reader drain,
+//! write failure on removal) must hold **identically** over every
+//! transport the reactor serves — TCP on each [`flux_net::Poller`]
+//! backend, and the in-memory transport, whose endpoints report on the
+//! reactor's ready list. Each scenario runs once per transport through
+//! the same harness; a backend that passes here can be swapped in via
+//! `NetConfig::backend` without any server noticing, and a test over
+//! `MemNet` exercises the readiness path TCP takes.
 //!
 //! The shutdown thread-join invariant has its own binary
 //! (`tests/shutdown.rs`), because it scans `/proc/self/task` and needs
 //! a process to itself.
 
-#![cfg(unix)]
-
 mod util;
 
-use flux_net::{
-    ConnDriver, DriverEvent, Listener as _, PollerBackend, TcpAcceptor, TcpConn, Token,
-};
+use flux_net::{DriverEvent, Token};
 use std::io::{Read as _, Write as _};
-use std::sync::Arc;
 use std::time::Duration;
-use util::{backends, driver_on};
+use util::{accept_one, transports, Transport};
 
-/// Accepts one TCP connection through the driver and returns
-/// `(driver, client, token)`.
-fn tcp_pair(backend: PollerBackend) -> (Arc<ConnDriver>, TcpConn, Token) {
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-    let addr = acceptor.local_addr();
-    let driver = driver_on(backend);
-    driver.spawn_acceptor(Box::new(acceptor));
-    let client = TcpConn::connect(&addr).unwrap();
-    let DriverEvent::Incoming(token) = driver.next_event(Duration::from_secs(2)).unwrap() else {
-        panic!("expected Incoming");
-    };
-    (driver, client, token)
-}
-
-/// The fd-reuse generation race: remove a connection (closing its fd)
-/// and immediately accept a new one that reuses it. The stale token
-/// must never fire, on either backend.
-fn fd_reuse_generation_race(backend: PollerBackend) {
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-    let addr = acceptor.local_addr();
-    let driver = driver_on(backend);
-    driver.spawn_acceptor(Box::new(acceptor));
+/// The fd-reuse generation race: remove a connection (closing its fd,
+/// or dropping its pipe) and immediately accept a new one that reuses
+/// it — and its driver slot. The stale token must never fire, on any
+/// transport: the removed connection's client closes right after the
+/// removal, which makes the old endpoint readable.
+fn fd_reuse_generation_race(transport: Transport) {
+    let (driver, dialer) = transport.listen();
     let mut dead_tokens = std::collections::HashSet::new();
     for round in 0..25 {
-        let old_client = TcpConn::connect(&addr).unwrap();
-        let DriverEvent::Incoming(old_token) = driver.next_event(Duration::from_secs(2)).unwrap()
-        else {
-            panic!()
+        // Any event for a removed token, here or below, is stale.
+        let accept = |dead: &std::collections::HashSet<Token>| {
+            let client = dialer.connect();
+            match driver.next_event(Duration::from_secs(2)) {
+                Some(DriverEvent::Incoming(token)) => (client, token),
+                Some(DriverEvent::Readable(t)) if dead.contains(&t) => {
+                    panic!("stale watch fired for removed token {t} (round {round}, {transport:?})")
+                }
+                other => panic!("expected Incoming, got {other:?} ({transport:?})"),
+            }
         };
+        let (old_client, old_token) = accept(&dead_tokens);
         driver.arm(old_token);
         // Remove while the watch is armed and no data has arrived: the
         // fd closes here, may be reused by the next accept, and any
@@ -58,22 +48,18 @@ fn fd_reuse_generation_race(backend: PollerBackend) {
         dead_tokens.insert(old_token);
         drop(old_client);
 
-        let mut new_client = TcpConn::connect(&addr).unwrap();
-        let DriverEvent::Incoming(new_token) = driver.next_event(Duration::from_secs(2)).unwrap()
-        else {
-            panic!()
-        };
+        let (mut new_client, new_token) = accept(&dead_tokens);
         driver.arm(new_token);
         new_client.write_all(b"fresh").unwrap();
         match driver.next_event(Duration::from_secs(2)) {
             Some(DriverEvent::Readable(t)) => {
                 assert!(
                     !dead_tokens.contains(&t),
-                    "stale watch fired for removed token {t} (round {round}, {backend:?})"
+                    "stale watch fired for removed token {t} (round {round}, {transport:?})"
                 );
                 assert_eq!(t, new_token);
             }
-            other => panic!("expected Readable({new_token}), got {other:?} ({backend:?})"),
+            other => panic!("expected Readable({new_token}), got {other:?} ({transport:?})"),
         }
         driver.remove(new_token);
         dead_tokens.insert(new_token);
@@ -81,30 +67,31 @@ fn fd_reuse_generation_race(backend: PollerBackend) {
     driver.stop();
 }
 
-/// Slow-reader drain: a response larger than the kernel socket buffers
-/// completes via the backend's writability events once the (initially
-/// stalled) client reads, with the WouldBlock deferral observable in
-/// the counters.
-fn slow_reader_pollout_drain(backend: PollerBackend) {
-    let (driver, mut client, token) = tcp_pair(backend);
-    let payload: Vec<u8> = (0..8 * 1024 * 1024).map(|i| (i % 251) as u8).collect();
+/// Slow-reader drain: a response larger than the transport takes at
+/// once (the kernel socket buffers, or the shaped link's burst)
+/// completes through the reactor's write drain, with the deferral
+/// observable in the counters.
+fn slow_reader_pollout_drain(transport: Transport) {
+    let (driver, dialer) = transport.listen();
+    let (mut client, token) = accept_one(&driver, &dialer);
+    let payload: Vec<u8> = (0..transport.big()).map(|i| (i % 251) as u8).collect();
     assert!(driver.submit_write(token, &payload));
     assert!(
         driver.pending_out(token) > 0,
-        "an 8 MiB write must not complete synchronously ({backend:?})"
+        "a big write must not complete synchronously ({transport:?})"
     );
     assert!(
         driver.next_event(Duration::from_millis(100)).is_none(),
-        "no completion while the client reads nothing ({backend:?})"
+        "no completion while the client reads nothing ({transport:?})"
     );
     let mut got = Vec::with_capacity(payload.len());
     let mut buf = vec![0u8; 64 * 1024];
     while got.len() < payload.len() {
         let n = client.read(&mut buf).unwrap();
-        assert!(n > 0, "EOF before the payload drained ({backend:?})");
+        assert!(n > 0, "EOF before the payload drained ({transport:?})");
         got.extend_from_slice(&buf[..n]);
     }
-    assert_eq!(got, payload, "drained bytes match ({backend:?})");
+    assert_eq!(got, payload, "drained bytes match ({transport:?})");
     assert_eq!(
         driver.next_event(Duration::from_secs(5)),
         Some(DriverEvent::WriteDone(token))
@@ -115,7 +102,7 @@ fn slow_reader_pollout_drain(backend: PollerBackend) {
             .write_would_block
             .load(std::sync::atomic::Ordering::Relaxed)
             > 0,
-        "the drain must have hit WouldBlock at least once ({backend:?})"
+        "the drain must have hit WouldBlock at least once ({transport:?})"
     );
     driver.stop();
 }
@@ -123,14 +110,15 @@ fn slow_reader_pollout_drain(backend: PollerBackend) {
 /// Deferred close: `remove_when_flushed` keeps the connection open
 /// until the buffer drains, then closes it — the client sees the full
 /// payload followed by EOF.
-fn deferred_close_drain(backend: PollerBackend) {
-    let (driver, mut client, token) = tcp_pair(backend);
-    let payload: Vec<u8> = vec![b'z'; 8 * 1024 * 1024];
+fn deferred_close_drain(transport: Transport) {
+    let (driver, dialer) = transport.listen();
+    let (mut client, token) = accept_one(&driver, &dialer);
+    let payload: Vec<u8> = vec![b'z'; transport.big()];
     assert!(driver.submit_write(token, &payload));
     driver.remove_when_flushed(token);
     assert!(
         driver.get(token).is_some(),
-        "close must be deferred while bytes are buffered ({backend:?})"
+        "close must be deferred while bytes are buffered ({transport:?})"
     );
     let mut got = 0usize;
     let mut buf = vec![0u8; 64 * 1024];
@@ -145,7 +133,7 @@ fn deferred_close_drain(backend: PollerBackend) {
     assert_eq!(
         got,
         payload.len(),
-        "every byte drained before close ({backend:?})"
+        "every byte drained before close ({transport:?})"
     );
     assert_eq!(
         driver.next_event(Duration::from_secs(5)),
@@ -157,50 +145,51 @@ fn deferred_close_drain(backend: PollerBackend) {
     }
     assert!(
         driver.get(token).is_none(),
-        "removed after the drain ({backend:?})"
+        "removed after the drain ({transport:?})"
     );
     driver.stop();
 }
 
 /// `remove` fails still-pending submissions so every `submit_write`
 /// gets its completion event.
-fn remove_fails_pending_submissions(backend: PollerBackend) {
-    let (driver, _client, token) = tcp_pair(backend);
-    assert!(driver.submit_write(token, &vec![1u8; 8 * 1024 * 1024]));
+fn remove_fails_pending_submissions(transport: Transport) {
+    let (driver, dialer) = transport.listen();
+    let (_client, token) = accept_one(&driver, &dialer);
+    assert!(driver.submit_write(token, &vec![1u8; transport.big()]));
     assert!(driver.pending_out(token) > 0);
     driver.remove(token);
     assert_eq!(
         driver.next_event(Duration::from_secs(2)),
         Some(DriverEvent::WriteFailed(token)),
-        "{backend:?}"
+        "{transport:?}"
     );
     driver.stop();
 }
 
 #[test]
-fn fd_reuse_generation_race_on_every_backend() {
-    for backend in backends() {
-        fd_reuse_generation_race(backend);
+fn fd_reuse_generation_race_on_every_transport() {
+    for transport in transports() {
+        fd_reuse_generation_race(transport);
     }
 }
 
 #[test]
-fn slow_reader_pollout_drain_on_every_backend() {
-    for backend in backends() {
-        slow_reader_pollout_drain(backend);
+fn slow_reader_pollout_drain_on_every_transport() {
+    for transport in transports() {
+        slow_reader_pollout_drain(transport);
     }
 }
 
 #[test]
-fn deferred_close_drain_on_every_backend() {
-    for backend in backends() {
-        deferred_close_drain(backend);
+fn deferred_close_drain_on_every_transport() {
+    for transport in transports() {
+        deferred_close_drain(transport);
     }
 }
 
 #[test]
-fn remove_fails_pending_submissions_on_every_backend() {
-    for backend in backends() {
-        remove_fails_pending_submissions(backend);
+fn remove_fails_pending_submissions_on_every_transport() {
+    for transport in transports() {
+        remove_fails_pending_submissions(transport);
     }
 }

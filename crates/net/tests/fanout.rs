@@ -1,14 +1,12 @@
 //! Fan-out write-path tests: [`SharedPayload`] release semantics under
 //! concurrent drops (the multicast case: N connections drain one
 //! buffer, the last one returns it to the pool exactly once), the
-//! reactor-level one-payload-to-N-connections path, and slow-consumer
-//! eviction when a subscriber stops draining.
+//! reactor-level one-payload-to-N-connections path on every transport,
+//! and slow-consumer eviction when a subscriber stops draining.
 
 mod util;
 
-use flux_net::{
-    BytePool, ConnDriver, DriverEvent, Listener as _, MemNet, NetConfig, TcpAcceptor, TcpConn,
-};
+use flux_net::{BytePool, ConnDriver, DriverEvent, MemNet, NetConfig};
 use proptest::prelude::*;
 use std::io::Read as _;
 use std::sync::atomic::Ordering;
@@ -91,7 +89,7 @@ fn live_clone_keeps_buffer_out_of_the_pool() {
     assert_eq!(pool.pooled(), 2, "returned on last drop, exactly once");
 }
 
-/// Reactor-level multicast: one sealed payload submitted to 8 TCP
+/// Reactor-level multicast: one sealed payload submitted to 8
 /// connections. Each connection drains independently (clients are read
 /// in reverse accept order, one at a time), every client receives the
 /// identical bytes, one `WriteDone` is retired per submission, and when
@@ -100,24 +98,20 @@ fn live_clone_keeps_buffer_out_of_the_pool() {
 #[test]
 fn one_payload_fans_out_to_eight_connections() {
     const FANOUT: usize = 8;
-    // Big enough that kernel socket buffers cannot absorb it all: some
-    // connections must go through the POLLOUT drain path.
+    // Big enough that kernel socket buffers (or the shaped in-memory
+    // link's burst) cannot absorb it all: some connections must go
+    // through the reactor's drain path.
     const LEN: usize = 1 << 20;
 
-    for backend in util::backends() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let driver = util::driver_on(backend);
-        driver.spawn_acceptor(Box::new(acceptor));
+    for transport in util::transports() {
+        let (driver, dialer) = transport.listen();
 
         let mut clients = Vec::new();
         let mut tokens = Vec::new();
         for _ in 0..FANOUT {
-            clients.push(TcpConn::connect(&addr).unwrap());
-            match driver.next_event(Duration::from_secs(2)) {
-                Some(DriverEvent::Incoming(t)) => tokens.push(t),
-                other => panic!("expected Incoming, got {other:?}"),
-            }
+            let (client, token) = util::accept_one(&driver, &dialer);
+            clients.push(client);
+            tokens.push(token);
         }
 
         let mut buf = driver.take_write_buf();
@@ -139,7 +133,7 @@ fn one_payload_fans_out_to_eight_connections() {
             client.read_exact(&mut got).unwrap();
             assert!(
                 got.as_slice() == &payload[..],
-                "client received the exact payload"
+                "client received the exact payload ({transport:?})"
             );
         }
 
@@ -154,7 +148,7 @@ fn one_payload_fans_out_to_eight_connections() {
         assert_eq!(
             payload.ref_count(),
             1,
-            "all connection clones released after the drains"
+            "all connection clones released after the drains ({transport:?})"
         );
         driver.stop();
     }

@@ -1,6 +1,7 @@
 //! Property tests for the slab-token hot path: random interleavings of
 //! register/deregister/fd-reuse must never deliver an event under a
-//! stale generation, on either poller backend.
+//! stale generation, on any transport (TCP on either poller backend,
+//! and the in-memory transport).
 //!
 //! This generalizes the deterministic fd-reuse regression tests (in
 //! `conformance.rs` and the driver's unit tests): every removed token
@@ -8,11 +9,9 @@
 //! stale delivery — a watch surviving deregistration, or a
 //! kernel-reused fd observed under the old token.
 
-#![cfg(unix)]
-
 mod util;
 
-use flux_net::{ConnDriver, DriverEvent, Listener as _, TcpAcceptor, TcpConn, Token};
+use flux_net::{ConnDriver, DriverEvent, Token};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::io::Write as _;
@@ -43,11 +42,8 @@ proptest! {
         churn in 1usize..4,
         arm_bits in any::<u64>(),
     ) {
-        for backend in util::backends() {
-            let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-            let addr = acceptor.local_addr();
-            let driver = util::driver_on(backend);
-            driver.spawn_acceptor(Box::new(acceptor));
+        for transport in util::transports() {
+            let (driver, dialer) = transport.listen();
 
             let mut dead: HashSet<Token> = HashSet::new();
             let mut bit = 0u32;
@@ -58,7 +54,7 @@ proptest! {
                 let mut victims = Vec::new();
                 let mut victim_tokens = Vec::new();
                 for _ in 0..churn {
-                    victims.push(TcpConn::connect(&addr).unwrap());
+                    victims.push(dialer.connect());
                     victim_tokens.push(next_incoming(&driver));
                 }
                 for &t in &victim_tokens {
@@ -74,7 +70,7 @@ proptest! {
 
                 // A fresh connection (very likely on a reused fd) must
                 // fire under its own token only.
-                let mut fresh_client = TcpConn::connect(&addr).unwrap();
+                let mut fresh_client = dialer.connect();
                 let fresh = next_incoming(&driver);
                 prop_assert!(!dead.contains(&fresh), "token reissued");
                 driver.arm(fresh);
@@ -86,7 +82,7 @@ proptest! {
                         Some(DriverEvent::Readable(t)) => {
                             prop_assert!(
                                 !dead.contains(&t),
-                                "stale Readable({}) in round {}", t, round
+                                "stale Readable({}) in round {} ({:?})", t, round, transport
                             );
                             if t == fresh {
                                 saw_fresh = true;
@@ -95,7 +91,7 @@ proptest! {
                         Some(_) | None => continue,
                     }
                 }
-                prop_assert!(saw_fresh, "live connection must fire (round {})", round);
+                prop_assert!(saw_fresh, "live connection must fire (round {}, {:?})", round, transport);
                 prop_assert!(driver.remove(fresh).is_some());
                 dead.insert(fresh);
             }

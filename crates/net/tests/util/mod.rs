@@ -1,9 +1,15 @@
 //! Shared helpers for the integration-test binaries: one place that
-//! knows which [`PollerBackend`]s exist on this host, so adding a
-//! backend (kqueue) extends every suite at once.
+//! knows which transports exist on this host — TCP over every
+//! [`PollerBackend`], and the in-memory transport — so adding a backend
+//! (kqueue) or a transport extends every suite at once.
 
-use flux_net::{ConnDriver, NetConfig, PollerBackend};
+// Each suite compiles its own copy of this module and uses a subset.
+#![allow(dead_code)]
+
+use flux_net::{Conn, ConnDriver, Listener as _, MemNet, NetConfig, PollerBackend, TcpAcceptor};
+use flux_net::{TcpConn, Token};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Every backend on this host: poll, plus epoll on Linux.
 pub fn backends() -> Vec<PollerBackend> {
@@ -12,6 +18,84 @@ pub fn backends() -> Vec<PollerBackend> {
         v.push(PollerBackend::Epoll);
     }
     v
+}
+
+/// One way to carry a connection: TCP over loopback with the reactor on
+/// a given backend, or an in-memory link (the reactor on the platform's
+/// backend, which then watches only its self-pipe).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transport {
+    Tcp(PollerBackend),
+    Mem,
+}
+
+/// Every transport on this host: TCP over each backend, then `Mem`.
+pub fn transports() -> Vec<Transport> {
+    let mut v: Vec<Transport> = backends().into_iter().map(Transport::Tcp).collect();
+    v.push(Transport::Mem);
+    v
+}
+
+/// The in-memory link's rate: slow enough that [`Transport::big`] bytes
+/// take the reactor's drain a few hundred milliseconds.
+const MEM_LINK_BYTES_PER_S: f64 = 16_000_000.0;
+
+/// Where clients of a listening driver connect.
+pub enum Dialer {
+    Tcp(String),
+    Mem(Arc<MemNet>),
+}
+
+impl Dialer {
+    pub fn connect(&self) -> Box<dyn Conn> {
+        match self {
+            Dialer::Tcp(addr) => Box::new(TcpConn::connect(addr).unwrap()),
+            Dialer::Mem(net) => Box::new(net.connect("srv").unwrap()),
+        }
+    }
+}
+
+impl Transport {
+    /// A driver accepting on a fresh listener of this transport. An
+    /// in-memory link is shaped, so a large write is buffered and
+    /// drained by the reactor, as a socket's is.
+    pub fn listen(self) -> (Arc<ConnDriver>, Dialer) {
+        match self {
+            Transport::Tcp(backend) => {
+                let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+                let addr = acceptor.local_addr();
+                let driver = driver_on(backend);
+                driver.spawn_acceptor(Box::new(acceptor));
+                (driver, Dialer::Tcp(addr))
+            }
+            Transport::Mem => {
+                let net = MemNet::new();
+                net.set_link_capacity(Some(MEM_LINK_BYTES_PER_S));
+                let listener = net.listen("srv").unwrap();
+                let driver = driver_on(PollerBackend::default());
+                driver.spawn_acceptor(Box::new(listener));
+                (driver, Dialer::Mem(net))
+            }
+        }
+    }
+
+    /// A write this transport cannot take at once: far past loopback's
+    /// socket buffers, or past the shaped link's burst.
+    pub fn big(self) -> usize {
+        match self {
+            Transport::Tcp(_) => 8 * 1024 * 1024,
+            Transport::Mem => 4 * 1024 * 1024,
+        }
+    }
+}
+
+/// Connects one client and returns it with its server-side token.
+pub fn accept_one(driver: &ConnDriver, dialer: &Dialer) -> (Box<dyn Conn>, Token) {
+    let client = dialer.connect();
+    match driver.next_event(Duration::from_secs(2)) {
+        Some(flux_net::DriverEvent::Incoming(token)) => (client, token),
+        other => panic!("expected Incoming, got {other:?}"),
+    }
 }
 
 /// A driver configured for `backend`, asserting the request was

@@ -123,6 +123,9 @@ pub enum RuntimeKind {
     /// single-dispatcher configuration.
     EventDriven {
         shards: usize,
+        /// Size of the I/O pool (at least 1). The pool is started only
+        /// for a program that can block (`FluxServer::can_block`): a
+        /// program with no `blocking` node runs on its shards alone.
         io_workers: usize,
         /// Whether shard queues are depth-capped with shed-at-source
         /// ([`OverloadPolicy`]); `Unbounded` is the paper's semantics.
@@ -572,7 +575,9 @@ fn start_event_driven<P: Send + 'static>(
 
     // I/O helper pool: runs exactly one (blocking) node execution, then
     // posts the flow back to its home shard — the paper's asynchronous
-    // completion signal, now with core affinity.
+    // completion signal, now with core affinity. A program that cannot
+    // block never sends it an event, so it gets no pool.
+    let io_workers = if server.can_block() { io_workers } else { 0 };
     for i in 0..io_workers {
         let srv = server.clone();
         let io_rx = io_rx.clone();
@@ -910,6 +915,38 @@ mod tests {
             thread::sleep(Duration::from_millis(5));
         }
         (server.stats.finished(), sum.load(Ordering::SeqCst))
+    }
+
+    /// The I/O pool exists only for a program that can block: with no
+    /// `blocking` node (nor one registered blocking) the event runtime
+    /// starts no `flux-io-*` thread; one blocking node brings the pool.
+    #[test]
+    fn io_pool_only_for_programs_that_can_block() {
+        let io_threads = |blocking: bool| {
+            let program = flux_core::compile(flux_core::fixtures::MINI_PIPELINE).unwrap();
+            let sum = Arc::new(AtomicU64::new(0));
+            let mut registry = counting_registry(10, sum.clone());
+            if blocking {
+                registry.node_blocking("Parse", |_| NodeOutcome::Ok);
+            }
+            let server = Arc::new(crate::server::FluxServer::new(program, registry).unwrap());
+            assert_eq!(server.can_block(), blocking);
+            let handle = start(server.clone(), RuntimeKind::event_driven_sharded(1, 4));
+            let pool = handle
+                .threads
+                .iter()
+                .filter(|t| t.thread().name().is_some_and(|n| n.starts_with("flux-io-")))
+                .count();
+            handle.join();
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while server.stats.finished() < 10 && std::time::Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(sum.load(Ordering::SeqCst), (0..10).sum::<u64>());
+            pool
+        };
+        assert_eq!(io_threads(false), 0, "no blocking node: no I/O pool");
+        assert_eq!(io_threads(true), 4, "a blocking node: the whole pool");
     }
 
     #[test]

@@ -330,6 +330,21 @@ impl<P: Send + 'static> FluxServer<P> {
         )
     }
 
+    /// True when some flow executes a node that may block — a
+    /// `blocking` node, or one registered with `node_blocking`. The
+    /// event runtime starts its I/O pool only then.
+    pub fn can_block(&self) -> bool {
+        self.flows.iter().flat_map(|f| &f.verts).any(|v| {
+            matches!(
+                v,
+                ResolvedVertex::Exec {
+                    may_block: true,
+                    ..
+                }
+            )
+        })
+    }
+
     /// Node executions the next `step` at this cursor performs: 1 at an
     /// `Exec` vertex, 0 at bookkeeping vertices. The event dispatcher
     /// gives each node execution its own queue turn with this.
