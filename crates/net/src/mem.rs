@@ -21,8 +21,8 @@ use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Bytes one drain sends per chunk of tokens, and the tokens a drain
-/// that ran the bucket dry waits for.
+/// The tokens a drain that ran the bucket dry waits for before the
+/// reactor re-offers it: each later drain sends about this much.
 const DRAIN_CHUNK: usize = 16 * 1024;
 
 /// One direction of a duplex in-memory connection.
@@ -277,24 +277,29 @@ impl Conn for MemConn {
 
     fn drain_out(&mut self) -> io::Result<WriteProgress> {
         // Runs on the reactor thread, so it never waits in the shaper:
-        // it sends what the bucket holds, chunk by chunk, and reports
-        // `Pending` when the bucket runs dry; the reactor then parks
-        // the watch until the shaper's next chunk of tokens.
-        while let Some(front) = self.out.front() {
-            let want = front.len().min(DRAIN_CHUNK);
-            let n = match &self.shaper {
-                // The buffered bytes never passed `try_consume`, so the
-                // drain pays their transmission time here.
-                Some(s) => s.take_up_to(want),
-                None => want,
+        // it sends what the bucket holds at the call (at most a burst,
+        // which also bounds how long it holds the connection lock) and
+        // reports `Pending` for the rest; the reactor then parks the
+        // watch until the shaper's next chunk of tokens. The buffered
+        // bytes never passed `try_consume`, so they are paid for here.
+        let mut budget = match &self.shaper {
+            Some(s) => s.take_up_to(self.out.len()),
+            None => self.out.len(),
+        };
+        while budget > 0 {
+            let Some(front) = self.out.front() else {
+                break;
             };
-            if n == 0 {
-                return Ok(WriteProgress::Pending);
-            }
+            let n = front.len().min(budget);
             self.tx.write(&front[..n])?;
             self.out.advance(n);
+            budget -= n;
         }
-        Ok(WriteProgress::Complete)
+        Ok(if self.out.is_empty() {
+            WriteProgress::Complete
+        } else {
+            WriteProgress::Pending
+        })
     }
 
     fn shutdown_write(&mut self) -> io::Result<()> {

@@ -4,7 +4,8 @@
 //! transport the reactor serves — TCP on each [`flux_net::Poller`]
 //! backend, and the in-memory transport, whose endpoints report on the
 //! reactor's ready list. Each scenario runs once per transport through
-//! the same harness; a backend that passes here can be swapped in via
+//! the same harness, as one test per transport (`<scenario>::tcp_poll`,
+//! `::tcp_epoll`, `::mem`); a backend that passes here can be swapped in via
 //! `NetConfig::backend` without any server noticing, and a test over
 //! `MemNet` exercises the readiness path TCP takes.
 //!
@@ -17,7 +18,7 @@ mod util;
 use flux_net::{DriverEvent, Token};
 use std::io::{Read as _, Write as _};
 use std::time::Duration;
-use util::{accept_one, transports, Transport};
+use util::{accept_one, Transport};
 
 /// The fd-reuse generation race: remove a connection (closing its fd,
 /// or dropping its pipe) and immediately accept a new one that reuses
@@ -166,30 +167,9 @@ fn remove_fails_pending_submissions(transport: Transport) {
     driver.stop();
 }
 
-#[test]
-fn fd_reuse_generation_race_on_every_transport() {
-    for transport in transports() {
-        fd_reuse_generation_race(transport);
-    }
-}
-
-#[test]
-fn slow_reader_pollout_drain_on_every_transport() {
-    for transport in transports() {
-        slow_reader_pollout_drain(transport);
-    }
-}
-
-#[test]
-fn deferred_close_drain_on_every_transport() {
-    for transport in transports() {
-        deferred_close_drain(transport);
-    }
-}
-
-#[test]
-fn remove_fails_pending_submissions_on_every_transport() {
-    for transport in transports() {
-        remove_fails_pending_submissions(transport);
-    }
-}
+util::on_every_transport!(
+    fd_reuse_generation_race,
+    slow_reader_pollout_drain,
+    deferred_close_drain,
+    remove_fails_pending_submissions,
+);

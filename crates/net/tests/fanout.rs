@@ -89,69 +89,68 @@ fn live_clone_keeps_buffer_out_of_the_pool() {
     assert_eq!(pool.pooled(), 2, "returned on last drop, exactly once");
 }
 
+util::on_every_transport!(one_payload_fans_out_to_eight_connections);
+
 /// Reactor-level multicast: one sealed payload submitted to 8
 /// connections. Each connection drains independently (clients are read
 /// in reverse accept order, one at a time), every client receives the
 /// identical bytes, one `WriteDone` is retired per submission, and when
 /// all drains finish the test's clone is the last reference — the
 /// buffer was shared, never copied.
-#[test]
-fn one_payload_fans_out_to_eight_connections() {
+fn one_payload_fans_out_to_eight_connections(transport: util::Transport) {
     const FANOUT: usize = 8;
     // Big enough that kernel socket buffers (or the shaped in-memory
     // link's burst) cannot absorb it all: some connections must go
     // through the reactor's drain path.
     const LEN: usize = 1 << 20;
 
-    for transport in util::transports() {
-        let (driver, dialer) = transport.listen();
+    let (driver, dialer) = transport.listen();
 
-        let mut clients = Vec::new();
-        let mut tokens = Vec::new();
-        for _ in 0..FANOUT {
-            let (client, token) = util::accept_one(&driver, &dialer);
-            clients.push(client);
-            tokens.push(token);
-        }
-
-        let mut buf = driver.take_write_buf();
-        buf.extend((0..LEN).map(|i| (i % 251) as u8));
-        let payload = driver.seal_write_buf(buf);
-        for &t in &tokens {
-            assert!(driver.submit_write_shared(t, &payload));
-        }
-        assert_eq!(
-            driver.counters().writes_shared.load(Ordering::Relaxed),
-            FANOUT as u64
-        );
-
-        // Drain one client at a time, last accepted first: each
-        // connection's buffered remainder must complete without any
-        // other client making progress.
-        let mut got = vec![0u8; LEN];
-        for mut client in clients.into_iter().rev() {
-            client.read_exact(&mut got).unwrap();
-            assert!(
-                got.as_slice() == &payload[..],
-                "client received the exact payload ({transport:?})"
-            );
-        }
-
-        let mut done = 0;
-        while done < FANOUT {
-            match driver.next_event(Duration::from_secs(2)) {
-                Some(DriverEvent::WriteDone(_)) => done += 1,
-                Some(DriverEvent::WriteFailed(t)) => panic!("write failed on {t}"),
-                other => panic!("expected WriteDone, got {other:?}"),
-            }
-        }
-        assert_eq!(
-            payload.ref_count(),
-            1,
-            "all connection clones released after the drains ({transport:?})"
-        );
-        driver.stop();
+    let mut clients = Vec::new();
+    let mut tokens = Vec::new();
+    for _ in 0..FANOUT {
+        let (client, token) = util::accept_one(&driver, &dialer);
+        clients.push(client);
+        tokens.push(token);
     }
+
+    let mut buf = driver.take_write_buf();
+    buf.extend((0..LEN).map(|i| (i % 251) as u8));
+    let payload = driver.seal_write_buf(buf);
+    for &t in &tokens {
+        assert!(driver.submit_write_shared(t, &payload));
+    }
+    assert_eq!(
+        driver.counters().writes_shared.load(Ordering::Relaxed),
+        FANOUT as u64
+    );
+
+    // Drain one client at a time, last accepted first: each
+    // connection's buffered remainder must complete without any
+    // other client making progress.
+    let mut got = vec![0u8; LEN];
+    for mut client in clients.into_iter().rev() {
+        client.read_exact(&mut got).unwrap();
+        assert!(
+            got.as_slice() == &payload[..],
+            "client received the exact payload ({transport:?})"
+        );
+    }
+
+    let mut done = 0;
+    while done < FANOUT {
+        match driver.next_event(Duration::from_secs(2)) {
+            Some(DriverEvent::WriteDone(_)) => done += 1,
+            Some(DriverEvent::WriteFailed(t)) => panic!("write failed on {t}"),
+            other => panic!("expected WriteDone, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        payload.ref_count(),
+        1,
+        "all connection clones released after the drains ({transport:?})"
+    );
+    driver.stop();
 }
 
 /// A subscriber that stops draining is evicted when its output buffer

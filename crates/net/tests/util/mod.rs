@@ -11,15 +11,6 @@ use flux_net::{TcpConn, Token};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Every backend on this host: poll, plus epoll on Linux.
-pub fn backends() -> Vec<PollerBackend> {
-    let mut v = vec![PollerBackend::Poll];
-    if cfg!(target_os = "linux") {
-        v.push(PollerBackend::Epoll);
-    }
-    v
-}
-
 /// One way to carry a connection: TCP over loopback with the reactor on
 /// a given backend, or an in-memory link (the reactor on the platform's
 /// backend, which then watches only its self-pipe).
@@ -29,12 +20,37 @@ pub enum Transport {
     Mem,
 }
 
-/// Every transport on this host: TCP over each backend, then `Mem`.
-pub fn transports() -> Vec<Transport> {
-    let mut v: Vec<Transport> = backends().into_iter().map(Transport::Tcp).collect();
-    v.push(Transport::Mem);
-    v
+/// Defines, for each scenario `fn(Transport)`, a module of that name
+/// holding one `#[test]` per transport on this host — `tcp_poll`,
+/// `tcp_epoll` (Linux) and `mem` — so a suite's output names every
+/// transport a case ran on.
+#[allow(unused_macros)] // `hot_path.rs` spells its proptests out
+macro_rules! on_every_transport {
+    ($($scenario:ident),+ $(,)?) => {$(
+        mod $scenario {
+            use crate::util::Transport;
+            use flux_net::PollerBackend;
+
+            #[test]
+            fn tcp_poll() {
+                super::$scenario(Transport::Tcp(PollerBackend::Poll));
+            }
+
+            #[test]
+            #[cfg(target_os = "linux")]
+            fn tcp_epoll() {
+                super::$scenario(Transport::Tcp(PollerBackend::Epoll));
+            }
+
+            #[test]
+            fn mem() {
+                super::$scenario(Transport::Mem);
+            }
+        }
+    )+};
 }
+#[allow(unused_imports)]
+pub(crate) use on_every_transport;
 
 /// The in-memory link's rate: slow enough that [`Transport::big`] bytes
 /// take the reactor's drain a few hundred milliseconds.
